@@ -18,7 +18,6 @@ from .scenario import (
     load_scenario,
     validate_scenario,
 )
-from .sim import run_lockstep, run_networked
 from . import report
 
 log = logging.getLogger(__name__)
@@ -52,18 +51,12 @@ def _cmd_run(args) -> int:
     except Exception as exc:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    checked = validate_scenario(sc)
-    if not checked.ok:
-        print(checked, file=sys.stderr)
-        return EXIT_VALIDATION
     try:
-        if args.mode == "lockstep":
-            result = run_lockstep(sc, algorithm=args.algorithm, seed=args.seed)
-        else:
-            result = run_networked(
-                sc, algorithm=args.algorithm, seed=args.seed, realtime=args.realtime
-            )
-        out = report.write_run_artifacts(result, args.out)
+        out = report.run_scenario(sc, args.out, mode=args.mode, seed=args.seed,
+                                  algorithm=args.algorithm, realtime=args.realtime)
+    except report.ScenarioValidationError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -156,9 +156,6 @@ class SystemSnapshot:
     def demand_by_id(self) -> dict[int, float]:
         return {d.load_id: d.demand_status for d in self.demands}
 
-    def measured_by_id(self) -> dict[int, float]:
-        return {d.load_id: p for d, p in zip(self.demands, self.measured_w)}
-
 
 @dataclass(frozen=True)
 class ShedCommand:

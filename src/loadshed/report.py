@@ -24,6 +24,8 @@ from .records import (
     write_run_csv,
     write_timing_csv,
 )
+from .scenario import ScenarioConfig, default_scenario, load_scenario, validate_scenario
+from .sim import run_lockstep, run_networked
 
 GROUPINGS = ("TOTAL",) + tuple(g.value for g in LoadGroup)
 
@@ -110,11 +112,9 @@ def solve_time_stats(times: Sequence[float]) -> tuple[float, float]:
     return float(arr.max()), float(np.percentile(arr, 99))
 
 
-def summarize(meta: RunMeta, rows: Sequence[RunRecord],
-              solve_times: Sequence[float] | None = None) -> str:
+def summarize(meta: RunMeta, rows: Sequence[RunRecord]) -> str:
     op_cmd, op_meas = integral_ops(meta, rows)
-    times = [r.solve_time_s for r in rows] if solve_times is None else list(solve_times)
-    t_max, t_p99 = solve_time_stats(times)
+    t_max, t_p99 = solve_time_stats([r.solve_time_s for r in rows])
     degraded = sum(r.degraded for r in rows)
     lines = [
         f"run: algorithm={meta.algorithm} mode={meta.mode} seed={meta.seed}",
@@ -156,28 +156,31 @@ class ScenarioValidationError(Exception):
 
 
 def run_scenario(
-    scenario_path: str | Path | None,
+    scenario: ScenarioConfig | str | Path | None,
     out_dir: str | Path,
     mode: str = "lockstep",
     seed: int | None = None,
     algorithm: str | None = None,
+    realtime: bool = False,
 ) -> Path:
-    """Load a scenario (bundled default when None), run it, write artifacts.
+    """Validate and run a scenario, then write its artifacts.
 
-    Raises :class:`ScenarioValidationError` for an invalid scenario and
-    ``ValueError`` for an unknown mode.
+    ``scenario`` is a loaded scenario, the path of a scenario file, or None
+    for the bundled default. ``realtime`` paces a networked run at the
+    control period. Raises :class:`ScenarioValidationError` for an invalid
+    scenario and ``ValueError`` for an unknown mode.
     """
-    from .scenario import default_scenario, load_scenario, validate_scenario
-    from .sim import run_lockstep, run_networked
-
-    sc = default_scenario() if scenario_path is None else load_scenario(scenario_path)
-    checked = validate_scenario(sc)
+    if scenario is None:
+        scenario = default_scenario()
+    elif not isinstance(scenario, ScenarioConfig):
+        scenario = load_scenario(scenario)
+    checked = validate_scenario(scenario)
     if not checked.ok:
         raise ScenarioValidationError(checked)
     if mode == "lockstep":
-        result = run_lockstep(sc, algorithm=algorithm, seed=seed)
+        result = run_lockstep(scenario, algorithm=algorithm, seed=seed)
     elif mode == "networked":
-        result = run_networked(sc, algorithm=algorithm, seed=seed)
+        result = run_networked(scenario, algorithm=algorithm, seed=seed, realtime=realtime)
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'lockstep' or 'networked'")
     return write_run_artifacts(result, out_dir)

@@ -35,7 +35,6 @@ from .plant import (
     LoadProfile,
     PlantEvent,
     ZoneLimitChange,
-    sample_profile,
 )
 
 DEFAULT_MISSION_ID = 1
@@ -216,13 +215,6 @@ def default_scenario() -> ScenarioConfig:
         plant=PlantConfig(tau_s=0.2, loss_fraction=0.02),
         impairment=ImpairmentConfig(),
         controller=ControllerConfig(algorithm="advanced"),
-    )
-
-
-def total_demand_w(sc: ScenarioConfig, t: float) -> float:
-    """Fleet-wide demanded power at time ``t`` (diagnostic helper)."""
-    return sum(
-        sample_profile(sc.profiles[spec.id], t) * spec.rated_power_w for spec in sc.fleet
     )
 
 

@@ -1,24 +1,34 @@
-"""Run engines: deterministic lockstep and UDP-networked execution.
+"""Run engine: one plant-side tick loop, run lockstep or over UDP.
 
-Lockstep advances the plant and the controller alternately on one simulated
-clock; telemetry and command datagrams flow through seeded delay queues, so
-a run is a pure function of (scenario, algorithm, seed). Commands computed
-from tick ``t`` telemetry take effect during tick ``t+1``, one control
-period of latency, as in the physical setup this emulates.
+Each tick the loop applies the commands that have arrived, advances the
+plant, submits its telemetry to a seeded delay queue, hands what that queue
+delivers to the controller side, submits the answer to a seeded command
+queue and records a row. Commands computed from tick ``t`` telemetry take
+effect during tick ``t+1``, one control period of latency, as in the
+physical setup this emulates. The queues draw link loss at the plant end in
+both modes, so the drop schedule is a pure function of the seed.
 
-Networked mode runs the same plant and controller code as two loops joined
-only by real UDP datagrams. The plant paces the run: it sends telemetry for
-tick ``k`` and waits (bounded) for the command reply before advancing, so a
-loss-free run reproduces the lockstep command sequence exactly.
+The controller side is a :class:`_ControlNode`: it keeps the freshest
+telemetry, owns the staleness failsafe (telemetry older than
+``stale_limit`` ticks: re-send the last batch, flag the tick degraded) and
+times each solve. Lockstep calls it inline, and the queues also apply
+latency and jitter. Networked mode serves it on a thread behind real UDP
+sockets, which supply the latency, so ``latency_ms`` and ``jitter_ms``
+apply to lockstep only; a tick whose telemetry is lost, or whose reply does
+not come in time, is degraded while the plant holds its last commands. A
+loss-free networked run reproduces the lockstep run exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import socket
 import threading
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import link
 from .controller import (
@@ -88,11 +98,9 @@ def build_plant(sc: ScenarioConfig) -> Plant:
 class _Recorder:
     """Shared row bookkeeping for both execution modes."""
 
-    def __init__(self, sc: ScenarioConfig, algorithm: str):
-        self.sc = sc
+    def __init__(self, sc: ScenarioConfig):
         self.db = _mission_database(sc)
         self.rated = {spec.id: spec.rated_power_w for spec in sc.fleet}
-        self.algorithm = algorithm
 
     def row(
         self,
@@ -110,8 +118,9 @@ class _Recorder:
             if d.demand_status == 0.0 or weights is None:
                 continue
             w = weights.weights[d.load_id]
-            den += w * d.demand_status
-            num_cmd += w * min(c, d.demand_status)
+            ds = d.demand_status
+            den += w * ds
+            num_cmd += w * (ds if ds < c else c)  # min(c, ds) without the call overhead
             num_meas += w * (measured / self.rated[d.load_id])
         vacuous = den <= 0.0
         return RunRecord(
@@ -132,13 +141,201 @@ class _Recorder:
         )
 
 
-def _intent_power_w(controller: Controller, snapshot: SystemSnapshot,
-                    rated: dict[int, float]) -> float:
-    demand = snapshot.demand_by_id()
-    return sum(
-        min(status, demand.get(lid, 0.0)) * rated[lid]
-        for lid, status in controller.intent.items()
+class _Decision(NamedTuple):
+    """What the controller side answered for one tick."""
+
+    batch: tuple[ShedCommand, ...]
+    intent: dict[int, float]  # the controller's statuses after this decision
+    degraded: bool = False
+    seq: int | None = None  # telemetry seq the batch was based on
+    budget_w: float | None = None
+    intent_power_w: float | None = None
+    solve_time_s: float = 0.0
+    optimal: bool = True
+
+    def held(self) -> _Decision:
+        """The failsafe answer: re-send this batch, flagged degraded."""
+        return _Decision(self.batch, self.intent, degraded=True)
+
+
+class _ControlNode:
+    """The controller side of the loop, whatever carries its messages."""
+
+    def __init__(self, controller: Controller, stale_limit: int,
+                 rated: dict[int, float]):
+        self.controller = controller
+        self.stale_limit = stale_limit
+        self.rated = rated
+        self._mailbox: tuple[int, SystemSnapshot] | None = None
+        self.last = _Decision((), dict(controller.intent))
+
+    def exchange(self, k: int, arrived: list[tuple[int, SystemSnapshot]]) -> _Decision:
+        """Take the telemetry that arrived by tick ``k`` and answer for tick ``k``."""
+        for seq, snap in arrived:
+            if self._mailbox is None or seq > self._mailbox[0]:
+                self._mailbox = (seq, snap)
+        if self._mailbox is None or k - self._mailbox[0] > self.stale_limit:
+            return self.last.held()  # failsafe: hold (re-send) the last batch
+        seq, used = self._mailbox
+        t0 = time.perf_counter()
+        batch = self.controller.on_telemetry(used)
+        solve_time = self.controller.last_solve_time_s or (time.perf_counter() - t0)
+        plan = getattr(self.controller, "last_plan", None)
+        demand = used.demand_by_id()
+        intent_power = 0.0
+        for lid, status in self.controller.intent.items():
+            d = demand.get(lid, 0.0)
+            intent_power += (d if d < status else status) * self.rated[lid]  # min(status, d)
+        self.last = _Decision(batch, dict(self.controller.intent), seq=seq,
+                              budget_w=max(0.0, used.total_capacity_w - used.total_loss_w),
+                              intent_power_w=intent_power, solve_time_s=solve_time,
+                              optimal=plan is None or plan.optimal)
+        return self.last
+
+
+class _UdpLink:
+    """Plant-side proxy of a :class:`_ControlNode` served over UDP on a thread."""
+
+    def __init__(self, node: _ControlNode, host: str, plant_port: int,
+                 controller_port: int, sync_timeout_s: float, period_s: float | None):
+        self.node = node
+        self.sync_timeout_s = sync_timeout_s
+        self.period_s = period_s
+        self._plant_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._ctrl_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            self._plant_sock.bind((host, plant_port))
+            self._ctrl_sock.bind((host, controller_port))
+        except OSError as exc:
+            self.close()
+            raise RuntimeError(f"cannot open UDP sockets on {host}: {exc}") from exc
+        self._ctrl_addr = self._ctrl_sock.getsockname()
+        self._plant_sock.settimeout(0.005)
+        self._ctrl_sock.settimeout(0.05)
+        self._reasm = Reassembler()
+        self._last = node.last
+        self._latest: _Decision | None = None
+        self._release_s = 0.0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, name="loadshed-controller",
+                                        daemon=True)
+
+    def close(self) -> None:
+        self._plant_sock.close()
+        self._ctrl_sock.close()
+
+    def __enter__(self) -> _UdpLink:
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._stop.set()
+        self._thread.join(timeout=2.0)
+        self.close()
+        if isinstance(exc, OSError):
+            raise RuntimeError(f"UDP socket failure during networked run: {exc}") from exc
+
+    def _serve(self) -> None:
+        """Controller thread: answer each telemetry message with the node's batch."""
+        reasm = Reassembler()
+        while not self._stop.is_set():
+            try:
+                data, sender = self._ctrl_sock.recvfrom(65536)
+                view = reasm.feed(data)
+            except socket.timeout:
+                continue
+            except link.DecodeError as exc:
+                log.warning("controller dropped undecodable datagram: %s", exc)
+                continue
+            except OSError:
+                if self._stop.is_set():
+                    return
+                raise
+            if view is None or view.msg_type != link.MSG_TELEMETRY:
+                continue
+            self._latest = self.node.exchange(view.seq, [(view.seq, view.snapshot)])
+            for part in link.encode_commands_parts(
+                self._latest.batch, view.seq, timestamp_ms=view.timestamp_ms
+            ):
+                self._ctrl_sock.sendto(part, sender)
+
+    def exchange(self, k: int, arrived: list[tuple[int, SystemSnapshot]]) -> _Decision:
+        """Send the telemetry that got through and wait for the reply with ``seq == k``."""
+        for seq, snap in arrived:
+            for part in link.encode_telemetry_parts(snap, seq):
+                self._plant_sock.sendto(part, self._ctrl_addr)
+        decision = self._last.held()
+        deadline = time.monotonic() + (self.sync_timeout_s if arrived else 0.0)
+        while time.monotonic() < deadline:
+            try:
+                view = self._reasm.feed(self._plant_sock.recvfrom(65536)[0])
+            except socket.timeout:
+                continue
+            except link.DecodeError as exc:
+                log.warning("plant dropped undecodable datagram: %s", exc)
+                continue
+            if view is not None and view.msg_type == link.MSG_COMMANDS and view.seq == k:
+                # the node answers before it replies, so _latest is tick k's decision
+                decision = self._last = self._latest._replace(batch=view.commands)
+                break
+        if self.period_s is not None:
+            now = time.monotonic()
+            if self._release_s > now:
+                time.sleep(self._release_s - now)
+            self._release_s = max(now, self._release_s) + self.period_s
+        return decision
+
+
+def _run(sc: ScenarioConfig, algorithm: str | None, seed: int | None,
+         mode: str, connect) -> RunResult:
+    """The tick loop; ``connect(node)`` gives the context that carries messages."""
+    algorithm = algorithm or sc.controller.algorithm
+    cfg = replace(sc.controller, algorithm=algorithm)
+    impair_cfg = sc.impairment if seed is None else replace(sc.impairment, seed=seed)
+    # in networked mode the sockets supply the latency
+    queue_cfg = (impair_cfg if mode == "lockstep"
+                 else replace(impair_cfg, latency_ms=0.0, jitter_ms=0.0))
+    plant = build_plant(sc)
+    recorder = _Recorder(sc)
+    node = _ControlNode(make_controller(sc.fleet, cfg, recorder.db), cfg.stale_limit,
+                        recorder.rated)
+    q_tel = DelayQueue(queue_cfg, "telemetry")
+    q_cmd = DelayQueue(queue_cfg, "commands")
+
+    meta = meta_from_fleet(
+        sc.fleet,
+        tick_s=sc.window.tick_s,
+        t_start_s=sc.window.t_start_s,
+        t_end_s=sc.window.t_end_s,
+        algorithm=algorithm,
+        mode=mode,
+        seed=impair_cfg.seed,
+        mission_id=sc.mission_id,
     )
+    result = RunResult(meta, [], [], [], [], [], [], [])
+
+    dt = sc.window.tick_s
+    with connect(node) as controller_side:
+        for k in range(1, sc.window.n_ticks + 1):
+            interval_start = sc.window.t_start_s + (k - 1) * dt
+            for batch in q_cmd.poll(interval_start):
+                plant.apply_commands(batch)
+            snapshot = plant.tick(dt)
+
+            deliver = q_tel.submit((k, snapshot), snapshot.time_s)
+            result.telemetry_dropped.append(deliver is None)
+            decision = controller_side.exchange(k, q_tel.poll(snapshot.time_s))
+
+            result.batches.append(decision.batch)
+            deliver = q_cmd.submit(decision.batch, snapshot.time_s)
+            result.command_dropped.append(deliver is None)
+            result.used_seq.append(decision.seq)
+            result.budget_w.append(decision.budget_w)
+            result.intent_power_w.append(decision.intent_power_w)
+            result.nonoptimal_solves += not decision.optimal
+            result.rows.append(recorder.row(snapshot, decision.intent, decision.degraded,
+                                            decision.solve_time_s))
+    return result
 
 
 def run_lockstep(
@@ -147,108 +344,7 @@ def run_lockstep(
     seed: int | None = None,
 ) -> RunResult:
     """Deterministic single-threaded run over the scenario window."""
-    algorithm = algorithm or sc.controller.algorithm
-    cfg = replace(sc.controller, algorithm=algorithm)
-    impair_cfg = sc.impairment if seed is None else replace(sc.impairment, seed=seed)
-    plant = build_plant(sc)
-    recorder = _Recorder(sc, algorithm)
-    controller = make_controller(sc.fleet, cfg, recorder.db)
-    q_tel = DelayQueue(impair_cfg, "telemetry")
-    q_cmd = DelayQueue(impair_cfg, "commands")
-
-    meta = meta_from_fleet(
-        sc.fleet,
-        tick_s=sc.window.tick_s,
-        t_start_s=sc.window.t_start_s,
-        t_end_s=sc.window.t_end_s,
-        algorithm=algorithm,
-        mode="lockstep",
-        seed=impair_cfg.seed,
-        mission_id=sc.mission_id,
-    )
-    result = RunResult(meta, [], [], [], [], [], [], [])
-
-    mailbox: tuple[int, SystemSnapshot] | None = None
-    last_batch: tuple[ShedCommand, ...] = ()
-    dt = sc.window.tick_s
-    for k in range(1, sc.window.n_ticks + 1):
-        interval_start = sc.window.t_start_s + (k - 1) * dt
-        for batch in q_cmd.poll(interval_start):
-            plant.apply_commands(batch)
-        snapshot = plant.tick(dt)
-
-        deliver = q_tel.submit((k, snapshot), snapshot.time_s)
-        result.telemetry_dropped.append(deliver is None)
-        for seq, snap in q_tel.poll(snapshot.time_s):
-            if mailbox is None or seq > mailbox[0]:
-                mailbox = (seq, snap)
-
-        degraded = mailbox is None or (k - mailbox[0]) > cfg.stale_limit
-        if degraded:
-            batch = last_batch  # failsafe: hold (re-send) the last commands
-            solve_time = 0.0
-            result.used_seq.append(None)
-            result.budget_w.append(None)
-            result.intent_power_w.append(None)
-        else:
-            seq, used = mailbox
-            t0 = time.perf_counter()
-            batch = controller.on_telemetry(used)
-            solve_time = controller.last_solve_time_s or (time.perf_counter() - t0)
-            result.used_seq.append(seq)
-            result.budget_w.append(max(0.0, used.total_capacity_w - used.total_loss_w))
-            result.intent_power_w.append(_intent_power_w(controller, used, recorder.rated))
-            plan = getattr(controller, "last_plan", None)
-            if plan is not None and not plan.optimal:
-                result.nonoptimal_solves += 1
-        last_batch = batch
-        result.batches.append(batch)
-        deliver = q_cmd.submit(batch, snapshot.time_s)
-        result.command_dropped.append(deliver is None)
-
-        result.rows.append(recorder.row(snapshot, controller.intent, degraded, solve_time))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# networked mode
-
-
-def _controller_loop(
-    sock: socket.socket,
-    controller: Controller,
-    stop: threading.Event,
-    solve_log: dict[int, float],
-    cmd_rng,
-    loss_probability: float,
-    recv_timeout: float = 0.05,
-) -> None:
-    reasm = Reassembler()
-    sock.settimeout(recv_timeout)
-    while not stop.is_set():
-        try:
-            data, sender = sock.recvfrom(65536)
-        except socket.timeout:
-            continue
-        except OSError:
-            if stop.is_set():
-                return
-            raise
-        try:
-            view = reasm.feed(data)
-        except link.DecodeError as exc:
-            log.warning("controller dropped undecodable datagram: %s", exc)
-            continue
-        if view is None or view.msg_type != link.MSG_TELEMETRY:
-            continue
-        batch = controller.on_telemetry(view.snapshot)
-        solve_log[view.seq] = controller.last_solve_time_s
-        dropped = loss_probability > 0.0 and cmd_rng.random() < loss_probability
-        if not dropped:
-            for part in link.encode_commands_parts(
-                batch, view.seq, timestamp_ms=view.timestamp_ms
-            ):
-                sock.sendto(part, sender)
+    return _run(sc, algorithm, seed, "lockstep", contextlib.nullcontext)
 
 
 def run_networked(
@@ -261,124 +357,18 @@ def run_networked(
     sync_timeout_s: float = 1.0,
     realtime: bool = False,
 ) -> RunResult:
-    """Plant and controller as two loops exchanging real UDP datagrams.
+    """The same loop with the controller node on a thread behind UDP sockets.
 
-    Pass port 0 for ephemeral ports. The configured loss probability applies
-    to both directions through the same seeded generators as lockstep mode;
-    latency is whatever the real sockets deliver. Aborts with a diagnostic
-    on socket failure.
+    Pass port 0 for ephemeral ports. Loss is drawn at the plant end in both
+    directions by the same seeded queues as in lockstep; ``latency_ms`` and
+    ``jitter_ms`` are ignored, as the sockets supply the latency. The node
+    only ever answers the current tick's telemetry, so its staleness
+    failsafe does not engage: a tick whose telemetry is lost, or whose reply
+    does not arrive within ``sync_timeout_s``, is degraded while the plant
+    holds its last commands. ``realtime`` paces the ticks at the control
+    period. Aborts with a diagnostic on socket failure.
     """
-    algorithm = algorithm or sc.controller.algorithm
-    cfg = replace(sc.controller, algorithm=algorithm)
-    impair_cfg = sc.impairment if seed is None else replace(sc.impairment, seed=seed)
-    recorder = _Recorder(sc, algorithm)
-    controller = make_controller(sc.fleet, cfg, recorder.db)
-    plant = build_plant(sc)
-
-    meta = meta_from_fleet(
-        sc.fleet,
-        tick_s=sc.window.tick_s,
-        t_start_s=sc.window.t_start_s,
-        t_end_s=sc.window.t_end_s,
-        algorithm=algorithm,
-        mode="networked",
-        seed=impair_cfg.seed,
-        mission_id=sc.mission_id,
-    )
-    result = RunResult(meta, [], [], [], [], [], [], [])
-    tel_rng = link.impairment_rng(impair_cfg.seed, "telemetry")
-    cmd_rng = link.impairment_rng(impair_cfg.seed, "commands")
-    loss = impair_cfg.loss_probability
-
-    try:
-        plant_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        ctrl_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        plant_sock.bind((host, plant_port))
-        ctrl_sock.bind((host, controller_port))
-    except OSError as exc:
-        raise RuntimeError(f"cannot open UDP sockets on {host}: {exc}") from exc
-    ctrl_addr = ctrl_sock.getsockname()
-
-    stop = threading.Event()
-    solve_log: dict[int, float] = {}
-    thread = threading.Thread(
-        target=_controller_loop,
-        args=(ctrl_sock, controller, stop, solve_log, cmd_rng, loss),
-        name="loadshed-controller",
-        daemon=True,
-    )
-    thread.start()
-
-    reasm = Reassembler()
-    dt = sc.window.tick_s
-    pending: tuple[ShedCommand, ...] | None = None
-    plant_sock.settimeout(0.005)
-    try:
-        for k in range(1, sc.window.n_ticks + 1):
-            tick_wall_start = time.monotonic()
-            if pending is not None:
-                plant.apply_commands(pending)
-                pending = None
-            snapshot = plant.tick(dt)
-
-            dropped = loss > 0.0 and tel_rng.random() < loss
-            result.telemetry_dropped.append(dropped)
-            if not dropped:
-                for part in link.encode_telemetry_parts(snapshot, k):
-                    plant_sock.sendto(part, ctrl_addr)
-
-            # wait for the command reply to this tick's telemetry
-            reply: tuple[ShedCommand, ...] | None = None
-            reply_seq = None
-            deadline = time.monotonic() + (0.0 if dropped else sync_timeout_s)
-            while time.monotonic() < deadline:
-                try:
-                    data, _ = plant_sock.recvfrom(65536)
-                except socket.timeout:
-                    continue
-                try:
-                    view = reasm.feed(data)
-                except link.DecodeError as exc:
-                    log.warning("plant dropped undecodable datagram: %s", exc)
-                    continue
-                if view is None or view.msg_type != link.MSG_COMMANDS:
-                    continue
-                reply = view.commands
-                reply_seq = view.seq
-                if view.seq >= k:
-                    break
-            degraded = reply is None
-            commanded_view = dict(plant.commanded)
-            if reply is not None:
-                pending = reply
-                for cmd in reply:
-                    commanded_view[cmd.load_id] = cmd.status
-                result.batches.append(reply)
-                result.used_seq.append(reply_seq)
-            else:
-                result.batches.append(())
-                result.used_seq.append(None)
-            result.command_dropped.append(False)
-            result.budget_w.append(None)
-            result.intent_power_w.append(None)
-            result.rows.append(
-                recorder.row(snapshot, commanded_view, degraded,
-                             solve_log.get(k, 0.0))
-            )
-            if realtime:
-                remaining = cfg.period_s - (time.monotonic() - tick_wall_start)
-                if remaining > 0:
-                    time.sleep(remaining)
-    except OSError as exc:
-        raise RuntimeError(f"UDP socket failure during networked run: {exc}") from exc
-    finally:
-        stop.set()
-        thread.join(timeout=2.0)
-        plant_sock.close()
-        ctrl_sock.close()
-    # backfill measured solve times now that the controller loop is done
-    result.rows = [
-        replace(row, solve_time_s=solve_log.get(k, row.solve_time_s))
-        for k, row in enumerate(result.rows, start=1)
-    ]
-    return result
+    period_s = sc.controller.period_s if realtime else None
+    return _run(sc, algorithm, seed, "networked", functools.partial(
+        _UdpLink, host=host, plant_port=plant_port, controller_port=controller_port,
+        sync_timeout_s=sync_timeout_s, period_s=period_s))

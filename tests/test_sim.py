@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -140,3 +141,50 @@ class TestNetworked:
                             controller_port=0)
         lock = run_lockstep(sc, algorithm="baseline", seed=0)
         assert net.batches == lock.batches
+
+    def test_zero_loss_bookkeeping_matches_lockstep(self):
+        sc = small_scenario()
+        lock = run_lockstep(sc, algorithm="advanced", seed=0)
+        net = run_networked(sc, algorithm="advanced", seed=0, plant_port=0,
+                            controller_port=0)
+        assert net.used_seq == lock.used_seq
+        assert net.budget_w == lock.budget_w
+        assert net.intent_power_w == lock.intent_power_w
+        assert net.command_dropped == lock.command_dropped
+
+    def test_baseline_over_udp_records_decision_time(self):
+        net = run_networked(small_scenario(), algorithm="baseline", seed=0, plant_port=0,
+                            controller_port=0)
+        assert any(r.solve_time_s > 0 for r in net.rows)
+
+    def test_lossy_drops_follow_replayed_schedule(self):
+        sc = small_scenario(loss=0.2, seed=5)
+        net = run_networked(sc, algorithm="advanced", seed=5, sync_timeout_s=0.2,
+                            plant_port=0, controller_port=0)
+        n = sc.window.n_ticks
+        assert net.telemetry_dropped == replay_drop_schedule(sc.impairment, "telemetry", n)
+        assert net.command_dropped == replay_drop_schedule(sc.impairment, "commands", n)
+
+    def test_lossy_degraded_ticks_are_the_lost_telemetry_ticks(self):
+        sc = small_scenario(loss=0.2, seed=5)
+        net = run_networked(sc, algorithm="advanced", seed=5, sync_timeout_s=0.2,
+                            plant_port=0, controller_port=0)
+        assert [r.degraded for r in net.rows] == net.telemetry_dropped
+
+    def test_lossy_fresh_ticks_stay_within_budget(self):
+        sc = small_scenario(loss=0.2, seed=5)
+        net = run_networked(sc, algorithm="advanced", seed=5, sync_timeout_s=0.2,
+                            plant_port=0, controller_port=0)
+        for k, (row, budget, implied) in enumerate(zip(net.rows, net.budget_w,
+                                                       net.intent_power_w)):
+            if not row.degraded:
+                assert implied <= budget + 1e-6, f"tick {k}: {implied} > {budget}"
+
+    def test_realtime_paces_ticks_at_control_period(self):
+        sc = small_scenario()
+        sc = replace(sc, window=replace(sc.window, t_end_s=0.5))
+        t0 = time.monotonic()
+        net = run_networked(sc, algorithm="advanced", seed=0, plant_port=0,
+                            controller_port=0, realtime=True)
+        assert len(net.rows) == 5
+        assert time.monotonic() - t0 >= 4 * sc.controller.period_s
