@@ -3,16 +3,18 @@
 Controllers are driven one telemetry snapshot at a time and reply with the
 commands whose statuses changed. The advanced controller consults a mission
 database (weight schedule plus scheduled constraint updates) and solves the
-shedding optimization within its per-tick deadline.
+shedding optimization within its per-tick deadline. The control period is
+the run's tick, which the engine passes in.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .baseline import BaselineState, baseline_reset, baseline_step
+from .metrics import DEFAULT_TICK_S
 from .model import (
     LoadSpec,
     MissionWeightSet,
@@ -21,6 +23,7 @@ from .model import (
     ZoneLimit,
 )
 from .optimizer import ShedPlan, build_instance, solve
+from .plant import LoadFailure, PlantEvent, ZoneLimitChange
 
 log = logging.getLogger(__name__)
 
@@ -30,51 +33,38 @@ ALGORITHMS = ("baseline", "advanced")
 @dataclass(frozen=True)
 class ControllerConfig:
     algorithm: str = "advanced"
-    period_s: float = 0.1
-    solve_deadline_s: float = 0.05
+    solve_deadline_s: float = 0.05  # must also lie inside the tick; see validate_scenario
     stale_limit: int = 5  # ticks of telemetry age before the failsafe engages
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not 0 < self.solve_deadline_s < self.period_s:
-            raise ValueError("solve deadline must lie strictly inside the control period")
+        if not self.solve_deadline_s > 0:
+            raise ValueError("solve deadline must be positive")
         if self.stale_limit < 1:
             raise ValueError("stale limit must be at least one tick")
-
-
-@dataclass(frozen=True)
-class ZoneSchedule:
-    time_s: float
-    zone: str
-    limit_w: float
-
-
-@dataclass(frozen=True)
-class ForcedOffSchedule:
-    time_s: float
-    load_id: int
 
 
 class MissionDatabase:
     """Dynamic mission data: weight sets over time plus constraint updates.
 
     Mirrors the controller-side "dynamic database": telemetry never carries
-    zone limits or failed-load sets, so scheduled constraint changes are, by
-    configuration, known to the controller as well as to the plant.
+    zone limits or failed-load sets, so the scenario's ``ZoneLimitChange`` and
+    ``LoadFailure`` events are, by configuration, known to the controller as
+    well as to the plant. Only the controller enforces zone limits.
     """
 
     def __init__(
         self,
         weight_sets: Sequence[MissionWeightSet],
         zones: Sequence[ZoneLimit] = (),
-        zone_updates: Sequence[ZoneSchedule] = (),
-        forced_off_updates: Sequence[ForcedOffSchedule] = (),
+        events: Iterable[PlantEvent] = (),
     ):
         self._weight_sets = tuple(weight_sets)
         self._zones = {zl.zone: zl for zl in zones}
-        self._zone_updates = sorted(zone_updates, key=lambda u: u.time_s)
-        self._forced_updates = sorted(forced_off_updates, key=lambda u: u.time_s)
+        events = sorted(events, key=lambda ev: ev.time_s)
+        self._zone_updates = [ev for ev in events if isinstance(ev, ZoneLimitChange)]
+        self._forced_updates = [ev for ev in events if isinstance(ev, LoadFailure)]
 
     def weights_at(self, mission_id: int, time_s: float) -> MissionWeightSet | None:
         candidates = [
@@ -144,9 +134,10 @@ class AdvancedController:
 class BaselineController:
     """Wrapper giving the staged baseline the same driving surface."""
 
-    def __init__(self, fleet: Sequence[LoadSpec], config: ControllerConfig):
+    def __init__(self, fleet: Sequence[LoadSpec], config: ControllerConfig, tick_s: float):
         self.fleet = tuple(fleet)
         self.config = config
+        self.tick_s = tick_s
         self.state: BaselineState = baseline_reset()
         self.intent: dict[int, float] = {spec.id: 1.0 for spec in self.fleet}
 
@@ -155,8 +146,7 @@ class BaselineController:
         return 0.0  # rule evaluation, no optimization solve
 
     def on_telemetry(self, snapshot: SystemSnapshot) -> tuple[ShedCommand, ...]:
-        self.state, commands = baseline_step(self.state, snapshot, self.fleet,
-                                             self.config.period_s)
+        self.state, commands = baseline_step(self.state, snapshot, self.fleet, self.tick_s)
         for cmd in commands:
             self.intent[cmd.load_id] = cmd.status
         return commands
@@ -169,9 +159,11 @@ def make_controller(
     fleet: Sequence[LoadSpec],
     config: ControllerConfig,
     database: MissionDatabase | None = None,
+    tick_s: float = DEFAULT_TICK_S,
 ) -> Controller:
+    """The configured controller; ``tick_s`` is the control period of the run."""
     if config.algorithm == "baseline":
-        return BaselineController(fleet, config)
+        return BaselineController(fleet, config, tick_s)
     if database is None:
         raise ValueError("the advanced controller needs a mission database")
     return AdvancedController(fleet, database, config)

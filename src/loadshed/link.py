@@ -21,8 +21,10 @@ loading_pu (f64), time_s (f64). Command records are 10 bytes: load_id
 A message that would exceed 1400 bytes is split into parts sharing the
 header (with ``count`` still the total record count); each part carries one
 extra byte after the header: bits 0-6 are the part index, bit 7 marks the
-final part. The trailer travels with the final part only. Part and
-single-part datagrams are distinguished by their exact length.
+final part, so a message splits into at most 128 parts. The trailer travels
+with the final part only. Part and single-part datagrams are distinguished
+by their exact length. Load and mission ids travel as u16; ``MAX_ID`` and
+``MAX_TELEMETRY_LOADS`` are what a scenario must fit.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ VERSION = 1
 MSG_TELEMETRY = 0x01
 MSG_COMMANDS = 0x02
 MAX_DATAGRAM = 1400
+MAX_PARTS = 128  # the part index has 7 bits
+MAX_ID = 0xFFFF  # load and mission ids are u16
 
 _HEADER = struct.Struct("<2sBBIQH")
 _TELEMETRY_RECORD = struct.Struct("<Hdd")
@@ -49,6 +53,10 @@ _COMMAND_RECORD = struct.Struct("<Hd")
 
 _RECORD_SIZE = {MSG_TELEMETRY: _TELEMETRY_RECORD.size, MSG_COMMANDS: _COMMAND_RECORD.size}
 _TRAILER_SIZE = {MSG_TELEMETRY: _TELEMETRY_TRAILER.size, MSG_COMMANDS: 0}
+_PER_PART = {  # records per part of a split message
+    t: (MAX_DATAGRAM - _HEADER.size - 1 - _TRAILER_SIZE[t]) // n for t, n in _RECORD_SIZE.items()
+}
+MAX_TELEMETRY_LOADS = MAX_PARTS * _PER_PART[MSG_TELEMETRY]  # 128 x 74 = 9,472
 
 
 class DecodeError(Exception):
@@ -80,7 +88,7 @@ class MultipartPart(DecodeError):
 
 
 class DatagramTooLarge(ValueError):
-    """Message does not fit a single datagram; use the ``_parts`` encoder."""
+    """Message does not fit one datagram (use a ``_parts`` encoder) or MAX_PARTS parts."""
 
 
 @dataclass(frozen=True)
@@ -141,9 +149,10 @@ def _encode_parts(msg_type: int, seq: int, timestamp_ms: int, count: int,
     single = _HEADER.size + len(records) + len(trailer)
     if single <= MAX_DATAGRAM:
         return (_encode(msg_type, seq, timestamp_ms, count, records, trailer),)
-    rec_size = _RECORD_SIZE[msg_type]
-    per_part = (MAX_DATAGRAM - _HEADER.size - 1 - len(trailer)) // rec_size
-    chunks = [records[i : i + per_part * rec_size] for i in range(0, len(records), per_part * rec_size)]
+    step = _PER_PART[msg_type] * _RECORD_SIZE[msg_type]
+    chunks = [records[i : i + step] for i in range(0, len(records), step)]
+    if len(chunks) > MAX_PARTS:
+        raise DatagramTooLarge(f"{count} records need {len(chunks)} parts, over {MAX_PARTS}")
     header = _HEADER.pack(MAGIC, VERSION, msg_type, seq, timestamp_ms, count)
     parts = []
     for index, chunk in enumerate(chunks):
@@ -351,15 +360,11 @@ class DelayQueue:
         self._rng = impairment_rng(config.seed, stream)
         self._heap: list[tuple[float, int, object]] = []
         self._counter = 0
-        self.submitted = 0
-        self.dropped = 0
 
     def submit(self, item: object, now_s: float) -> float | None:
         """Queue one datagram; returns its delivery time or None when dropped."""
-        self.submitted += 1
         deliver_at = impair(self.config, now_s, self._rng)
         if deliver_at is None:
-            self.dropped += 1
             return None
         heapq.heappush(self._heap, (deliver_at, self._counter, item))
         self._counter += 1

@@ -10,11 +10,14 @@ handled correctly.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from .model import DemandPoint, LoadState, MissionWeightSet
+
+
+DEFAULT_TICK_S = 0.1  # the paper's 100 ms control period
 
 
 class IncompleteSeriesError(Exception):
@@ -23,7 +26,6 @@ class IncompleteSeriesError(Exception):
 
 @dataclass(frozen=True)
 class OperabilitySample:
-    time_s: float
     value: float
     vacuous: bool = False  # true when nothing was demanded at this instant
 
@@ -32,7 +34,7 @@ class OperabilitySample:
 class MissionWindow:
     t_start_s: float
     t_end_s: float
-    tick_s: float = 0.1
+    tick_s: float = DEFAULT_TICK_S  # the control period as well as the sample spacing
 
     def __post_init__(self) -> None:
         if self.t_end_s <= self.t_start_s:
@@ -49,26 +51,40 @@ class MissionWindow:
         return round((self.t_end_s - self.t_start_s) / self.tick_s)
 
 
+def service_sums(weights: Mapping[int, float], demands: Iterable[DemandPoint],
+                 served: Mapping[int, float],
+                 measured_pu: Iterable[float]) -> tuple[float, float, float]:
+    """Weighted (demanded, served, measured) totals in one pass over the loads.
+
+    A served status counts up to its load's demand status. ``measured_pu`` is
+    aligned with ``demands``. Loads with zero demand status add to no sum.
+    """
+    den = num = num_meas = 0.0
+    for d, m in zip(demands, measured_pu):
+        ds = d.demand_status
+        if ds == 0.0:
+            continue
+        w = weights[d.load_id]
+        s = served.get(d.load_id, 0.0)
+        den += w * ds
+        num += w * (ds if ds < s else s)  # min(s, ds) without the call overhead
+        num_meas += w * m
+    return den, num, num_meas
+
+
+def operability(num: float, den: float) -> float:
+    """Weighted service over weighted demand; 1.0 when nothing is demanded."""
+    return 1.0 if den <= 0.0 else num / den
+
+
 def weighted_service_sums(
     weights: MissionWeightSet,
     states: Sequence[LoadState],
     demands: Sequence[DemandPoint],
 ) -> tuple[float, float]:
-    """Weighted served and demanded totals (numerator, denominator).
-
-    Loads with zero demand status contribute to neither sum.
-    """
-    status = {s.load_id: s.status for s in states}
-    num = 0.0
-    den = 0.0
-    for d in demands:
-        if d.demand_status == 0.0:
-            continue
-        w = weights.weights.get(d.load_id)
-        if w is None:
-            raise KeyError(f"no weight for load {d.load_id} in mission {weights.mission_id}")
-        num += w * status.get(d.load_id, 0.0)
-        den += w * d.demand_status
+    """Weighted served and demanded totals (numerator, denominator)."""
+    served = {s.load_id: s.status for s in states}
+    den, num, _ = service_sums(weights.weights, demands, served, repeat(0.0))
     return num, den
 
 
@@ -79,9 +95,7 @@ def instantaneous_operability(
 ) -> OperabilitySample:
     """Weighted operability right now; 1.0 (flagged vacuous) when nothing is demanded."""
     num, den = weighted_service_sums(weights, states, demands)
-    if den <= 0.0:
-        return OperabilitySample(math.nan, 1.0, vacuous=True)
-    return OperabilitySample(math.nan, num / den)
+    return OperabilitySample(operability(num, den), vacuous=den <= 0.0)
 
 
 def integral_operability(
@@ -116,6 +130,4 @@ def integral_operability(
         first = covered.index(False)
         t_missing = window.t_start_s + (first + 1) * tick
         raise IncompleteSeriesError(f"no sample for tick ending at t={t_missing}")
-    if den_total <= 0.0:
-        return 1.0  # nothing demanded over the whole window
-    return num_total / den_total
+    return operability(num_total, den_total)

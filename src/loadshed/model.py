@@ -245,17 +245,23 @@ def validate_fleet(
                 bad("zone-members", subject, f"member load {lid} declares zone {spec.zone!r}")
 
     if weights is not None:
-        subject = f"mission {weights.mission_id}"
-        for spec in fleet:
-            if spec.id not in weights.weights:
-                bad("missing-weight", subject, f"load {spec.id} has no weight")
-        for lid, w in weights.weights.items():
-            if w < 0:
-                bad("negative-weight", subject, f"load {lid} weight {w} is negative")
-        if weights.weights and not any(w > 0 for w in weights.weights.values()):
-            bad("all-zero-weights", subject, "at least one weight must be positive")
-
+        issues.extend(weight_issues(fleet, weights))
     return ValidationReport(tuple(issues))
+
+
+def weight_issues(fleet: Sequence[LoadSpec],
+                  weights: MissionWeightSet) -> list[ValidationIssue]:
+    """Every load weighted, no weight negative, at least one positive."""
+    subject = f"mission {weights.mission_id} weights from t={weights.valid_from_s}"
+    w = weights.weights
+    issues = [ValidationIssue("missing-weight", subject, f"load {spec.id} has no weight")
+              for spec in fleet if spec.id not in w]
+    issues += [ValidationIssue("negative-weight", subject, f"load {lid} weight {x} is negative")
+               for lid, x in w.items() if x < 0]
+    if w and not any(x > 0 for x in w.values()):
+        issues.append(ValidationIssue("all-zero-weights", subject,
+                                      "at least one weight must be positive"))
+    return issues
 
 
 def required_power(spec: LoadSpec, demand: DemandPoint) -> float:

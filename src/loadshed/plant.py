@@ -20,7 +20,6 @@ from .model import (
     LoadSpec,
     ShedCommand,
     SystemSnapshot,
-    ZoneLimit,
     online_capacity,
 )
 
@@ -68,6 +67,8 @@ class LoadFailure:
 
 @dataclass(frozen=True)
 class ZoneLimitChange:
+    """A scheduled zone limit; the controller enforces it, the plant ignores it."""
+
     time_s: float
     zone: str
     limit_w: float
@@ -85,7 +86,6 @@ class Plant:
         generation: Sequence[GenerationModule],
         profiles: Mapping[int, LoadProfile],
         events: Iterable[PlantEvent] = (),
-        zones: Sequence[ZoneLimit] = (),
         tau_s: float = 0.2,
         loss_fraction: float = 0.02,
         mission_id: int = 1,
@@ -109,7 +109,6 @@ class Plant:
         self._profiles = dict(profiles)
         self._events = sorted(events, key=lambda e: e.time_s)
         self._next_event = 0
-        self.zone_limits = {zl.zone: zl.limit_w for zl in zones}
         self.forced_off: set[int] = set()
         self.commanded = {spec.id: 1.0 for spec in self.fleet}
         # start in steady state: measured power equals the initial target
@@ -154,8 +153,7 @@ class Plant:
                 self._online[ev.module_id] = True
             elif isinstance(ev, LoadFailure):
                 self.forced_off.add(ev.load_id)
-            elif isinstance(ev, ZoneLimitChange):
-                self.zone_limits[ev.zone] = ev.limit_w
+            # a ZoneLimitChange is the controller's to enforce, not the plant's
 
     def tick(self, dt: float) -> SystemSnapshot:
         """Advance the plant by ``dt`` seconds and return the new telemetry."""

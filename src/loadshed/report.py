@@ -112,21 +112,34 @@ def solve_time_stats(times: Sequence[float]) -> tuple[float, float]:
     return float(arr.max()), float(np.percentile(arr, 99))
 
 
-def summarize(meta: RunMeta, rows: Sequence[RunRecord]) -> str:
+def run_metrics(meta: RunMeta, rows: Sequence[RunRecord], solve_times: Sequence[float]) -> dict:
+    """The per-run figures that ``summarize`` and ``compare_runs`` report."""
     op_cmd, op_meas = integral_ops(meta, rows)
-    t_max, t_p99 = solve_time_stats([r.solve_time_s for r in rows])
-    degraded = sum(r.degraded for r in rows)
+    t_max, t_p99 = solve_time_stats(solve_times)
+    return {
+        "algorithm": meta.algorithm,
+        "op_cmd": op_cmd,
+        "op_meas": op_meas,
+        "t_max_ms": t_max * 1e3,
+        "t_p99_ms": t_p99 * 1e3,
+        "degraded": sum(r.degraded for r in rows),
+        "sheds": shed_summary(meta, rows),
+    }
+
+
+def summarize(meta: RunMeta, rows: Sequence[RunRecord]) -> str:
+    m = run_metrics(meta, rows, [r.solve_time_s for r in rows])
     lines = [
         f"run: algorithm={meta.algorithm} mode={meta.mode} seed={meta.seed}",
         f"window: [{meta.t_start_s}, {meta.t_end_s}] s at {meta.tick_s} s ticks"
         f" ({len(rows)} rows)",
-        f"integral operability (commanded): {op_cmd:.4f}",
-        f"integral operability (measured):  {op_meas:.4f}",
-        f"solve time: max {t_max * 1e3:.2f} ms, p99 {t_p99 * 1e3:.2f} ms",
-        f"degraded ticks: {degraded}",
+        f"integral operability (commanded): {m['op_cmd']:.4f}",
+        f"integral operability (measured):  {m['op_meas']:.4f}",
+        f"solve time: max {m['t_max_ms']:.2f} ms, p99 {m['t_p99_ms']:.2f} ms",
+        f"degraded ticks: {m['degraded']}",
         "per-group service (commanded basis):",
     ]
-    for name, stats in shed_summary(meta, rows).items():
+    for name, stats in m["sheds"].items():
         lines.append(
             f"  {name:13s} served {stats['served_mwh']:8.2f} / "
             f"{stats['demand_mwh']:8.2f} MWh  ratio {stats['ratio']:.4f}  "
@@ -215,26 +228,15 @@ def compare_runs(run_a_csv: str | Path, run_b_csv: str | Path) -> str:
         raise IncompatibleRunsError("runs use different tick grids")
 
     def metrics_of(path, meta, rows):
-        op_cmd, op_meas = integral_ops(meta, rows)
         timing = Path(path).with_name("timing.csv")
         times = read_timing_csv(timing) if timing.exists() else [r.solve_time_s for r in rows]
-        t_max, t_p99 = solve_time_stats(times)
         commands = sum(
             1
             for prev, cur in zip(rows, rows[1:])
             for a, b in zip(prev.commanded, cur.commanded)
             if a != b
         )
-        return {
-            "algorithm": meta.algorithm,
-            "op_cmd": op_cmd,
-            "op_meas": op_meas,
-            "t_max_ms": t_max * 1e3,
-            "t_p99_ms": t_p99 * 1e3,
-            "commands": commands,
-            "degraded": sum(r.degraded for r in rows),
-            "sheds": shed_summary(meta, rows),
-        }
+        return {**run_metrics(meta, rows, times), "commands": commands}
 
     a = metrics_of(run_a_csv, meta_a, rows_a)
     b = metrics_of(run_b_csv, meta_b, rows_b)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .controller import ControllerConfig
-from .link import ImpairmentConfig
+from .link import MAX_ID, MAX_TELEMETRY_LOADS, ImpairmentConfig
 from .metrics import MissionWindow
 from .model import (
     GenerationModule,
@@ -27,6 +27,7 @@ from .model import (
     ZoneLimit,
     fleet_by_id,
     validate_fleet,
+    weight_issues,
 )
 from .plant import (
     GeneratorRestore,
@@ -74,56 +75,61 @@ class ScenarioConfig:
 
 
 def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
-    """Fleet validation plus scenario-level consistency checks."""
-    issues: list[ValidationIssue] = []
-    weights = next(
-        (ws for ws in sc.weight_sets if ws.mission_id == sc.mission_id), None
-    )
-    issues.extend(validate_fleet(sc.fleet, sc.zones, weights))
-    if weights is None:
-        issues.append(
-            ValidationIssue(
-                "missing-weights", f"mission {sc.mission_id}", "no weight set declared"
-            )
-        )
+    """Fleet validation plus scenario-level consistency checks.
+
+    Also checks what the run and the wire assume: the solve deadline lies
+    inside the tick (the control period), every weight set of the mission
+    covers the fleet, and every id and the fleet size fit the datagrams.
+    """
+    issues: list[ValidationIssue] = list(validate_fleet(sc.fleet, sc.zones))
+
+    def bad(code: str, subject: str, message: str) -> None:
+        issues.append(ValidationIssue(code, subject, message))
+
+    mission_sets = [ws for ws in sc.weight_sets if ws.mission_id == sc.mission_id]
+    for ws in mission_sets:
+        issues.extend(weight_issues(sc.fleet, ws))
+    if not mission_sets:
+        bad("missing-weights", f"mission {sc.mission_id}", "no weight set declared")
+    if sc.controller.solve_deadline_s >= sc.window.tick_s:
+        bad("solve-deadline", "controller", f"deadline {sc.controller.solve_deadline_s} s "
+            f"does not fit inside the {sc.window.tick_s} s tick")
+    if not 0 <= sc.mission_id <= MAX_ID:
+        bad("wire-id", f"mission {sc.mission_id}", f"id outside 0-{MAX_ID}")
+    if len(sc.fleet) > MAX_TELEMETRY_LOADS:
+        bad("wire-fleet-size", "fleet", f"{len(sc.fleet)} loads exceed the "
+            f"{MAX_TELEMETRY_LOADS} one telemetry message can carry")
     by_id = fleet_by_id(sc.fleet)
     for lid, profile in sc.profiles.items():
         subject = f"profile for load {lid}"
         spec = by_id.get(lid)
         if spec is None:
-            issues.append(ValidationIssue("profile-unknown-load", subject, "load not in fleet"))
+            bad("profile-unknown-load", subject, "load not in fleet")
             continue
         times = [t for t, _ in profile.breakpoints]
         for t, status in profile.breakpoints:
             if not spec.variability.contains(status):
-                issues.append(
-                    ValidationIssue(
-                        "profile-domain", subject,
-                        f"status {status} at t={t} outside the load's domain",
-                    )
-                )
+                bad("profile-domain", subject,
+                    f"status {status} at t={t} outside the load's domain")
         if times and (times[0] < sc.window.t_start_s or times[-1] > sc.window.t_end_s):
-            issues.append(
-                ValidationIssue("profile-window", subject, "breakpoints fall outside the window")
-            )
+            bad("profile-window", subject, "breakpoints fall outside the window")
     for spec in sc.fleet:
+        if not 0 <= spec.id <= MAX_ID:
+            bad("wire-id", f"load {spec.id}", f"id outside 0-{MAX_ID}")
         if spec.id not in sc.profiles:
-            issues.append(
-                ValidationIssue(
-                    "missing-profile", f"load {spec.id}", "no demand profile declared"
-                )
-            )
+            bad("missing-profile", f"load {spec.id}", "no demand profile declared")
     module_ids = {m.id for m in sc.generation}
+    zone_names = {zl.zone for zl in sc.zones}
     for ev in sc.events:
         subject = f"event at t={ev.time_s}"
         if not sc.window.t_start_s <= ev.time_s <= sc.window.t_end_s:
-            issues.append(ValidationIssue("event-window", subject, "outside the run window"))
+            bad("event-window", subject, "outside the run window")
         if isinstance(ev, (GeneratorTrip, GeneratorRestore)) and ev.module_id not in module_ids:
-            issues.append(
-                ValidationIssue("event-module", subject, f"unknown module {ev.module_id}")
-            )
+            bad("event-module", subject, f"unknown module {ev.module_id}")
         if isinstance(ev, LoadFailure) and ev.load_id not in by_id:
-            issues.append(ValidationIssue("event-load", subject, f"unknown load {ev.load_id}"))
+            bad("event-load", subject, f"unknown load {ev.load_id}")
+        if isinstance(ev, ZoneLimitChange) and ev.zone not in zone_names:
+            bad("event-zone", subject, f"undeclared zone {ev.zone!r}")
     return ValidationReport(tuple(issues))
 
 
@@ -300,24 +306,19 @@ def scenario_to_json(sc: ScenarioConfig) -> dict:
             for lid, profile in sc.profiles.items()
         },
         "events": [_event_to_json(ev) for ev in sc.events],
-        "plant": {"tau_s": sc.plant.tau_s, "loss_fraction": sc.plant.loss_fraction},
-        "impairment": {
-            "loss_probability": sc.impairment.loss_probability,
-            "latency_ms": sc.impairment.latency_ms,
-            "jitter_ms": sc.impairment.jitter_ms,
-            "seed": sc.impairment.seed,
-        },
-        "controller": {
-            "algorithm": sc.controller.algorithm,
-            "period_s": sc.controller.period_s,
-            "solve_deadline_s": sc.controller.solve_deadline_s,
-            "stale_limit": sc.controller.stale_limit,
-        },
+        "plant": asdict(sc.plant),
+        "impairment": asdict(sc.impairment),
+        "controller": asdict(sc.controller),
     }
 
 
 class ScenarioFormatError(Exception):
     pass
+
+
+def _config_from_json(cls, raw: dict):
+    """``cls`` from the keys of ``raw`` that name its fields; the rest default."""
+    return cls(**{f.name: raw[f.name] for f in fields(cls) if f.name in raw})
 
 
 def scenario_from_json(raw: dict) -> ScenarioConfig:
@@ -357,9 +358,13 @@ def scenario_from_json(raw: dict) -> ScenarioConfig:
         for lid, points in raw["profiles"].items()
     }
     events = tuple(_event_from_json(ev) for ev in raw.get("events", []))
-    plant_raw = raw.get("plant", {})
-    impair_raw = raw.get("impairment", {})
     ctrl_raw = raw.get("controller", {})
+    # the control period is the window tick; older files also state it here
+    if ctrl_raw.get("period_s", window.tick_s) != window.tick_s:
+        raise ScenarioFormatError(
+            f"controller.period_s {ctrl_raw['period_s']} differs from window.tick_s "
+            f"{window.tick_s}; the control period is the tick"
+        )
     return ScenarioConfig(
         name=raw.get("name", "scenario"),
         window=window,
@@ -369,22 +374,9 @@ def scenario_from_json(raw: dict) -> ScenarioConfig:
         weight_sets=weight_sets,
         profiles=profiles,
         events=events,
-        plant=PlantConfig(
-            tau_s=plant_raw.get("tau_s", 0.2),
-            loss_fraction=plant_raw.get("loss_fraction", 0.02),
-        ),
-        impairment=ImpairmentConfig(
-            loss_probability=impair_raw.get("loss_probability", 0.0),
-            latency_ms=impair_raw.get("latency_ms", 0.0),
-            jitter_ms=impair_raw.get("jitter_ms", 0.0),
-            seed=impair_raw.get("seed", 0),
-        ),
-        controller=ControllerConfig(
-            algorithm=ctrl_raw.get("algorithm", "advanced"),
-            period_s=ctrl_raw.get("period_s", 0.1),
-            solve_deadline_s=ctrl_raw.get("solve_deadline_s", 0.05),
-            stale_limit=ctrl_raw.get("stale_limit", 5),
-        ),
+        plant=_config_from_json(PlantConfig, raw.get("plant", {})),
+        impairment=_config_from_json(ImpairmentConfig, raw.get("impairment", {})),
+        controller=_config_from_json(ControllerConfig, ctrl_raw),
         mission_id=raw.get("mission_id", DEFAULT_MISSION_ID),
     )
 

@@ -28,19 +28,15 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, replace
+from operator import truediv
 from typing import NamedTuple
 
 from . import link
-from .controller import (
-    Controller,
-    ForcedOffSchedule,
-    MissionDatabase,
-    ZoneSchedule,
-    make_controller,
-)
+from .controller import Controller, MissionDatabase, make_controller
 from .link import DelayQueue, Reassembler
+from .metrics import operability, service_sums
 from .model import ShedCommand, SystemSnapshot
-from .plant import LoadFailure, Plant, ZoneLimitChange
+from .plant import Plant
 from .records import RunRecord, RunMeta, meta_from_fleet
 from .scenario import ScenarioConfig
 
@@ -67,27 +63,12 @@ class RunResult:
         return sum(r.degraded for r in self.rows)
 
 
-def _mission_database(sc: ScenarioConfig) -> MissionDatabase:
-    zone_updates = [
-        ZoneSchedule(ev.time_s, ev.zone, ev.limit_w)
-        for ev in sc.events
-        if isinstance(ev, ZoneLimitChange)
-    ]
-    forced_updates = [
-        ForcedOffSchedule(ev.time_s, ev.load_id)
-        for ev in sc.events
-        if isinstance(ev, LoadFailure)
-    ]
-    return MissionDatabase(sc.weight_sets, sc.zones, zone_updates, forced_updates)
-
-
 def build_plant(sc: ScenarioConfig) -> Plant:
     return Plant(
         fleet=sc.fleet,
         generation=sc.generation,
         profiles=sc.profiles,
         events=sc.events,
-        zones=sc.zones,
         tau_s=sc.plant.tau_s,
         loss_fraction=sc.plant.loss_fraction,
         mission_id=sc.mission_id,
@@ -99,8 +80,10 @@ class _Recorder:
     """Shared row bookkeeping for both execution modes."""
 
     def __init__(self, sc: ScenarioConfig):
-        self.db = _mission_database(sc)
+        self.db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
         self.rated = {spec.id: spec.rated_power_w for spec in sc.fleet}
+        self._ids = tuple(spec.id for spec in sc.fleet)
+        self._rated_w = tuple(spec.rated_power_w for spec in sc.fleet)
 
     def row(
         self,
@@ -110,19 +93,11 @@ class _Recorder:
         solve_time_s: float,
     ) -> RunRecord:
         weights = self.db.weights_at(snapshot.mission_id, snapshot.time_s)
-        num_cmd = num_meas = den = 0.0
-        cmd_list = []
-        for d, measured in zip(snapshot.demands, snapshot.measured_w):
-            c = commanded[d.load_id]
-            cmd_list.append(c)
-            if d.demand_status == 0.0 or weights is None:
-                continue
-            w = weights.weights[d.load_id]
-            ds = d.demand_status
-            den += w * ds
-            num_cmd += w * (ds if ds < c else c)  # min(c, ds) without the call overhead
-            num_meas += w * (measured / self.rated[d.load_id])
-        vacuous = den <= 0.0
+        den = num_cmd = num_meas = 0.0
+        if weights is not None:
+            den, num_cmd, num_meas = service_sums(
+                weights.weights, snapshot.demands, commanded,
+                map(truediv, snapshot.measured_w, self._rated_w))
         return RunRecord(
             time_s=snapshot.time_s,
             capacity_w=snapshot.total_capacity_w,
@@ -131,11 +106,11 @@ class _Recorder:
             wsum_demand=den,
             wsum_commanded=num_cmd,
             wsum_measured=num_meas,
-            op_commanded=1.0 if vacuous else num_cmd / den,
-            op_measured=1.0 if vacuous else num_meas / den,
+            op_commanded=operability(num_cmd, den),
+            op_measured=operability(num_meas, den),
             degraded=degraded,
             demands=tuple(d.demand_status for d in snapshot.demands),
-            commanded=tuple(cmd_list),
+            commanded=tuple(map(commanded.__getitem__, self._ids)),
             measured_w=tuple(snapshot.measured_w),
             solve_time_s=solve_time_s,
         )
@@ -197,10 +172,10 @@ class _UdpLink:
     """Plant-side proxy of a :class:`_ControlNode` served over UDP on a thread."""
 
     def __init__(self, node: _ControlNode, host: str, plant_port: int,
-                 controller_port: int, sync_timeout_s: float, period_s: float | None):
+                 controller_port: int, sync_timeout_s: float, tick_s: float | None):
         self.node = node
         self.sync_timeout_s = sync_timeout_s
-        self.period_s = period_s
+        self.tick_s = tick_s
         self._plant_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._ctrl_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
@@ -278,11 +253,11 @@ class _UdpLink:
                 # the node answers before it replies, so _latest is tick k's decision
                 decision = self._last = self._latest._replace(batch=view.commands)
                 break
-        if self.period_s is not None:
+        if self.tick_s is not None:
             now = time.monotonic()
             if self._release_s > now:
                 time.sleep(self._release_s - now)
-            self._release_s = max(now, self._release_s) + self.period_s
+            self._release_s = max(now, self._release_s) + self.tick_s
         return decision
 
 
@@ -297,8 +272,8 @@ def _run(sc: ScenarioConfig, algorithm: str | None, seed: int | None,
                  else replace(impair_cfg, latency_ms=0.0, jitter_ms=0.0))
     plant = build_plant(sc)
     recorder = _Recorder(sc)
-    node = _ControlNode(make_controller(sc.fleet, cfg, recorder.db), cfg.stale_limit,
-                        recorder.rated)
+    node = _ControlNode(make_controller(sc.fleet, cfg, recorder.db, sc.window.tick_s),
+                        cfg.stale_limit, recorder.rated)
     q_tel = DelayQueue(queue_cfg, "telemetry")
     q_cmd = DelayQueue(queue_cfg, "commands")
 
@@ -366,9 +341,9 @@ def run_networked(
     failsafe does not engage: a tick whose telemetry is lost, or whose reply
     does not arrive within ``sync_timeout_s``, is degraded while the plant
     holds its last commands. ``realtime`` paces the ticks at the control
-    period. Aborts with a diagnostic on socket failure.
+    period, the window's tick. Aborts with a diagnostic on socket failure.
     """
-    period_s = sc.controller.period_s if realtime else None
+    tick_s = sc.window.tick_s if realtime else None
     return _run(sc, algorithm, seed, "networked", functools.partial(
         _UdpLink, host=host, plant_port=plant_port, controller_port=controller_port,
-        sync_timeout_s=sync_timeout_s, period_s=period_s))
+        sync_timeout_s=sync_timeout_s, tick_s=tick_s))

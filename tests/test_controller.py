@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -6,13 +7,12 @@ from loadshed.controller import (
     AdvancedController,
     BaselineController,
     ControllerConfig,
-    ForcedOffSchedule,
     MissionDatabase,
-    ZoneSchedule,
     make_controller,
 )
 from loadshed.model import DemandPoint, MissionWeightSet, SystemSnapshot, ZoneLimit
-from loadshed.scenario import default_fleet, default_weights
+from loadshed.plant import LoadFailure, ZoneLimitChange
+from loadshed.scenario import default_fleet, default_scenario, default_weights, validate_scenario
 
 MW = 1e6
 FLEET = default_fleet()
@@ -34,11 +34,11 @@ def full_demand():
 class TestControllerConfig:
     def test_defaults_are_valid(self):
         cfg = ControllerConfig()
-        assert cfg.period_s == 0.1 and cfg.solve_deadline_s == 0.05
+        assert cfg.solve_deadline_s == 0.05
 
     def test_deadline_must_fit_period(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(solve_deadline_s=0.2)
+        sc = replace(default_scenario(), controller=ControllerConfig(solve_deadline_s=0.2))
+        assert "solve-deadline" in {i.code for i in validate_scenario(sc)}
 
     def test_stale_limit_minimum(self):
         with pytest.raises(ValueError):
@@ -104,14 +104,14 @@ class TestAdvancedController:
 
 class TestBaselineControllerWrapper:
     def test_no_overload_no_commands(self):
-        ctrl = BaselineController(FLEET, ControllerConfig(algorithm="baseline"))
+        ctrl = BaselineController(FLEET, ControllerConfig(algorithm="baseline"), tick_s=0.1)
         demands = full_demand()
         snap = snapshot(demands, 96 * MW)
         assert snap.loading_pu < 1.0
         assert ctrl.on_telemetry(snap) == ()
 
     def test_sheds_track_intent(self):
-        ctrl = BaselineController(FLEET, ControllerConfig(algorithm="baseline"))
+        ctrl = BaselineController(FLEET, ControllerConfig(algorithm="baseline"), tick_s=0.1)
         overload = snapshot(full_demand(), 60 * MW)
         assert overload.loading_pu > 1.0
         sheds = []
@@ -136,14 +136,14 @@ class TestMissionDatabase:
     def test_zone_updates_apply_in_time_order(self):
         base = ZoneLimit("Z1", 10 * MW, (1, 2))
         db = MissionDatabase([WEIGHTS], zones=[base],
-                             zone_updates=[ZoneSchedule(50.0, "Z1", 4 * MW)])
+                             events=[ZoneLimitChange(50.0, "Z1", 4 * MW)])
         assert db.zones_at(10.0) == (base,)
         updated = db.zones_at(50.0)
         assert updated[0].limit_w == 4 * MW and updated[0].members == (1, 2)
 
     def test_forced_off_accumulates(self):
-        db = MissionDatabase([WEIGHTS], forced_off_updates=[
-            ForcedOffSchedule(10.0, 3), ForcedOffSchedule(20.0, 4)])
+        db = MissionDatabase([WEIGHTS], events=[
+            LoadFailure(10.0, 3), LoadFailure(20.0, 4)])
         assert db.forced_off_at(5.0) == frozenset()
         assert db.forced_off_at(10.0) == {3}
         assert db.forced_off_at(25.0) == {3, 4}

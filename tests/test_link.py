@@ -14,6 +14,9 @@ from loadshed.link import (
     DelayQueue,
     ImpairmentConfig,
     MAX_DATAGRAM,
+    MAX_ID,
+    MAX_PARTS,
+    MAX_TELEMETRY_LOADS,
     MultipartPart,
     Reassembler,
     TruncatedDatagram,
@@ -198,6 +201,23 @@ class TestMultipart:
         view = reasm.feed(encode_commands([ShedCommand(1, 0.0)], seq=3))
         assert view.commands == (ShedCommand(1, 0.0),)
 
+    def test_wire_limits(self):
+        assert (MAX_ID, MAX_PARTS, MAX_TELEMETRY_LOADS) == (65535, 128, 128 * 74)
+
+    def test_largest_fleet_fills_every_part_index(self):
+        snap = snapshot(MAX_TELEMETRY_LOADS)
+        parts = encode_telemetry_parts(snap, seq=4)
+        assert len(parts) == MAX_PARTS
+        decoded = [decode_datagram(p) for p in parts]
+        assert [d.index for d in decoded] == list(range(MAX_PARTS))
+        assert [d.final for d in decoded] == [False] * (MAX_PARTS - 1) + [True]
+        reasm = Reassembler()
+        assert [reasm.feed(p) for p in parts][-1].snapshot == snap
+
+    def test_one_load_past_the_part_limit_raises(self):
+        with pytest.raises(DatagramTooLarge):
+            encode_telemetry_parts(snapshot(MAX_TELEMETRY_LOADS + 1), seq=4)
+
     def test_command_split(self):
         commands = tuple(ShedCommand(i, i / 300.0) for i in range(300))
         parts = encode_commands_parts(commands, seq=2)
@@ -221,9 +241,8 @@ class TestImpairment:
     def test_binomial_drop_count_seed_42(self):
         cfg = ImpairmentConfig(loss_probability=0.1, seed=42)
         q = DelayQueue(cfg, "telemetry")
-        for k in range(10000):
-            q.submit(k, now_s=0.0)
-        assert abs(q.dropped - 1000) <= 60  # two-sigma binomial band
+        dropped = sum(q.submit(k, now_s=0.0) is None for k in range(10000))
+        assert abs(dropped - 1000) <= 60  # two-sigma binomial band
 
     def test_replay_matches_queue_decisions(self):
         cfg = ImpairmentConfig(loss_probability=0.3, latency_ms=2.0, jitter_ms=1.0, seed=7)

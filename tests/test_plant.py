@@ -16,7 +16,6 @@ from loadshed.plant import (
     LoadFailure,
     LoadProfile,
     Plant,
-    ZoneLimitChange,
     sample_profile,
 )
 
@@ -141,11 +140,6 @@ class TestEventsAndSnapshot:
         snap = plant.tick(0.1)
         assert snap.demands[0].demand_status == 0.0
         assert snap.measured_w[0] == 0.0
-
-    def test_zone_limit_change_updates_bookkeeping(self):
-        plant = simple_plant(events=(ZoneLimitChange(0.1, "Z9", 5 * MW),))
-        plant.tick(0.1)
-        assert plant.zone_limits["Z9"] == 5 * MW
 
     def test_loading_books_balance_exactly(self):
         plant = simple_plant(loss_fraction=0.02)

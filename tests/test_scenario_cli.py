@@ -5,7 +5,10 @@ import pytest
 
 from _helpers import small_scenario
 from loadshed.cli import main
-from loadshed.model import LoadGroup, Variability
+from loadshed.link import MAX_ID, MAX_TELEMETRY_LOADS
+from loadshed.metrics import MissionWindow
+from loadshed.model import LoadGroup, LoadSpec, MissionWeightSet, Variability
+from loadshed.plant import LoadProfile, ZoneLimitChange
 from loadshed.records import read_run_csv
 from loadshed.report import (
     GROUPINGS,
@@ -14,6 +17,7 @@ from loadshed.report import (
     group_power_series,
 )
 from loadshed.scenario import (
+    ScenarioFormatError,
     default_scenario,
     load_scenario,
     save_scenario,
@@ -65,6 +69,65 @@ class TestScenarioConfig:
 
         report_ = validate_scenario(replace(sc, events=(GeneratorTrip(99.0, 2),)))
         assert any(i.code == "event-window" for i in report_)
+
+    def test_json_states_the_period_once(self):
+        raw = scenario_to_json(default_scenario())
+        assert "period_s" not in raw["controller"]
+
+    def test_period_differing_from_tick_rejected(self):
+        raw = scenario_to_json(default_scenario())
+        raw["controller"]["period_s"] = 0.2
+        with pytest.raises(ScenarioFormatError):
+            scenario_from_json(raw)
+
+    def test_period_equal_to_tick_accepted(self):
+        raw = scenario_to_json(default_scenario())
+        raw["controller"]["period_s"] = raw["window"]["tick_s"]
+        assert scenario_from_json(raw) == default_scenario()
+
+    def test_deadline_not_inside_tick_flagged(self):
+        sc = small_scenario()
+        sc = replace(sc, window=replace(sc.window, tick_s=sc.controller.solve_deadline_s))
+        assert {i.code for i in validate_scenario(sc)} == {"solve-deadline"}
+
+    def test_later_weight_set_missing_a_load_flagged(self):
+        sc = small_scenario()
+        first = sc.weight_sets[0]
+        later = MissionWeightSet(first.mission_id,
+                                 {k: w for k, w in first.weights.items() if k != 3}, 15.0)
+        codes = {i.code for i in validate_scenario(replace(sc, weight_sets=(first, later)))}
+        assert codes == {"missing-weight"}
+
+    def test_zone_change_for_undeclared_zone_flagged(self):
+        sc = small_scenario()
+        sc = replace(sc, events=sc.events + (ZoneLimitChange(5.0, "Z9", 1e6),))
+        assert {i.code for i in validate_scenario(sc)} == {"event-zone"}
+
+    @pytest.mark.parametrize("bad_id", [-1, MAX_ID + 1])
+    def test_ids_the_wire_cannot_carry_flagged(self, bad_id):
+        sc = small_scenario()
+        spec = replace(sc.fleet[0], id=bad_id)
+        ws = sc.weight_sets[0]
+        weights = {bad_id if k == 1 else k: w for k, w in ws.weights.items()}
+        profiles = {bad_id if k == 1 else k: v for k, v in sc.profiles.items()}
+        bad_load = replace(sc, fleet=(spec,) + sc.fleet[1:], profiles=profiles,
+                           weight_sets=(replace(ws, weights=weights),))
+        bad_mission = replace(sc, mission_id=bad_id,
+                              weight_sets=(replace(ws, mission_id=bad_id),))
+        for bad in (bad_load, bad_mission):
+            assert {i.code for i in validate_scenario(bad)} == {"wire-id"}
+
+    @pytest.mark.parametrize("n_loads, fits", [(MAX_TELEMETRY_LOADS, True),
+                                               (MAX_TELEMETRY_LOADS + 1, False)])
+    def test_fleet_the_wire_cannot_carry_flagged(self, n_loads, fits):
+        # validated only: a fleet this size is never run here
+        fleet = tuple(LoadSpec(i, f"L{i}", LoadGroup.ACLC_VITAL, 1e3, Variability.binary())
+                      for i in range(1, n_loads + 1))
+        sc = replace(small_scenario(), window=MissionWindow(0.0, 1.0, 0.1), fleet=fleet,
+                     weight_sets=(MissionWeightSet(1, {s.id: 1.0 for s in fleet}),),
+                     profiles={s.id: LoadProfile(((0.0, 1.0),)) for s in fleet}, events=())
+        codes = {i.code for i in validate_scenario(sc)}
+        assert codes == (set() if fits else {"wire-fleet-size"})
 
 
 @pytest.fixture(scope="module")

@@ -99,6 +99,15 @@ class TestLockstep:
         b = run_lockstep(permuted, algorithm="baseline", seed=0)
         assert a.batches == b.batches
 
+    def test_baseline_waits_250_ms_at_50_ms_ticks(self, bundled_scenario):
+        # the overload timer advances by the tick, whatever its length
+        window = replace(bundled_scenario.window, t_end_s=320.0, tick_s=0.05)
+        rows = run_lockstep(replace(bundled_scenario, window=window), algorithm="baseline").rows
+        overloaded = [r for r in rows if r.loading_pu > 1.0]
+        first_shed = next(k for k, r in enumerate(overloaded) if 0.0 in r.commanded)
+        assert first_shed == 5  # the 6th overloaded tick
+        assert overloaded[first_shed].time_s == pytest.approx(310.25)
+
     def test_csv_round_trip(self, tmp_path):
         result = run_lockstep(small_scenario(), algorithm="baseline", seed=0)
         path = tmp_path / "run.csv"
@@ -187,4 +196,4 @@ class TestNetworked:
         net = run_networked(sc, algorithm="advanced", seed=0, plant_port=0,
                             controller_port=0, realtime=True)
         assert len(net.rows) == 5
-        assert time.monotonic() - t0 >= 4 * sc.controller.period_s
+        assert time.monotonic() - t0 >= 4 * sc.window.tick_s
