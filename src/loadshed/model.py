@@ -7,6 +7,7 @@ never raises, it produces a :class:`ValidationReport` listing every problem.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -209,8 +210,9 @@ def validate_fleet(
         if spec.id in seen:
             bad("duplicate-id", subject, "id appears more than once in the fleet")
         seen.add(spec.id)
-        if not spec.rated_power_w > 0:
-            bad("rated-power", subject, f"rated power must be > 0 W, got {spec.rated_power_w}")
+        if not 0 < spec.rated_power_w < math.inf:
+            bad("rated-power", subject,
+                f"rated power must be finite and > 0 W, got {spec.rated_power_w}")
         if spec.variability.kind == "stepped":
             levels = spec.variability.levels
             if not levels:

@@ -1,11 +1,17 @@
 """Mission-weighted load shedding optimizer.
 
 ``solve`` maximizes total weighted operating status subject to the capacity
-budget, per-zone line-flow limits and forced-off loads, by branch and bound
-over the discrete loads with a linear-relaxation upper bound and a greedy
-density fill of the continuous loads at each leaf. Zone limits are disjoint
-per load (each load sits in at most one zone), so the constraint family is
-laminar and the greedy fill solves the continuous subproblem exactly.
+budget, per-zone line-flow limits and forced-off loads, by depth-first branch
+and bound over the discrete loads in weight-density order, highest status
+first. A node's upper bound is the linear (Dantzig) relaxation: the free loads
+filled greedily by density. Its loop starts at the first load the search has
+not fixed, and a child that takes the top status of a load the relaxation
+took whole inherits its parent's bound, which is exact for it (the greedy
+forward move of Martello & Toth, *Knapsack Problems*, 1990, ch. 2). A leaf
+fills the continuous loads greedily by density. Zone limits are disjoint per
+load (each load sits in at most one zone), so the constraint family is
+laminar and the greedy fill is exact. The clock is read at every node, so
+once the first leaf is reached a solve stops within one node of its deadline.
 
 ``brute_force_solve`` is the verification oracle: it enumerates every
 discrete assignment outright (vectorized, in blocks) and fills the
@@ -133,9 +139,8 @@ class _Prepared:
         self.n = len(entries)
         # canonical evaluation order: ascending load id
         self.canonical = sorted(range(self.n), key=lambda i: entries[i].load_id)
-        self.zone_names = [zl.zone for zl in instance.zone_limits]
         self.zone_limits = [max(0.0, zl.limit_w) for zl in instance.zone_limits]
-        zone_index = {name: zi for zi, name in enumerate(self.zone_names)}
+        zone_index = {zl.zone: zi for zi, zl in enumerate(instance.zone_limits)}
         zone_members = [set(zl.members) for zl in instance.zone_limits]
         self.zone_of = []
         for e in entries:
@@ -165,19 +170,19 @@ class _Prepared:
         self.cont.sort(key=density_key)
 
         # relaxation items in density order: every branchable and continuous
-        # load, capped at the highest status it could take
-        relax = []
-        for pos, i in enumerate(self.branch):
-            e = entries[i]
-            relax.append((i, pos, max(self.choices[i]) * e.rated_power_w))
-        for i in self.cont:
-            e = entries[i]
-            relax.append((i, -1, e.status_cap * e.rated_power_w))
+        # load, capped at the highest status it could take. Branch positions
+        # below the search level are fixed; continuous items sit past every
+        # level. The first ``lead`` items are branch positions 0, 1, ..., so
+        # the first item not fixed at a level is at index min(level, lead).
+        n_branch = len(self.branch)
+        relax = [(i, pos, max(self.choices[i])) for pos, i in enumerate(self.branch)]
+        relax += [(i, n_branch + 1, entries[i].status_cap) for i in self.cont]
         relax.sort(key=lambda item: density_key(item[0]))
-        self.relax = [
-            (pos, max_power, entries[i].weight / entries[i].rated_power_w, self.zone_of[i])
-            for i, pos, max_power in relax
-        ]
+        self.relax = [(pos, top * entries[i].rated_power_w,
+                       entries[i].weight / entries[i].rated_power_w, self.zone_of[i])
+                      for i, pos, top in relax]
+        lead = next((j for j, item in enumerate(self.relax) if item[0] > n_branch), len(self.relax))
+        self.first = [min(level, lead) for level in range(n_branch + 1)]
 
     def plan_key(self, statuses: Sequence[float]) -> tuple[float, float, tuple[float, ...]]:
         """Total-order key: (objective, served power, lexicographic statuses)."""
@@ -207,33 +212,44 @@ class _DeadlineExpired(Exception):
 def solve(instance: ShedInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     """Maximize weighted status; exact unless the deadline expires first.
 
-    On expiry the best feasible incumbent found so far is returned with
-    ``optimal=False``. The all-zero plan is always feasible, so a plan is
-    always returned.
+    The clock is read at every node, but the deadline holds only from the
+    first leaf on: the first dive (the greedy plan, which nothing prunes) is
+    always completed, so an expired solve returns at least that plan, never
+    the all-zero one, flagged ``optimal=False``.
     """
     t0 = time.perf_counter()
     prep = _Prepared(instance)
     entries = prep.entries
-    budget = instance.capacity_budget_w
 
     statuses = [0.0] * prep.n
     best_statuses = list(statuses)
     best_key = prep.plan_key(statuses)
-    deadline = None if deadline_s is None else t0 + deadline_s
-    nodes = 0
+    stop_at = math.inf if deadline_s is None else t0 + deadline_s
+    deadline = math.inf  # becomes stop_at at the first leaf
     n_branch = len(prep.branch)
     zone_rem = list(prep.zone_limits)
+    # per search level: entry, weight, rating, zone, statuses highest first, top status
+    steps = [(i, entries[i].weight, entries[i].rated_power_w, prep.zone_of[i],
+              prep.choices[i][::-1], max(prep.choices[i])) for i in prep.branch]
 
-    def relax_bound(level: int, rem: float, obj_acc: float) -> float:
+    def relax_bound(level: int, rem: float, obj_acc: float) -> tuple[float, int]:
+        """Dantzig bound over the free items, and how many branch items from
+        ``level`` on it takes whole at their top status, one after another."""
         bound = obj_acc
-        if prep.zone_names:
+        head = level
+        if prep.zone_limits:
             zrem = list(zone_rem)
-            for pos, max_power, density, zi in prep.relax:
-                if 0 <= pos < level:
+            for pos, max_power, density, zi in prep.relax[prep.first[level]:]:
+                if pos < level:
                     continue
-                room = rem if zi < 0 else min(rem, zrem[zi])
-                take = max_power if max_power <= room else room
-                if take <= 0.0:
+                room = zrem[zi] if zi >= 0 and zrem[zi] < rem else rem
+                if max_power <= room:
+                    take = max_power
+                    if pos == head:
+                        head += 1
+                elif room > 0.0:
+                    take = room
+                else:
                     continue
                 bound += take * density
                 rem -= take
@@ -242,17 +258,22 @@ def solve(instance: ShedInstance, deadline_s: float | None = 0.05) -> ShedPlan:
                 if rem <= 0.0:
                     break
         else:
-            for pos, max_power, density, _ in prep.relax:
-                if 0 <= pos < level:
+            for pos, max_power, density, _ in prep.relax[prep.first[level]:]:
+                if pos < level:
                     continue
-                take = max_power if max_power <= rem else rem
-                bound += take * density
-                rem -= take
-                if rem <= 0.0:
+                if max_power >= rem:  # the critical item: fill what is left
+                    bound += rem * density
                     break
-        return bound
+                bound += max_power * density
+                rem -= max_power
+                if pos == head:
+                    head += 1
+        return bound, head - level
 
-    def fill_continuous(rem: float) -> list[tuple[int, float]]:
+    def leaf(rem: float) -> None:
+        """Fill the continuous loads, keep the plan if it ranks first, undo the fill."""
+        nonlocal best_key, best_statuses, deadline
+        deadline = stop_at
         filled = []
         for i in prep.cont:
             e = entries[i]
@@ -260,57 +281,52 @@ def solve(instance: ShedInstance, deadline_s: float | None = 0.05) -> ShedPlan:
             room = rem if zi < 0 else min(rem, zone_rem[zi])
             take = min(e.status_cap * e.rated_power_w, max(room, 0.0))
             if take > 0.0:
-                filled.append((i, take))
+                statuses[i] = take / e.rated_power_w
+                filled.append((i, zi, take))
                 rem -= take
                 if zi >= 0:
                     zone_rem[zi] -= take
-        return filled
-
-    def leaf(rem: float) -> None:
-        nonlocal best_key, best_statuses
-        filled = fill_continuous(rem)
-        for i, take in filled:
-            statuses[i] = take / entries[i].rated_power_w
         key = prep.plan_key(statuses)
         if key > best_key:
             best_key = key
             best_statuses = list(statuses)
-        for i, take in filled:
+        for i, zi, take in filled:
             statuses[i] = 0.0
-            zi = prep.zone_of[i]
             if zi >= 0:
                 zone_rem[zi] += take
 
-    def recurse(level: int, rem: float, obj_acc: float) -> None:
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and nodes % 128 == 0 and time.perf_counter() > deadline:
+    def recurse(level: int, rem: float, obj_acc: float, whole: int | None) -> None:
+        # whole=None: compute the bound. Otherwise this node took the top status
+        # of a branch item its parent's relaxation took whole, so that bound is
+        # exact here (up to rounding) and already passed the incumbent, which
+        # no leaf has changed since; ``whole`` counts the next branch items the
+        # same relaxation took whole.
+        if time.perf_counter() > deadline:
             raise _DeadlineExpired
-        if relax_bound(level, rem, obj_acc) < best_key[0] - _tie_tol(best_key[0]):
-            return
+        if whole is None:
+            bound, whole = relax_bound(level, rem, obj_acc)
+            if bound < best_key[0] - _tie_tol(best_key[0]):
+                return
         if level == n_branch:
             leaf(rem)
             return
-        i = prep.branch[level]
-        e = entries[i]
-        zi = prep.zone_of[i]
-        for status in reversed(prep.choices[i]):  # highest status first
-            power = status * e.rated_power_w
-            if power > rem:
-                continue
-            if zi >= 0 and power > zone_rem[zi]:
+        i, weight, rated, zi, downward, top = steps[level]
+        for status in downward:
+            power = status * rated
+            if power > rem or zi >= 0 and power > zone_rem[zi]:
                 continue
             statuses[i] = status
             if zi >= 0:
                 zone_rem[zi] -= power
-            recurse(level + 1, rem - power, obj_acc + e.weight * status)
+            recurse(level + 1, rem - power, obj_acc + weight * status,
+                    whole - 1 if whole and status == top else None)
             if zi >= 0:
                 zone_rem[zi] += power
             statuses[i] = 0.0
 
     optimal = True
     try:
-        recurse(0, budget, 0.0)
+        recurse(0, instance.capacity_budget_w, 0.0, None)
     except _DeadlineExpired:
         optimal = False
     return prep.to_plan(best_statuses, time.perf_counter() - t0, optimal)

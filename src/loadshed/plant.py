@@ -12,7 +12,7 @@ import logging
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import (
     DemandPoint,
@@ -31,17 +31,18 @@ class LoadProfile:
     """Piecewise-constant demand schedule: (time, demand status) breakpoints."""
 
     breakpoints: tuple[tuple[float, float], ...]
+    times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        times = [t for t, _ in self.breakpoints]
+        times = tuple(t for t, _ in self.breakpoints)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("profile breakpoints must be strictly ascending in time")
+        object.__setattr__(self, "times", times)  # bisected every tick
 
 
 def sample_profile(profile: LoadProfile, t: float) -> float:
     """Demand status at time ``t``: latest breakpoint at or before ``t``, else 0."""
-    times = [bp[0] for bp in profile.breakpoints]
-    k = bisect_right(times, t)
+    k = bisect_right(profile.times, t)
     if k == 0:
         return 0.0
     return profile.breakpoints[k - 1][1]

@@ -79,7 +79,8 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
 
     Also checks what the run and the wire assume: the solve deadline lies
     inside the tick (the control period), every weight set of the mission
-    covers the fleet, and every id and the fleet size fit the datagrams.
+    covers the fleet and one is valid from the window start, and every id
+    and the fleet size fit the datagrams.
     """
     issues: list[ValidationIssue] = list(validate_fleet(sc.fleet, sc.zones))
 
@@ -91,6 +92,9 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
         issues.extend(weight_issues(sc.fleet, ws))
     if not mission_sets:
         bad("missing-weights", f"mission {sc.mission_id}", "no weight set declared")
+    elif min(ws.valid_from_s for ws in mission_sets) > sc.window.t_start_s:
+        bad("weights-start", f"mission {sc.mission_id}",
+            f"no weight set is valid at the window start t={sc.window.t_start_s}")
     if sc.controller.solve_deadline_s >= sc.window.tick_s:
         bad("solve-deadline", "controller", f"deadline {sc.controller.solve_deadline_s} s "
             f"does not fit inside the {sc.window.tick_s} s tick")
@@ -106,7 +110,7 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
         if spec is None:
             bad("profile-unknown-load", subject, "load not in fleet")
             continue
-        times = [t for t, _ in profile.breakpoints]
+        times = profile.times
         for t, status in profile.breakpoints:
             if not spec.variability.contains(status):
                 bad("profile-domain", subject,

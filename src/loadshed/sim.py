@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
+import math
 import socket
 import threading
 import time
@@ -152,6 +153,10 @@ class _ControlNode:
         if self._mailbox is None or k - self._mailbox[0] > self.stale_limit:
             return self.last.held()  # failsafe: hold (re-send) the last batch
         seq, used = self._mailbox
+        # NaN and inf both survive the sum: answer non-finite telemetry as stale
+        if not math.isfinite(sum(d.demand_status for d in used.demands)
+                             + used.total_capacity_w + used.total_loss_w):
+            return self.last.held()
         t0 = time.perf_counter()
         batch = self.controller.on_telemetry(used)
         solve_time = self.controller.last_solve_time_s or (time.perf_counter() - t0)

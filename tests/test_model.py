@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +48,10 @@ class TestValidateFleet:
     def test_nonpositive_rating_flagged(self):
         report = validate_fleet([binary_load(1, rated=0.0)])
         assert any(i.code == "rated-power" for i in report)
+
+    def test_infinite_rating_flagged(self):
+        report = validate_fleet([binary_load(1, rated=math.inf)])
+        assert [i.code for i in report] == ["rated-power"]
 
     def test_zone_member_mismatch(self):
         fleet = [binary_load(1, zone="Z1"), binary_load(2, zone="Z2")]

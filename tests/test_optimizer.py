@@ -129,6 +129,51 @@ class TestBruteForce:
         assert plan_violations(inst, oracle) == []
 
 
+def tied_zoned_instance(seed: int) -> ShedInstance:
+    """Fleet-shaped instance: group weights 2.5/5/8 on a few ratings, so many
+    densities tie; 1-2 zones whose limits bind; continuous loads whose density
+    falls between the branch items'; stepped loads whose demand caps their
+    top level."""
+    rng = random.Random(f"tied/{seed}")
+    zones = [f"Z{z + 1}" for z in range(rng.randint(1, 2))]
+    entries = []
+    for lid in range(1, rng.randint(9, 12) + 1):
+        weight = rng.choice((2.5, 5.0, 8.0))
+        rated = rng.choice((0.5, 1.0, 2.0)) * MW
+        zone = rng.choice(zones + [None])
+        if rng.random() < 0.25:
+            demand = rng.choice((0.5, 0.75, 1.0))
+            var = Variability.stepped([0.25, 0.5, 1.0])
+            entries.append(InstanceEntry(lid, weight, rated, demand, var, False, zone))
+        else:
+            entries.append(binary_entry(lid, weight, rated, zone=zone))
+    # densities 2.5/1.5, 5/1.5 and 8/3 W^-1 MW lie between the branch densities
+    for lid in range(len(entries) + 1, len(entries) + rng.randint(1, 3) + 1):
+        weight, rated = rng.choice(((2.5, 1.5), (5.0, 1.5), (8.0, 3.0)))
+        entries.append(cont_entry(lid, weight, rated * MW, demand=rng.uniform(0.4, 1.0),
+                                  zone=rng.choice(zones + [None])))
+    limits = []
+    for z in zones:
+        members = tuple(e.load_id for e in entries if e.zone == z)
+        zone_w = sum(e.status_cap * e.rated_power_w for e in entries if e.zone == z)
+        if members:
+            limits.append(ZoneLimit(z, rng.uniform(0.3, 0.7) * zone_w, members))
+    total = sum(e.status_cap * e.rated_power_w for e in entries)
+    return ShedInstance(tuple(entries), rng.uniform(0.4, 0.8) * total, tuple(limits))
+
+
+class TestTiedZonedInstances:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_agrees_with_brute_force(self, seed):
+        inst = tied_zoned_instance(seed)
+        fast = solve(inst, deadline_s=None)
+        oracle = brute_force_solve(inst)
+        assert fast.optimal
+        assert_plans_agree(inst, fast, oracle)
+        assert plan_violations(inst, fast) == []
+        assert plan_violations(inst, oracle) == []
+
+
 class TestContinuousFillAgainstLinprog:
     """Independent check of the greedy density fill with an LP solver."""
 
@@ -313,6 +358,23 @@ class TestDeadline:
         inst = ShedInstance(entries, budget)
         plan = solve(inst, deadline_s=1e-4)
         assert not plan.optimal
+        assert plan_violations(inst, plan) == []
+
+    def test_deadline_is_checked_at_every_node(self, monkeypatch):
+        # a clock that advances 1 ms per read. The first dive (11 nodes, one
+        # read each after the start) always completes; a 5 ms deadline must
+        # then stop the search at the next node, well short of its 21 nodes.
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return len(reads) * 1e-3
+
+        monkeypatch.setattr("loadshed.optimizer.time.perf_counter", clock)
+        inst = ShedInstance(tuple(binary_entry(i, 5.0, MW) for i in range(1, 11)), 20 * MW)
+        plan = solve(inst, deadline_s=5e-3)
+        assert not plan.optimal
+        assert len(reads) <= 14  # start, 11 dive nodes, the stopping node, the end
         assert plan_violations(inst, plan) == []
 
     def test_solve_time_is_recorded(self):

@@ -98,6 +98,12 @@ class TestScenarioConfig:
         codes = {i.code for i in validate_scenario(replace(sc, weight_sets=(first, later)))}
         assert codes == {"missing-weight"}
 
+    def test_weights_starting_after_the_window_start_flagged(self):
+        sc = small_scenario()
+        late = replace(sc.weight_sets[0], valid_from_s=12.0)
+        codes = {i.code for i in validate_scenario(replace(sc, weight_sets=(late,)))}
+        assert codes == {"weights-start"}
+
     def test_zone_change_for_undeclared_zone_flagged(self):
         sc = small_scenario()
         sc = replace(sc, events=sc.events + (ZoneLimitChange(5.0, "Z9", 1e6),))

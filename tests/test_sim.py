@@ -1,12 +1,14 @@
+import math
 import time
 from dataclasses import replace
 
 import pytest
 
 from _helpers import small_scenario
+from loadshed.controller import make_controller
 from loadshed.link import replay_drop_schedule
 from loadshed.records import read_run_csv, write_run_csv
-from loadshed.sim import run_lockstep, run_networked
+from loadshed.sim import _ControlNode, _Recorder, build_plant, run_lockstep, run_networked
 
 
 def expected_degraded(drops, stale_limit):
@@ -197,3 +199,26 @@ class TestNetworked:
                             controller_port=0, realtime=True)
         assert len(net.rows) == 5
         assert time.monotonic() - t0 >= 4 * sc.window.tick_s
+
+
+class TestNonFiniteTelemetry:
+    @pytest.mark.parametrize("corrupt", [
+        lambda snap: replace(snap, demands=(replace(snap.demands[0], demand_status=math.nan),)
+                             + snap.demands[1:]),
+        lambda snap: replace(snap, total_capacity_w=math.inf),
+        lambda snap: replace(snap, total_loss_w=math.inf),
+    ], ids=["nan-demand", "inf-capacity", "inf-loss"])
+    def test_tick_is_degraded_and_holds_the_last_batch(self, corrupt):
+        sc = small_scenario()
+        plant, recorder = build_plant(sc), _Recorder(sc)
+        controller = make_controller(sc.fleet, sc.controller, recorder.db, sc.window.tick_s)
+        node = _ControlNode(controller, sc.controller.stale_limit, recorder.rated)
+        first = node.exchange(1, [(1, plant.tick(sc.window.tick_s))])
+
+        def refuse(snapshot):
+            pytest.fail("the controller was handed non-finite telemetry")
+
+        controller.on_telemetry = refuse
+        held = node.exchange(2, [(2, corrupt(plant.tick(sc.window.tick_s)))])
+        assert held.degraded
+        assert held.batch == first.batch and held.intent == first.intent
