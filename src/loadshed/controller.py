@@ -22,7 +22,7 @@ from .model import (
     SystemSnapshot,
     ZoneLimit,
 )
-from .optimizer import ShedPlan, build_instance, solve
+from .optimizer import FleetModel, ShedPlan, solve
 from .plant import LoadFailure, PlantEvent, ZoneLimitChange
 
 log = logging.getLogger(__name__)
@@ -100,6 +100,10 @@ class AdvancedController:
         self.config = config
         self.intent: dict[int, float] = {spec.id: 1.0 for spec in self.fleet}
         self.last_plan: ShedPlan | None = None
+        # one static model per (weight set, zone membership); the database
+        # holds every weight set as long as the controller, so the set's
+        # identity is a stable key
+        self._models: dict[tuple, FleetModel] = {}
 
     @property
     def last_solve_time_s(self) -> float:
@@ -113,13 +117,12 @@ class AdvancedController:
                 snapshot.mission_id, snapshot.time_s,
             )
             return ()
-        instance = build_instance(
-            snapshot,
-            weights,
-            self.fleet,
-            zones=self.database.zones_at(snapshot.time_s),
-            forced_off=self.database.forced_off_at(snapshot.time_s),
-        )
+        zones = self.database.zones_at(snapshot.time_s)
+        key = (id(weights), tuple((zl.zone, zl.members) for zl in zones))
+        model = self._models.get(key)
+        if model is None:
+            model = self._models[key] = FleetModel.of_fleet(self.fleet, weights, zones)
+        instance = model.instance(snapshot, zones, self.database.forced_off_at(snapshot.time_s))
         plan = solve(instance, self.config.solve_deadline_s)
         self.last_plan = plan
         commands = []

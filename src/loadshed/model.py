@@ -235,7 +235,7 @@ def validate_fleet(
         if zl.zone in seen_zones:
             bad("duplicate-zone", subject, "zone limit declared more than once")
         seen_zones.add(zl.zone)
-        if zl.limit_w < 0:
+        if not zl.limit_w >= 0:  # also NaN; an infinite limit is no limit
             bad("zone-limit", subject, f"limit must be >= 0 W, got {zl.limit_w}")
         if not zl.members:
             bad("zone-members", subject, "member set is empty")
@@ -253,13 +253,15 @@ def validate_fleet(
 
 def weight_issues(fleet: Sequence[LoadSpec],
                   weights: MissionWeightSet) -> list[ValidationIssue]:
-    """Every load weighted, no weight negative, at least one positive."""
+    """Every load weighted, every weight finite and not negative, one positive."""
     subject = f"mission {weights.mission_id} weights from t={weights.valid_from_s}"
     w = weights.weights
     issues = [ValidationIssue("missing-weight", subject, f"load {spec.id} has no weight")
               for spec in fleet if spec.id not in w]
     issues += [ValidationIssue("negative-weight", subject, f"load {lid} weight {x} is negative")
                for lid, x in w.items() if x < 0]
+    issues += [ValidationIssue("nonfinite-weight", subject, f"load {lid} weight {x} is not finite")
+               for lid, x in w.items() if not math.isfinite(x)]
     if w and not any(x > 0 for x in w.values()):
         issues.append(ValidationIssue("all-zero-weights", subject,
                                       "at least one weight must be positive"))

@@ -13,6 +13,18 @@ load (each load sits in at most one zone), so the constraint family is
 laminar and the greedy fill is exact. The clock is read at every node, so
 once the first leaf is reached a solve stops within one node of its deadline.
 
+Preparation is split in two. A :class:`FleetModel` holds what the fleet, its
+weight set and its zone membership fix: the canonical id order, the density
+order of all loads, each load's zone, weight, rating and density, and each
+discrete load's status table. It is built once and reused while those hold.
+Each solve refreshes it with the tick's caps, budget and zone limits
+(``_Prepared``): one walk of the cached density order picks out the branch,
+continuous and relaxation items, with no sorting, and calls
+``discrete_statuses`` only for a load capped below its top status. A
+:class:`ModelInstance` carries a model and one tick's caps; a
+:class:`ShedInstance` derives its model inside ``solve`` and takes the same
+path.
+
 ``brute_force_solve`` is the verification oracle: it enumerates every
 discrete assignment outright (vectorized, in blocks) and fills the
 continuous loads per combination. It shares no search code with ``solve``.
@@ -33,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    STATUS_TOL,
     LoadSpec,
     MissionWeightSet,
     SystemSnapshot,
@@ -105,16 +118,13 @@ def build_instance(
     demand = snapshot.demand_by_id()
     entries = []
     for spec in fleet:
-        if spec.id not in weights.weights:
-            raise ConfigurationError(
-                f"mission {weights.mission_id} has no weight for load {spec.id}"
-            )
+        weight = _weight(weights, spec.id)
         if spec.id not in demand:
             raise ConfigurationError(f"snapshot carries no demand for load {spec.id}")
         entries.append(
             InstanceEntry(
                 load_id=spec.id,
-                weight=weights.weights[spec.id],
+                weight=weight,
                 rated_power_w=spec.rated_power_w,
                 demand_status=min(max(demand[spec.id], 0.0), 1.0),
                 variability=spec.variability,
@@ -122,79 +132,146 @@ def build_instance(
                 zone=spec.zone,
             )
         )
-    budget = max(0.0, snapshot.total_capacity_w - snapshot.total_loss_w)
-    return ShedInstance(tuple(entries), budget, tuple(zones))
+    return ShedInstance(tuple(entries), _budget(snapshot), tuple(zones))
+
+
+def _weight(weights: MissionWeightSet, load_id: int) -> float:
+    if load_id not in weights.weights:
+        raise ConfigurationError(f"mission {weights.mission_id} has no weight for load {load_id}")
+    return weights.weights[load_id]
+
+
+def _budget(snapshot: SystemSnapshot) -> float:
+    return max(0.0, snapshot.total_capacity_w - snapshot.total_loss_w)
 
 
 # ---------------------------------------------------------------------------
-# shared preparation and plan bookkeeping
+# static model, per-tick refresh and plan bookkeeping
+
+
+class FleetModel:
+    """What a fleet, its weight set and its zone membership fix, built once.
+
+    Loads keep the order given (the fleet's). ``canonical`` is ascending load
+    id, ``order`` descending weight density with ties by ascending id.
+    ``downward`` is each discrete load's status table highest first (None for
+    a continuous load) and ``top`` its highest status. ``zone_of`` is each
+    load's zone index, -1 outside every limit.
+    """
+
+    def __init__(self, loads: Sequence[tuple[int, float, float, Variability, str | None]],
+                 zones: Sequence[ZoneLimit]):
+        cols = [list(col) for col in zip(*loads)] or [[] for _ in range(5)]
+        self.ids, self.weight, self.rated, self.variability, zone_names = cols
+        self.n = len(self.ids)
+        self.density = [w / r for w, r in zip(self.weight, self.rated)]
+        self.canonical = sorted(range(self.n), key=self.ids.__getitem__)
+        self.order = sorted(range(self.n), key=lambda i: (-self.density[i], self.ids[i]))
+        limits = {zl.zone: (zi, set(zl.members)) for zi, zl in enumerate(zones)}
+        # a load whose declared zone has a limit but lists it as no member is in none
+        self.zone_of = [limits[z][0] if z in limits and lid in limits[z][1] else -1
+                        for lid, z in zip(self.ids, zone_names)]
+        tables = [v.discrete_statuses() for v in self.variability]
+        self.downward = [None if t is None else t[::-1] for t in tables]
+        self.top = [None if t is None else max(t) for t in tables]
+        self.zero_key = (0.0, 0.0, (0.0,) * self.n)  # the all-shed plan's key
+
+    @classmethod
+    def of_fleet(cls, fleet: Sequence[LoadSpec], weights: MissionWeightSet,
+                 zones: Sequence[ZoneLimit]) -> FleetModel:
+        """The model of ``fleet`` under ``weights``; every load must be weighted."""
+        return cls([(spec.id, _weight(weights, spec.id), spec.rated_power_w,
+                     spec.variability, spec.zone) for spec in fleet], zones)
+
+    def instance(self, snapshot: SystemSnapshot, zones: Sequence[ZoneLimit],
+                 forced_off: Set[int]) -> ModelInstance:
+        """This tick's problem: caps read straight from the snapshot's demands,
+        which must list the model's loads in order. ``zones`` are the model's,
+        in the same order, with this tick's limits."""
+        demands = snapshot.demands
+        if [d.load_id for d in demands] != self.ids:
+            raise ConfigurationError("snapshot demands do not list the fleet's loads in order")
+        # each demand clamped to [0, 1] exactly as min(max(x, 0.0), 1.0) clamps it
+        caps = [0.0 if d.load_id in forced_off else
+                0.0 if (x := d.demand_status) < 0.0 else 1.0 if x > 1.0 else x
+                for d in demands]
+        return ModelInstance(self, caps, _budget(snapshot), [zl.limit_w for zl in zones])
+
+    def plan_key(self, statuses: Sequence[float]) -> tuple[float, float, tuple[float, ...]]:
+        """Total-order key: (objective, served power, lexicographic statuses)."""
+        obj = math.fsum(self.weight[i] * statuses[i] for i in self.canonical)
+        served = math.fsum(self.rated[i] * statuses[i] for i in self.canonical)
+        lex = tuple(statuses[i] for i in self.canonical)
+        return (obj, served, lex)
+
+    def to_plan(self, statuses: Sequence[float], key: tuple[float, float, tuple[float, ...]],
+                solve_time_s: float, optimal: bool) -> ShedPlan:
+        """The plan of ``statuses``, whose ``plan_key`` is ``key``."""
+        return ShedPlan(dict(zip(self.ids, statuses)), key[0], key[1], solve_time_s, optimal)
+
+
+@dataclass(frozen=True)
+class ModelInstance:
+    """One tick's problem over a :class:`FleetModel`, with no per-load objects:
+    each load's status cap (demand clamped to [0, 1], 0 when forced off) in
+    model order, the capacity budget and each model zone's limit."""
+
+    model: FleetModel
+    caps: Sequence[float]
+    capacity_budget_w: float
+    zone_limits_w: Sequence[float]
 
 
 class _Prepared:
-    """Index structures shared by both solvers (data only, no search logic)."""
+    """One tick's search data: the model refreshed with the tick's caps, budget
+    and zone limits (see the module docstring). Branch loads are those with a
+    real discrete choice under their cap. A ``ShedInstance`` derives its model
+    first."""
 
-    def __init__(self, instance: ShedInstance):
-        entries = instance.entries
-        self.entries = entries
-        self.n = len(entries)
-        # canonical evaluation order: ascending load id
-        self.canonical = sorted(range(self.n), key=lambda i: entries[i].load_id)
-        self.zone_limits = [max(0.0, zl.limit_w) for zl in instance.zone_limits]
-        zone_index = {zl.zone: zi for zi, zl in enumerate(instance.zone_limits)}
-        zone_members = [set(zl.members) for zl in instance.zone_limits]
-        self.zone_of = []
-        for e in entries:
-            zi = zone_index.get(e.zone, -1) if e.zone is not None else -1
-            if zi >= 0 and e.load_id not in zone_members[zi]:
-                zi = -1  # declared zone has a limit but this load is not a member
-            self.zone_of.append(zi)
-
-        def density_key(i: int) -> tuple[float, int]:
-            e = entries[i]
-            return (-e.weight / e.rated_power_w, e.load_id)
-
-        self.branch: list[int] = []  # entry indices with a real discrete choice
-        self.choices: dict[int, tuple[float, ...]] = {}
-        self.cont: list[int] = []  # continuous entries with room to move
-        for i, e in enumerate(entries):
-            cap = e.status_cap
-            disc = e.variability.discrete_statuses(cap)
-            if disc is None:
-                if cap > 0.0:
-                    self.cont.append(i)
-                continue
-            if len(disc) > 1:
-                self.branch.append(i)
-                self.choices[i] = disc
-        self.branch.sort(key=density_key)
-        self.cont.sort(key=density_key)
-
+    def __init__(self, instance: ShedInstance | ModelInstance):
+        if isinstance(instance, ShedInstance):
+            entries = instance.entries
+            model = FleetModel([(e.load_id, e.weight, e.rated_power_w, e.variability, e.zone)
+                                for e in entries], instance.zone_limits)
+            instance = ModelInstance(model, [e.status_cap for e in entries],
+                                     instance.capacity_budget_w,
+                                     [zl.limit_w for zl in instance.zone_limits])
+        model = self.model = instance.model
+        caps = instance.caps
+        self.budget = instance.capacity_budget_w
+        self.zone_limits = [max(0.0, limit) for limit in instance.zone_limits_w]
+        # per search level: load, weight, rating, zone, statuses highest first, top status
+        self.steps: list[tuple[int, float, float, int, tuple[float, ...], float]] = []
+        # continuous loads with room to move: load, zone, rating, power at the cap
+        self.cont: list[tuple[int, int, float, float]] = []
         # relaxation items in density order: every branchable and continuous
         # load, capped at the highest status it could take. Branch positions
         # below the search level are fixed; continuous items sit past every
         # level. The first ``lead`` items are branch positions 0, 1, ..., so
         # the first item not fixed at a level is at index min(level, lead).
-        n_branch = len(self.branch)
-        relax = [(i, pos, max(self.choices[i])) for pos, i in enumerate(self.branch)]
-        relax += [(i, n_branch + 1, entries[i].status_cap) for i in self.cont]
-        relax.sort(key=lambda item: density_key(item[0]))
-        self.relax = [(pos, top * entries[i].rated_power_w,
-                       entries[i].weight / entries[i].rated_power_w, self.zone_of[i])
-                      for i, pos, top in relax]
-        lead = next((j for j, item in enumerate(self.relax) if item[0] > n_branch), len(self.relax))
-        self.first = [min(level, lead) for level in range(n_branch + 1)]
-
-    def plan_key(self, statuses: Sequence[float]) -> tuple[float, float, tuple[float, ...]]:
-        """Total-order key: (objective, served power, lexicographic statuses)."""
-        obj = math.fsum(self.entries[i].weight * statuses[i] for i in self.canonical)
-        served = math.fsum(self.entries[i].rated_power_w * statuses[i] for i in self.canonical)
-        lex = tuple(statuses[i] for i in self.canonical)
-        return (obj, served, lex)
-
-    def to_plan(self, statuses: Sequence[float], solve_time_s: float, optimal: bool) -> ShedPlan:
-        obj, served, _ = self.plan_key(statuses)
-        by_id = {self.entries[i].load_id: statuses[i] for i in range(self.n)}
-        return ShedPlan(by_id, obj, served, solve_time_s, optimal)
+        self.relax: list[tuple[int, float, float, int]] = []
+        lead = None
+        rated, density, zone_of = model.rated, model.density, model.zone_of
+        for i in model.order:
+            cap = caps[i]
+            downward = model.downward[i]
+            if downward is None:
+                if cap > 0.0:
+                    if lead is None:
+                        lead = len(self.relax)
+                    power = cap * rated[i]
+                    self.cont.append((i, zone_of[i], rated[i], power))
+                    self.relax.append((model.n, power, density[i], zone_of[i]))
+                continue
+            top = model.top[i]
+            if not top <= cap + STATUS_TOL:
+                table = model.variability[i].discrete_statuses(cap)
+                downward, top = table[::-1], max(table)
+            if len(downward) > 1:
+                self.relax.append((len(self.steps), top * rated[i], density[i], zone_of[i]))
+                self.steps.append((i, model.weight[i], rated[i], zone_of[i], downward, top))
+        lead = len(self.steps) if lead is None else lead  # only branch items precede it
+        self.first = list(range(lead)) + [lead] * (len(self.steps) + 1 - lead)
 
 
 def _tie_tol(ref: float) -> float:
@@ -209,7 +286,7 @@ class _DeadlineExpired(Exception):
     pass
 
 
-def solve(instance: ShedInstance, deadline_s: float | None = 0.05) -> ShedPlan:
+def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     """Maximize weighted status; exact unless the deadline expires first.
 
     The clock is read at every node, but the deadline holds only from the
@@ -219,18 +296,16 @@ def solve(instance: ShedInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     """
     t0 = time.perf_counter()
     prep = _Prepared(instance)
-    entries = prep.entries
+    model = prep.model
 
-    statuses = [0.0] * prep.n
+    statuses = [0.0] * model.n
     best_statuses = list(statuses)
-    best_key = prep.plan_key(statuses)
+    best_key = model.zero_key
     stop_at = math.inf if deadline_s is None else t0 + deadline_s
     deadline = math.inf  # becomes stop_at at the first leaf
-    n_branch = len(prep.branch)
+    steps = prep.steps
+    n_branch = len(steps)
     zone_rem = list(prep.zone_limits)
-    # per search level: entry, weight, rating, zone, statuses highest first, top status
-    steps = [(i, entries[i].weight, entries[i].rated_power_w, prep.zone_of[i],
-              prep.choices[i][::-1], max(prep.choices[i])) for i in prep.branch]
 
     def relax_bound(level: int, rem: float, obj_acc: float) -> tuple[float, int]:
         """Dantzig bound over the free items, and how many branch items from
@@ -275,18 +350,16 @@ def solve(instance: ShedInstance, deadline_s: float | None = 0.05) -> ShedPlan:
         nonlocal best_key, best_statuses, deadline
         deadline = stop_at
         filled = []
-        for i in prep.cont:
-            e = entries[i]
-            zi = prep.zone_of[i]
+        for i, zi, rated, power in prep.cont:
             room = rem if zi < 0 else min(rem, zone_rem[zi])
-            take = min(e.status_cap * e.rated_power_w, max(room, 0.0))
+            take = min(power, max(room, 0.0))
             if take > 0.0:
-                statuses[i] = take / e.rated_power_w
+                statuses[i] = take / rated
                 filled.append((i, zi, take))
                 rem -= take
                 if zi >= 0:
                     zone_rem[zi] -= take
-        key = prep.plan_key(statuses)
+        key = model.plan_key(statuses)
         if key > best_key:
             best_key = key
             best_statuses = list(statuses)
@@ -326,17 +399,17 @@ def solve(instance: ShedInstance, deadline_s: float | None = 0.05) -> ShedPlan:
 
     optimal = True
     try:
-        recurse(0, instance.capacity_budget_w, 0.0, None)
+        recurse(0, prep.budget, 0.0, None)
     except _DeadlineExpired:
         optimal = False
-    return prep.to_plan(best_statuses, time.perf_counter() - t0, optimal)
+    return model.to_plan(best_statuses, best_key, time.perf_counter() - t0, optimal)
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
 
-def brute_force_solve(instance: ShedInstance) -> ShedPlan:
+def brute_force_solve(instance: ShedInstance | ModelInstance) -> ShedPlan:
     """Exhaustively enumerate all discrete assignments (vectorized in blocks).
 
     Continuous loads are filled per combination in weight-density order,
@@ -346,25 +419,25 @@ def brute_force_solve(instance: ShedInstance) -> ShedPlan:
     """
     t0 = time.perf_counter()
     prep = _Prepared(instance)
-    entries = prep.entries
+    model = prep.model
     if len(prep.cont) > MAX_BRUTE_CONTINUOUS:
         raise InstanceTooLargeError(f"{len(prep.cont)} continuous loads exceed the oracle limit")
-    cards = [len(prep.choices[i]) for i in prep.branch]
+    cards = [len(step[4]) for step in prep.steps]
     total = 1
     for c in cards:
         total *= c
         if total > MAX_BRUTE_COMBOS:
             raise InstanceTooLargeError(f"more than {MAX_BRUTE_COMBOS} discrete combinations")
 
-    budget = instance.capacity_budget_w
+    budget = prep.budget
     n_zones = len(prep.zone_limits)
-    choice_arrays = [np.asarray(prep.choices[i], dtype=np.float64) for i in prep.branch]
+    choice_arrays = [np.asarray(step[4][::-1], dtype=np.float64) for step in prep.steps]
     strides = [1] * len(cards)
     for i in range(len(cards) - 2, -1, -1):
         strides[i] = strides[i + 1] * cards[i + 1]
 
-    best_statuses = [0.0] * prep.n
-    best_key = prep.plan_key(best_statuses)
+    best_statuses = [0.0] * model.n
+    best_key = model.zero_key
 
     for start in range(0, total, _BLOCK):
         idx = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
@@ -373,12 +446,10 @@ def brute_force_solve(instance: ShedInstance) -> ShedPlan:
         power = np.zeros(m)
         obj = np.zeros(m)
         zone_used = [np.zeros(m) for _ in range(n_zones)]
-        for k, i in enumerate(prep.branch):
-            e = entries[i]
-            p = disc[k] * e.rated_power_w
+        for k, (_, weight, rated, zi, _, _) in enumerate(prep.steps):
+            p = disc[k] * rated
             power += p
-            obj += disc[k] * e.weight
-            zi = prep.zone_of[i]
+            obj += disc[k] * weight
             if zi >= 0:
                 zone_used[zi] += p
         feasible = power <= budget
@@ -387,32 +458,30 @@ def brute_force_solve(instance: ShedInstance) -> ShedPlan:
         rem = np.maximum(budget - power, 0.0)
         zrem = [np.maximum(prep.zone_limits[zi] - zone_used[zi], 0.0) for zi in range(n_zones)]
         cont_status = []
-        for i in prep.cont:
-            e = entries[i]
-            zi = prep.zone_of[i]
+        for i, zi, rated, cap_power in prep.cont:
             room = rem if zi < 0 else np.minimum(rem, zrem[zi])
-            take = np.minimum(e.status_cap * e.rated_power_w, room)
+            take = np.minimum(cap_power, room)
             rem = rem - take
             if zi >= 0:
                 zrem[zi] = zrem[zi] - take
-            obj += take * (e.weight / e.rated_power_w)
-            cont_status.append(take / e.rated_power_w)
+            obj += take * model.density[i]
+            cont_status.append(take / rated)
         obj = np.where(feasible, obj, -np.inf)
         block_max = float(obj.max())
         ref = max(block_max, best_key[0])
         candidates = np.nonzero(obj >= ref - _tie_tol(ref))[0]
         for row in candidates:
-            statuses = [0.0] * prep.n
-            for k, i in enumerate(prep.branch):
-                statuses[i] = float(disc[k][row])
-            for k, i in enumerate(prep.cont):
-                statuses[i] = float(cont_status[k][row])
-            key = prep.plan_key(statuses)
+            statuses = [0.0] * model.n
+            for k, step in enumerate(prep.steps):
+                statuses[step[0]] = float(disc[k][row])
+            for k, item in enumerate(prep.cont):
+                statuses[item[0]] = float(cont_status[k][row])
+            key = model.plan_key(statuses)
             if key > best_key:
                 best_key = key
                 best_statuses = statuses
 
-    return prep.to_plan(best_statuses, time.perf_counter() - t0, True)
+    return model.to_plan(best_statuses, best_key, time.perf_counter() - t0, True)
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,11 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
             bad("event-module", subject, f"unknown module {ev.module_id}")
         if isinstance(ev, LoadFailure) and ev.load_id not in by_id:
             bad("event-load", subject, f"unknown load {ev.load_id}")
-        if isinstance(ev, ZoneLimitChange) and ev.zone not in zone_names:
-            bad("event-zone", subject, f"undeclared zone {ev.zone!r}")
+        if isinstance(ev, ZoneLimitChange):
+            if ev.zone not in zone_names:
+                bad("event-zone", subject, f"undeclared zone {ev.zone!r}")
+            if not ev.limit_w >= 0:  # also NaN
+                bad("zone-limit", subject, f"limit must be >= 0 W, got {ev.limit_w}")
     return ValidationReport(tuple(issues))
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from _helpers import small_scenario
 from loadshed.controller import (
     AdvancedController,
     BaselineController,
@@ -11,8 +12,10 @@ from loadshed.controller import (
     make_controller,
 )
 from loadshed.model import DemandPoint, MissionWeightSet, SystemSnapshot, ZoneLimit
+from loadshed.optimizer import ConfigurationError, build_instance, solve
 from loadshed.plant import LoadFailure, ZoneLimitChange
 from loadshed.scenario import default_fleet, default_scenario, default_weights, validate_scenario
+from loadshed.sim import run_lockstep
 
 MW = 1e6
 FLEET = default_fleet()
@@ -100,6 +103,72 @@ class TestAdvancedController:
         ctrl = self.make()
         ctrl.on_telemetry(snapshot(full_demand(), 60 * MW))
         assert ctrl.last_solve_time_s > 0.0
+
+
+class TestCachedModel:
+    """The controller's cached fleet model gives, on every tick, the plan that
+    solving a freshly built instance gives."""
+
+    @staticmethod
+    def snapshots(monkeypatch, sc):
+        seen = []
+        on_telemetry = AdvancedController.on_telemetry
+
+        def spy(self, snap):
+            seen.append(snap)
+            return on_telemetry(self, snap)
+
+        with monkeypatch.context() as m:
+            m.setattr(AdvancedController, "on_telemetry", spy)
+            run_lockstep(sc, algorithm="advanced")
+        return seen
+
+    def check_every_tick(self, monkeypatch, sc):
+        db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
+        ctrl = AdvancedController(sc.fleet, db, ControllerConfig(solve_deadline_s=60.0))
+        # telemetry from a plant that is not told of the load failures, so a
+        # failed load still shows demand and only the forced-off set removes it
+        unfailed = replace(sc, events=tuple(ev for ev in sc.events
+                                            if not isinstance(ev, LoadFailure)))
+        shed = 0
+        for snap in self.snapshots(monkeypatch, unfailed):
+            t = snap.time_s
+            ctrl.on_telemetry(snap)
+            fresh = solve(build_instance(snap, db.weights_at(snap.mission_id, t), sc.fleet,
+                                         db.zones_at(t), db.forced_off_at(t)), None)
+            plan = ctrl.last_plan
+            assert plan.optimal
+            assert (plan.statuses, plan.objective, plan.served_power_w) == (
+                fresh.statuses, fresh.objective, fresh.served_power_w), f"t={t}"
+            shed += any(plan.statuses[d.load_id] < d.demand_status for d in snap.demands)
+        assert shed > 0, "the window must shed for the check to mean anything"
+
+    def test_bundled_window_around_the_trip(self, monkeypatch):
+        sc = default_scenario()
+        self.check_every_tick(monkeypatch, replace(sc, window=replace(sc.window,
+                                                                      t_start_s=305.0,
+                                                                      t_end_s=320.0)))
+
+    def test_weight_switch_zone_change_and_failure(self, monkeypatch):
+        sc = small_scenario()
+        fleet = tuple(replace(s, zone="Z1") if s.id in (5, 7) else s for s in sc.fleet)
+        first = sc.weight_sets[0]
+        later = MissionWeightSet(first.mission_id,
+                                 {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 8.0, 6: 8.0, 7: 9.0, 8: 1.0},
+                                 valid_from_s=14.0)
+        sc = replace(sc, fleet=fleet, zones=(ZoneLimit("Z1", 6 * MW, (5, 7)),),
+                     weight_sets=(first, later),
+                     events=sc.events + (ZoneLimitChange(17.0, "Z1", 2.5 * MW),
+                                         LoadFailure(20.0, 6)))
+        assert validate_scenario(sc).ok
+        self.check_every_tick(monkeypatch, sc)
+
+    def test_demands_must_line_up_with_the_fleet(self):
+        ctrl = AdvancedController(FLEET, MissionDatabase([WEIGHTS]), ControllerConfig())
+        snap = snapshot(full_demand(), 60 * MW)
+        for demands in (snap.demands[:-1], snap.demands[1:] + snap.demands[:1]):
+            with pytest.raises(ConfigurationError):
+                ctrl.on_telemetry(replace(snap, demands=demands))
 
 
 class TestBaselineControllerWrapper:

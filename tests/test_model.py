@@ -74,6 +74,19 @@ class TestValidateFleet:
         report = validate_fleet(fleet, (), MissionWeightSet(1, {1: 0.0, 2: 0.0}))
         assert any(i.code == "all-zero-weights" for i in report)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_weight_flagged(self, bad):
+        fleet = [binary_load(1), binary_load(2)]
+        report = validate_fleet(fleet, (), MissionWeightSet(1, {1: bad, 2: 1.0}))
+        assert [(i.code, i.message) for i in report] == [
+            ("nonfinite-weight", f"load 1 weight {bad} is not finite")]
+
+    @pytest.mark.parametrize("limit, ok", [(math.nan, False), (-1.0, False),
+                                           (0.0, True), (math.inf, True)])
+    def test_zone_limit_must_be_a_number_not_below_zero(self, limit, ok):
+        report = validate_fleet([binary_load(1, zone="Z1")], [ZoneLimit("Z1", limit, (1,))])
+        assert [i.code for i in report] == ([] if ok else ["zone-limit"])
+
     def test_validation_is_pure(self):
         fleet = default_fleet()
         first = validate_fleet(fleet)

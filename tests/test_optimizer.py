@@ -6,6 +6,7 @@ import pytest
 
 from _helpers import MW, assert_plans_agree, random_instance
 from loadshed.model import (
+    STATUS_TOL,
     DemandPoint,
     LoadGroup,
     LoadSpec,
@@ -172,6 +173,44 @@ class TestTiedZonedInstances:
         assert_plans_agree(inst, fast, oracle)
         assert plan_violations(inst, fast) == []
         assert plan_violations(inst, oracle) == []
+
+
+class TestStatusTableBoundary:
+    """Demand at a level, within STATUS_TOL below it and just beyond it: a
+    discrete load whose cap reaches its top status keeps its whole status
+    table, any lower cap gets exactly ``discrete_statuses(cap)``."""
+
+    @staticmethod
+    def instance(level, offset, budget_share):
+        stepped = Variability.stepped([0.25, 0.5, 1.0])
+        demand = level - offset
+        entries = (
+            InstanceEntry(1, 6.0, 4 * MW, demand, stepped),
+            InstanceEntry(2, 5.0, 3 * MW, demand, Variability.binary()),
+            InstanceEntry(3, 4.0, 2 * MW, demand, stepped, False, "Z1"),
+            binary_entry(4, 3.0, 2 * MW, zone="Z1"),
+            binary_entry(5, 2.0, 1 * MW),
+            cont_entry(6, 1.0, 2 * MW, demand=0.7),
+        )
+        total = sum(e.status_cap * e.rated_power_w for e in entries)
+        zones = (ZoneLimit("Z1", 3.5 * MW, (3, 4)),)
+        return ShedInstance(entries, budget_share * total, zones)
+
+    @pytest.mark.parametrize("budget_share", [0.45, 0.7, 2.0])
+    @pytest.mark.parametrize("offset", [0.0, STATUS_TOL / 2, STATUS_TOL, 2 * STATUS_TOL])
+    @pytest.mark.parametrize("level", [0.5, 1.0])
+    def test_agrees_with_brute_force(self, level, offset, budget_share):
+        inst = self.instance(level, offset, budget_share)
+        fast = solve(inst, deadline_s=None)
+        oracle = brute_force_solve(inst)
+        assert fast.optimal
+        assert_plans_agree(inst, fast, oracle)
+        assert plan_violations(inst, fast) == []
+        if budget_share > 1:  # ample: loads outside the zone take their highest status
+            for e in inst.entries[:2]:
+                top = max(e.variability.discrete_statuses(e.status_cap))
+                assert fast.statuses[e.load_id] == top
+            assert (fast.statuses[1] == level) == (offset <= STATUS_TOL)
 
 
 class TestContinuousFillAgainstLinprog:

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,7 @@ from _helpers import small_scenario
 from loadshed.cli import main
 from loadshed.link import MAX_ID, MAX_TELEMETRY_LOADS
 from loadshed.metrics import MissionWindow
-from loadshed.model import LoadGroup, LoadSpec, MissionWeightSet, Variability
+from loadshed.model import LoadGroup, LoadSpec, MissionWeightSet, Variability, ZoneLimit
 from loadshed.plant import LoadProfile, ZoneLimitChange
 from loadshed.records import read_run_csv
 from loadshed.report import (
@@ -108,6 +109,16 @@ class TestScenarioConfig:
         sc = small_scenario()
         sc = replace(sc, events=sc.events + (ZoneLimitChange(5.0, "Z9", 1e6),))
         assert {i.code for i in validate_scenario(sc)} == {"event-zone"}
+
+    @pytest.mark.parametrize("limit, ok", [(math.nan, False), (-1.0, False),
+                                           (0.0, True), (math.inf, True)])
+    def test_zone_change_limit_must_be_a_number_not_below_zero(self, limit, ok):
+        sc = small_scenario()
+        zones = (ZoneLimit("Z1", 5e6, (1,)),)
+        fleet = (replace(sc.fleet[0], zone="Z1"),) + sc.fleet[1:]
+        sc = replace(sc, fleet=fleet, zones=zones,
+                     events=sc.events + (ZoneLimitChange(5.0, "Z1", limit),))
+        assert {i.code for i in validate_scenario(sc)} == (set() if ok else {"zone-limit"})
 
     @pytest.mark.parametrize("bad_id", [-1, MAX_ID + 1])
     def test_ids_the_wire_cannot_carry_flagged(self, bad_id):
