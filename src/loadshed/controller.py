@@ -1,29 +1,26 @@
 """Shedding controllers: the staged baseline and the mission-weighted optimizer.
 
 Controllers are driven one telemetry snapshot at a time and reply with the
-commands whose statuses changed. The advanced controller consults a mission
-database (weight schedule plus scheduled constraint updates) and solves the
-shedding optimization within its per-tick deadline. The control period is
-the run's tick, which the engine passes in.
+commands whose statuses changed. The advanced controller looks up the weight
+set and zone limits in force in a mission schedule built once, and solves the
+shedding optimization within its per-tick deadline. The control period is the
+run's tick, which the engine passes in.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baseline import BaselineState, baseline_reset, baseline_step
 from .metrics import DEFAULT_TICK_S
-from .model import (
-    LoadSpec,
-    MissionWeightSet,
-    ShedCommand,
-    SystemSnapshot,
-    ZoneLimit,
-)
+from .model import LoadSpec, MissionWeightSet, ShedCommand, SystemSnapshot, ZoneLimit
 from .optimizer import FleetModel, ShedPlan, solve
-from .plant import LoadFailure, PlantEvent, ZoneLimitChange
+from .plant import PlantEvent, ZoneLimitChange
 
 log = logging.getLogger(__name__)
 
@@ -45,49 +42,56 @@ class ControllerConfig:
             raise ValueError("stale limit must be at least one tick")
 
 
-class MissionDatabase:
-    """Dynamic mission data: weight sets over time plus constraint updates.
+class Segment(NamedTuple):
+    """The weight set in force and the declared zones' limits, in declared order."""
 
-    Mirrors the controller-side "dynamic database": telemetry never carries
-    zone limits or failed-load sets, so the scenario's ``ZoneLimitChange`` and
-    ``LoadFailure`` events are, by configuration, known to the controller as
-    well as to the plant. Only the controller enforces zone limits.
+    weights: MissionWeightSet
+    limits_w: tuple[float, ...]
+
+
+class MissionDatabase:
+    """The controller's "dynamic database": each mission's schedule, built once.
+
+    A schedule is a sorted tuple of segment start times and the segments. A
+    weight set applies from its ``valid_from_s`` (the first declared wins a
+    tie), a scenario ``ZoneLimitChange`` from its time (in declared order at
+    one time), and neither from a NaN time. Telemetry carries no zone limits,
+    and only the controller enforces them; load failures reach it as zero
+    demand. Zone membership is fixed, so a change to an undeclared zone is
+    ignored.
     """
 
-    def __init__(
-        self,
-        weight_sets: Sequence[MissionWeightSet],
-        zones: Sequence[ZoneLimit] = (),
-        events: Iterable[PlantEvent] = (),
-    ):
-        self._weight_sets = tuple(weight_sets)
-        self._zones = {zl.zone: zl for zl in zones}
-        events = sorted(events, key=lambda ev: ev.time_s)
-        self._zone_updates = [ev for ev in events if isinstance(ev, ZoneLimitChange)]
-        self._forced_updates = [ev for ev in events if isinstance(ev, LoadFailure)]
+    def __init__(self, weight_sets: Sequence[MissionWeightSet],
+                 zones: Sequence[ZoneLimit] = (), events: Iterable[PlantEvent] = ()):
+        self.zones = tuple({zl.zone: zl for zl in zones}.values())
+        index = {zl.zone: zi for zi, zl in enumerate(self.zones)}
+        limits = [zl.limit_w for zl in self.zones]
+        declared = tuple(limits)
+        steps: dict[float, tuple[float, ...]] = {}  # the limits in force from each change time
+        for ev in sorted((ev for ev in events if isinstance(ev, ZoneLimitChange)
+                          and ev.zone in index and not math.isnan(ev.time_s)),
+                         key=lambda ev: ev.time_s):
+            limits[index[ev.zone]] = ev.limit_w
+            steps[ev.time_s] = tuple(limits)
+        firsts: dict[int, dict[float, MissionWeightSet]] = {}
+        for ws in weight_sets:
+            if not math.isnan(ws.valid_from_s):
+                firsts.setdefault(ws.mission_id, {}).setdefault(ws.valid_from_s, ws)
+        self._schedules: dict[int, tuple[tuple[float, ...], tuple[Segment, ...]]] = {}
+        for mission_id, by_start in firsts.items():
+            segments, weights, limits_w = {}, None, declared
+            for t in sorted(by_start.keys() | steps.keys()):
+                weights, limits_w = by_start.get(t, weights), steps.get(t, limits_w)
+                if weights is not None:
+                    segments[t] = Segment(weights, limits_w)
+            self._schedules[mission_id] = (tuple(segments), tuple(segments.values()))
 
-    def weights_at(self, mission_id: int, time_s: float) -> MissionWeightSet | None:
-        candidates = [
-            ws
-            for ws in self._weight_sets
-            if ws.mission_id == mission_id and ws.valid_from_s <= time_s
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda ws: ws.valid_from_s)
-
-    def zones_at(self, time_s: float) -> tuple[ZoneLimit, ...]:
-        zones = dict(self._zones)
-        for upd in self._zone_updates:
-            if upd.time_s > time_s:
-                break
-            current = zones.get(upd.zone)
-            members = current.members if current is not None else ()
-            zones[upd.zone] = ZoneLimit(upd.zone, upd.limit_w, members)
-        return tuple(zones.values())
-
-    def forced_off_at(self, time_s: float) -> frozenset[int]:
-        return frozenset(u.load_id for u in self._forced_updates if u.time_s <= time_s)
+    def segment_at(self, mission_id: int, time_s: float) -> Segment | None:
+        """The segment in force at ``time_s``; None for an unknown mission, a
+        NaN time or a time before the mission's first weight set."""
+        starts, segments = self._schedules.get(mission_id, ((), ()))
+        k = bisect_right(starts, time_s) - 1
+        return segments[k] if k >= 0 and starts[k] <= time_s else None
 
 
 class AdvancedController:
@@ -100,30 +104,26 @@ class AdvancedController:
         self.config = config
         self.intent: dict[int, float] = {spec.id: 1.0 for spec in self.fleet}
         self.last_plan: ShedPlan | None = None
-        # one static model per (weight set, zone membership); the database
-        # holds every weight set as long as the controller, so the set's
-        # identity is a stable key
-        self._models: dict[tuple, FleetModel] = {}
+        # one static model per weight set (zone membership is fixed); the
+        # database holds the sets as long as we do, so identity is a stable key
+        self._models: dict[int, FleetModel] = {}
 
     @property
     def last_solve_time_s(self) -> float:
         return self.last_plan.solve_time_s if self.last_plan is not None else 0.0
 
     def on_telemetry(self, snapshot: SystemSnapshot) -> tuple[ShedCommand, ...]:
-        weights = self.database.weights_at(snapshot.mission_id, snapshot.time_s)
-        if weights is None:
-            log.warning(
-                "no weights for mission %d at t=%.1f s; holding last commands",
-                snapshot.mission_id, snapshot.time_s,
-            )
+        segment = self.database.segment_at(snapshot.mission_id, snapshot.time_s)
+        if segment is None:
+            log.warning("no weights for mission %d at t=%.1f s; holding last commands",
+                        snapshot.mission_id, snapshot.time_s)
             return ()
-        zones = self.database.zones_at(snapshot.time_s)
-        key = (id(weights), tuple((zl.zone, zl.members) for zl in zones))
-        model = self._models.get(key)
+        weights = segment.weights
+        model = self._models.get(id(weights))
         if model is None:
-            model = self._models[key] = FleetModel.of_fleet(self.fleet, weights, zones)
-        instance = model.instance(snapshot, zones, self.database.forced_off_at(snapshot.time_s))
-        plan = solve(instance, self.config.solve_deadline_s)
+            model = self._models[id(weights)] = FleetModel.of_fleet(
+                self.fleet, weights, self.database.zones)
+        plan = solve(model.instance(snapshot, segment.limits_w), self.config.solve_deadline_s)
         self.last_plan = plan
         commands = []
         for spec in self.fleet:

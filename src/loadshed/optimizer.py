@@ -183,19 +183,16 @@ class FleetModel:
         return cls([(spec.id, _weight(weights, spec.id), spec.rated_power_w,
                      spec.variability, spec.zone) for spec in fleet], zones)
 
-    def instance(self, snapshot: SystemSnapshot, zones: Sequence[ZoneLimit],
-                 forced_off: Set[int]) -> ModelInstance:
+    def instance(self, snapshot: SystemSnapshot, limits_w: Sequence[float]) -> ModelInstance:
         """This tick's problem: caps read straight from the snapshot's demands,
-        which must list the model's loads in order. ``zones`` are the model's,
-        in the same order, with this tick's limits."""
+        which must list the model's loads in order, and ``limits_w`` this
+        tick's limits of the model's zones, in the same order."""
         demands = snapshot.demands
         if [d.load_id for d in demands] != self.ids:
             raise ConfigurationError("snapshot demands do not list the fleet's loads in order")
         # each demand clamped to [0, 1] exactly as min(max(x, 0.0), 1.0) clamps it
-        caps = [0.0 if d.load_id in forced_off else
-                0.0 if (x := d.demand_status) < 0.0 else 1.0 if x > 1.0 else x
-                for d in demands]
-        return ModelInstance(self, caps, _budget(snapshot), [zl.limit_w for zl in zones])
+        caps = [0.0 if (x := d.demand_status) < 0.0 else 1.0 if x > 1.0 else x for d in demands]
+        return ModelInstance(self, caps, _budget(snapshot), limits_w)
 
     def plan_key(self, statuses: Sequence[float]) -> tuple[float, float, tuple[float, ...]]:
         """Total-order key: (objective, served power, lexicographic statuses)."""
@@ -213,8 +210,8 @@ class FleetModel:
 @dataclass(frozen=True)
 class ModelInstance:
     """One tick's problem over a :class:`FleetModel`, with no per-load objects:
-    each load's status cap (demand clamped to [0, 1], 0 when forced off) in
-    model order, the capacity budget and each model zone's limit."""
+    each load's status cap (demand clamped to [0, 1]; a failed load reports
+    0) in model order, the capacity budget and each model zone's limit."""
 
     model: FleetModel
     caps: Sequence[float]

@@ -9,6 +9,7 @@ of capacity, demand stays above 60 MW until it falls away at t=395 s.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -79,8 +80,10 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
 
     Also checks what the run and the wire assume: the solve deadline lies
     inside the tick (the control period), every weight set of the mission
-    covers the fleet and one is valid from the window start, and every id
-    and the fleet size fit the datagrams.
+    covers the fleet and one is valid from the window start, the plant
+    constants, link impairment and module ratings are finite numbers in
+    range, module ids are unique, and every id and the fleet size fit the
+    datagrams.
     """
     issues: list[ValidationIssue] = list(validate_fleet(sc.fleet, sc.zones))
 
@@ -98,6 +101,25 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
     if sc.controller.solve_deadline_s >= sc.window.tick_s:
         bad("solve-deadline", "controller", f"deadline {sc.controller.solve_deadline_s} s "
             f"does not fit inside the {sc.window.tick_s} s tick")
+    for name, value in (("tau_s", sc.plant.tau_s), ("loss_fraction", sc.plant.loss_fraction)):
+        if not 0 <= value < math.inf:  # also NaN
+            bad("plant-constant", "plant", f"{name} must be finite and >= 0, got {value}")
+    imp = sc.impairment
+    if not 0 <= imp.loss_probability <= 1:
+        bad("impairment", "impairment",
+            f"loss_probability must lie in [0, 1], got {imp.loss_probability}")
+    for name, value in (("latency_ms", imp.latency_ms), ("jitter_ms", imp.jitter_ms)):
+        if not 0 <= value < math.inf:
+            bad("impairment", "impairment", f"{name} must be finite and >= 0 ms, got {value}")
+    module_ids: set[int] = set()
+    for m in sc.generation:
+        subject = f"module {m.id}"
+        if m.id in module_ids:
+            bad("duplicate-module", subject, "id appears more than once in the generation")
+        module_ids.add(m.id)
+        if not 0 <= m.rated_power_w < math.inf:
+            bad("module-rating", subject,
+                f"rating must be finite and >= 0 W, got {m.rated_power_w}")
     if not 0 <= sc.mission_id <= MAX_ID:
         bad("wire-id", f"mission {sc.mission_id}", f"id outside 0-{MAX_ID}")
     if len(sc.fleet) > MAX_TELEMETRY_LOADS:
@@ -122,7 +144,6 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
             bad("wire-id", f"load {spec.id}", f"id outside 0-{MAX_ID}")
         if spec.id not in sc.profiles:
             bad("missing-profile", f"load {spec.id}", "no demand profile declared")
-    module_ids = {m.id for m in sc.generation}
     zone_names = {zl.zone for zl in sc.zones}
     for ev in sc.events:
         subject = f"event at t={ev.time_s}"

@@ -93,11 +93,11 @@ class _Recorder:
         degraded: bool,
         solve_time_s: float,
     ) -> RunRecord:
-        weights = self.db.weights_at(snapshot.mission_id, snapshot.time_s)
+        segment = self.db.segment_at(snapshot.mission_id, snapshot.time_s)
         den = num_cmd = num_meas = 0.0
-        if weights is not None:
+        if segment is not None:
             den, num_cmd, num_meas = service_sums(
-                weights.weights, snapshot.demands, commanded,
+                segment.weights.weights, snapshot.demands, commanded,
                 map(truediv, snapshot.measured_w, self._rated_w))
         return RunRecord(
             time_s=snapshot.time_s,

@@ -1,4 +1,5 @@
 import logging
+import math
 from dataclasses import replace
 
 import pytest
@@ -105,9 +106,25 @@ class TestAdvancedController:
         assert ctrl.last_solve_time_s > 0.0
 
 
+def reference_weights(weight_sets, mission_id, t):
+    """The latest weight set valid at ``t``; the first declared wins a tie."""
+    candidates = [ws for ws in weight_sets if ws.mission_id == mission_id and ws.valid_from_s <= t]
+    return max(candidates, key=lambda ws: ws.valid_from_s) if candidates else None
+
+
+def reference_zones(zones, events, t):
+    """Declared zones with every limit change up to ``t`` applied in time order."""
+    current = {zl.zone: zl for zl in zones}
+    for ev in sorted(events, key=lambda ev: ev.time_s):
+        if isinstance(ev, ZoneLimitChange) and ev.time_s <= t:
+            current[ev.zone] = ZoneLimit(ev.zone, ev.limit_w, current[ev.zone].members)
+    return tuple(current.values())
+
+
 class TestCachedModel:
     """The controller's cached fleet model gives, on every tick, the plan that
-    solving a freshly built instance gives."""
+    solving a freshly built instance gives, with the weights and zones a linear
+    scan of the mission data finds."""
 
     @staticmethod
     def snapshots(monkeypatch, sc):
@@ -126,22 +143,29 @@ class TestCachedModel:
     def check_every_tick(self, monkeypatch, sc):
         db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
         ctrl = AdvancedController(sc.fleet, db, ControllerConfig(solve_deadline_s=60.0))
-        # telemetry from a plant that is not told of the load failures, so a
-        # failed load still shows demand and only the forced-off set removes it
-        unfailed = replace(sc, events=tuple(ev for ev in sc.events
-                                            if not isinstance(ev, LoadFailure)))
+        failed = {ev.load_id for ev in sc.events if isinstance(ev, LoadFailure)}
+        up, down = set(), set()  # failed loads seen with demand; seen dropping to 0
         shed = 0
-        for snap in self.snapshots(monkeypatch, unfailed):
+        for snap in self.snapshots(monkeypatch, sc):
             t = snap.time_s
             ctrl.on_telemetry(snap)
-            fresh = solve(build_instance(snap, db.weights_at(snap.mission_id, t), sc.fleet,
-                                         db.zones_at(t), db.forced_off_at(t)), None)
+            weights = reference_weights(sc.weight_sets, snap.mission_id, t)
+            zones = reference_zones(sc.zones, sc.events, t)
+            fresh = solve(build_instance(snap, weights, sc.fleet, zones), None)
             plan = ctrl.last_plan
             assert plan.optimal
             assert (plan.statuses, plan.objective, plan.served_power_w) == (
                 fresh.statuses, fresh.objective, fresh.served_power_w), f"t={t}"
+            for d in snap.demands:
+                if d.load_id in failed and d.demand_status > 0.0:
+                    up.add(d.load_id)
+                elif d.load_id in up:
+                    down.add(d.load_id)
+            for lid in down:
+                assert plan.statuses[lid] == 0.0 and ctrl.intent[lid] == 0.0, f"t={t}"
             shed += any(plan.statuses[d.load_id] < d.demand_status for d in snap.demands)
         assert shed > 0, "the window must shed for the check to mean anything"
+        assert down == failed, "every failed load must drop to 0 demand in the window"
 
     def test_bundled_window_around_the_trip(self, monkeypatch):
         sc = default_scenario()
@@ -159,7 +183,7 @@ class TestCachedModel:
         sc = replace(sc, fleet=fleet, zones=(ZoneLimit("Z1", 6 * MW, (5, 7)),),
                      weight_sets=(first, later),
                      events=sc.events + (ZoneLimitChange(17.0, "Z1", 2.5 * MW),
-                                         LoadFailure(20.0, 6)))
+                                         LoadFailure(20.0, 6), LoadFailure(22.0, 7)))
         assert validate_scenario(sc).ok
         self.check_every_tick(monkeypatch, sc)
 
@@ -197,25 +221,49 @@ class TestMissionDatabase:
         late = MissionWeightSet(1, {1: 2.0}, valid_from_s=100.0)
         other = MissionWeightSet(2, {1: 9.0}, valid_from_s=0.0)
         db = MissionDatabase([early, late, other])
-        assert db.weights_at(1, 50.0) is early
-        assert db.weights_at(1, 100.0) is late
-        assert db.weights_at(2, 500.0) is other
-        assert db.weights_at(3, 0.0) is None
+        assert db.segment_at(1, 50.0).weights is early
+        assert db.segment_at(1, 100.0).weights is late
+        assert db.segment_at(2, 500.0).weights is other
+        assert db.segment_at(3, 0.0) is None
 
     def test_zone_updates_apply_in_time_order(self):
         base = ZoneLimit("Z1", 10 * MW, (1, 2))
         db = MissionDatabase([WEIGHTS], zones=[base],
                              events=[ZoneLimitChange(50.0, "Z1", 4 * MW)])
-        assert db.zones_at(10.0) == (base,)
-        updated = db.zones_at(50.0)
-        assert updated[0].limit_w == 4 * MW and updated[0].members == (1, 2)
+        assert db.zones == (base,)
+        assert db.segment_at(1, 10.0).limits_w == (10 * MW,)
+        assert db.segment_at(1, 50.0).limits_w == (4 * MW,)
+        assert db.zones[0].members == (1, 2)
 
-    def test_forced_off_accumulates(self):
-        db = MissionDatabase([WEIGHTS], events=[
-            LoadFailure(10.0, 3), LoadFailure(20.0, 4)])
-        assert db.forced_off_at(5.0) == frozenset()
-        assert db.forced_off_at(10.0) == {3}
-        assert db.forced_off_at(25.0) == {3, 4}
+    def test_equal_start_first_declared_wins(self):
+        first = MissionWeightSet(1, {1: 1.0}, valid_from_s=10.0)
+        second = MissionWeightSet(1, {1: 2.0}, valid_from_s=10.0)
+        db = MissionDatabase([MissionWeightSet(1, {1: 3.0}), first, second])
+        assert db.segment_at(1, 10.0).weights is first
+        assert db.segment_at(1, 99.0).weights is first
+        assert reference_weights([first, second], 1, 10.0) is first
+
+    def test_zone_changes_at_one_time_apply_in_declared_order(self):
+        zones = [ZoneLimit("Z1", 10 * MW, (1,)), ZoneLimit("Z2", 8 * MW, (2,))]
+        db = MissionDatabase([WEIGHTS], zones, events=[
+            ZoneLimitChange(20.0, "Z2", 3 * MW), ZoneLimitChange(20.0, "Z1", 2 * MW),
+            ZoneLimitChange(20.0, "Z2", 1 * MW), ZoneLimitChange(20.0, "Z1", 5 * MW)])
+        assert db.segment_at(1, 19.9).limits_w == (10 * MW, 8 * MW)
+        assert db.segment_at(1, 20.0).limits_w == (5 * MW, 1 * MW)
+
+    def test_zone_change_before_the_first_weight_set(self):
+        weights = MissionWeightSet(1, {1: 1.0}, valid_from_s=10.0)
+        db = MissionDatabase([weights], [ZoneLimit("Z1", 10 * MW, (1,))],
+                             events=[ZoneLimitChange(5.0, "Z1", 2 * MW)])
+        assert db.segment_at(1, 7.0) is None
+        assert db.segment_at(1, 10.0) == (weights, (2 * MW,))
+
+    def test_no_segment_before_the_first_weight_set(self):
+        db = MissionDatabase([MissionWeightSet(1, {1: 1.0}, valid_from_s=10.0)])
+        assert db.segment_at(1, 9.99) is None
+        assert db.segment_at(1, -1.0) is None
+        assert db.segment_at(1, math.nan) is None
+        assert db.segment_at(1, 10.0) is not None
 
 
 def test_make_controller_dispatch():

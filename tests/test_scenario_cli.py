@@ -8,7 +8,8 @@ from _helpers import small_scenario
 from loadshed.cli import main
 from loadshed.link import MAX_ID, MAX_TELEMETRY_LOADS
 from loadshed.metrics import MissionWindow
-from loadshed.model import LoadGroup, LoadSpec, MissionWeightSet, Variability, ZoneLimit
+from loadshed.model import (GenerationModule, LoadGroup, LoadSpec, MissionWeightSet,
+                            Variability, ZoneLimit)
 from loadshed.plant import LoadProfile, ZoneLimitChange
 from loadshed.records import read_run_csv
 from loadshed.report import (
@@ -145,6 +146,44 @@ class TestScenarioConfig:
                      profiles={s.id: LoadProfile(((0.0, 1.0),)) for s in fleet}, events=())
         codes = {i.code for i in validate_scenario(sc)}
         assert codes == (set() if fits else {"wire-fleet-size"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau_s", -1.0), ("tau_s", math.nan), ("tau_s", math.inf),
+        ("loss_fraction", -0.01), ("loss_fraction", math.nan), ("loss_fraction", math.inf)])
+    def test_bad_plant_constant_flagged(self, field, value):
+        sc = small_scenario()
+        sc = replace(sc, plant=replace(sc.plant, **{field: value}))
+        assert {i.code for i in validate_scenario(sc)} == {"plant-constant"}
+
+    @pytest.mark.parametrize("rating", [math.nan, math.inf, -1.0])
+    def test_bad_module_rating_flagged(self, rating):
+        sc = small_scenario()
+        sc = replace(sc, generation=(replace(sc.generation[0], rated_power_w=rating),)
+                     + sc.generation[1:])
+        assert {i.code for i in validate_scenario(sc)} == {"module-rating"}
+
+    def test_duplicate_module_id_flagged(self):
+        sc = small_scenario()
+        sc = replace(sc, generation=sc.generation + (GenerationModule(2, "G3", 1e6),))
+        assert {i.code for i in validate_scenario(sc)} == {"duplicate-module"}
+
+    @pytest.mark.parametrize("field, value", [
+        ("loss_probability", 1.5), ("loss_probability", -0.1), ("loss_probability", math.nan),
+        ("latency_ms", math.nan), ("latency_ms", -1.0), ("latency_ms", math.inf),
+        ("jitter_ms", -1.0), ("jitter_ms", math.inf)])
+    def test_bad_impairment_flagged(self, field, value):
+        sc = small_scenario()
+        sc = replace(sc, impairment=replace(sc.impairment, **{field: value}))
+        assert {i.code for i in validate_scenario(sc)} == {"impairment"}
+
+    def test_range_edges_accepted_and_run(self):
+        sc = small_scenario(loss=1.0, tau_s=0.0)
+        sc = replace(sc, plant=replace(sc.plant, loss_fraction=0.0),
+                     generation=sc.generation + (GenerationModule(3, "G3", 0.0),))
+        assert validate_scenario(sc).ok
+        result = run_lockstep(sc)
+        assert all(math.isfinite(r.op_commanded) and math.isfinite(r.op_measured)
+                   for r in result.rows)
 
 
 @pytest.fixture(scope="module")
