@@ -24,19 +24,15 @@ from .metrics import (
 )
 from .model import (
     Category,
-    DemandPoint,
     GenerationModule,
     LoadGroup,
     LoadSpec,
-    LoadState,
     MissionWeightSet,
     ShedCommand,
     SystemSnapshot,
     ValidationReport,
     Variability,
     ZoneLimit,
-    online_capacity,
-    required_power,
     validate_fleet,
 )
 from .optimizer import (

@@ -137,9 +137,8 @@ class AdvancedController:
 class BaselineController:
     """Wrapper giving the staged baseline the same driving surface."""
 
-    def __init__(self, fleet: Sequence[LoadSpec], config: ControllerConfig, tick_s: float):
+    def __init__(self, fleet: Sequence[LoadSpec], tick_s: float):
         self.fleet = tuple(fleet)
-        self.config = config
         self.tick_s = tick_s
         self.state: BaselineState = baseline_reset()
         self.intent: dict[int, float] = {spec.id: 1.0 for spec in self.fleet}
@@ -166,7 +165,7 @@ def make_controller(
 ) -> Controller:
     """The configured controller; ``tick_s`` is the control period of the run."""
     if config.algorithm == "baseline":
-        return BaselineController(fleet, config, tick_s)
+        return BaselineController(fleet, tick_s)
     if database is None:
         raise ValueError("the advanced controller needs a mission database")
     return AdvancedController(fleet, database, config)

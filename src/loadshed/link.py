@@ -13,7 +13,9 @@ Header (18 bytes)::
     count        2 bytes   unsigned, total records in the message
 
 Telemetry records (18 bytes each) follow the header: load_id (u16), demand
-status (f64), measured power in watts (f64). After the records comes a
+status (f64), measured power in watts (f64), one record per entry of the
+snapshot's aligned ``load_ids``, ``demands`` and ``measured_w`` columns,
+which the decoder rebuilds as tuples. After the records comes a
 34-byte trailer: capacity_w (f64), loss_w (f64), mission_id (u16),
 loading_pu (f64), time_s (f64). Command records are 10 bytes: load_id
 (u16), status (f64), with no trailer.
@@ -36,7 +38,7 @@ from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .model import DemandPoint, ShedCommand, SystemSnapshot
+from .model import ShedCommand, SystemSnapshot
 
 MAGIC = b"LS"
 VERSION = 1
@@ -117,10 +119,8 @@ class DatagramPart:
 
 
 def _telemetry_body(snapshot: SystemSnapshot) -> tuple[bytes, bytes]:
-    records = b"".join(
-        _TELEMETRY_RECORD.pack(d.load_id, d.demand_status, p)
-        for d, p in zip(snapshot.demands, snapshot.measured_w)
-    )
+    pack = _TELEMETRY_RECORD.pack
+    records = b"".join(map(pack, snapshot.load_ids, snapshot.demands, snapshot.measured_w))
     trailer = _TELEMETRY_TRAILER.pack(
         snapshot.total_capacity_w,
         snapshot.total_loss_w,
@@ -166,13 +166,14 @@ def encode_telemetry(snapshot: SystemSnapshot, seq: int) -> bytes:
     """One telemetry datagram; raises :class:`DatagramTooLarge` if it won't fit."""
     records, trailer = _telemetry_body(snapshot)
     timestamp = max(0, round(snapshot.time_s * 1000.0))
-    return _encode(MSG_TELEMETRY, seq, timestamp, len(snapshot.demands), records, trailer)
+    return _encode(MSG_TELEMETRY, seq, timestamp, len(snapshot.load_ids), records, trailer)
 
 
 def encode_telemetry_parts(snapshot: SystemSnapshot, seq: int) -> tuple[bytes, ...]:
     records, trailer = _telemetry_body(snapshot)
     timestamp = max(0, round(snapshot.time_s * 1000.0))
-    return _encode_parts(MSG_TELEMETRY, seq, timestamp, len(snapshot.demands), records, trailer)
+    return _encode_parts(MSG_TELEMETRY, seq, timestamp, len(snapshot.load_ids), records,
+                         trailer)
 
 
 def encode_commands(commands: Sequence[ShedCommand], seq: int, timestamp_ms: int = 0) -> bytes:
@@ -192,17 +193,16 @@ def encode_commands_parts(
 
 
 def _parse_telemetry(records: bytes, trailer: bytes, seq: int, timestamp_ms: int) -> DatagramView:
-    demands = []
-    measured = []
-    for load_id, demand, power in _TELEMETRY_RECORD.iter_unpack(records):
-        demands.append(DemandPoint(load_id, demand))
-        measured.append(power)
+    # records to columns; a zero-record message has none to transpose
+    columns = tuple(zip(*_TELEMETRY_RECORD.iter_unpack(records))) or ((), (), ())
+    load_ids, demands, measured = columns
     capacity, loss, mission_id, loading, time_s = _TELEMETRY_TRAILER.unpack(trailer)
     snapshot = SystemSnapshot(
         time_s=time_s,
         mission_id=mission_id,
-        demands=tuple(demands),
-        measured_w=tuple(measured),
+        load_ids=load_ids,
+        demands=demands,
+        measured_w=measured,
         total_capacity_w=capacity,
         total_loss_w=loss,
         loading_pu=loading,

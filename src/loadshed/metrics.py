@@ -6,15 +6,19 @@ time-integrals (weighted service over weighted demand), approximated by
 left-rectangle sums on the control grid. Numerator and denominator are
 integrated separately and divided once, so a time-varying demand profile is
 handled correctly.
+
+``instantaneous_operability`` takes statuses and demands keyed by load id.
+``service_sums``, which the run recorder calls every tick, takes aligned
+per-load columns in fleet order, as telemetry carries them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import repeat
 
-from .model import DemandPoint, LoadState, MissionWeightSet
+from .model import MissionWeightSet
 
 
 DEFAULT_TICK_S = 0.1  # the paper's 100 ms control period
@@ -51,21 +55,20 @@ class MissionWindow:
         return round((self.t_end_s - self.t_start_s) / self.tick_s)
 
 
-def service_sums(weights: Mapping[int, float], demands: Iterable[DemandPoint],
-                 served: Mapping[int, float],
+def service_sums(weights: Mapping[int, float], load_ids: Iterable[int],
+                 demands: Iterable[float], served: Iterable[float],
                  measured_pu: Iterable[float]) -> tuple[float, float, float]:
     """Weighted (demanded, served, measured) totals in one pass over the loads.
 
-    A served status counts up to its load's demand status. ``measured_pu`` is
-    aligned with ``demands``. Loads with zero demand status add to no sum.
+    ``load_ids``, ``demands``, ``served`` and ``measured_pu`` are aligned
+    columns, one entry per load. A served status counts up to its load's
+    demand status. Loads with zero demand status add to no sum.
     """
     den = num = num_meas = 0.0
-    for d, m in zip(demands, measured_pu):
-        ds = d.demand_status
+    for lid, ds, s, m in zip(load_ids, demands, served, measured_pu):
         if ds == 0.0:
             continue
-        w = weights[d.load_id]
-        s = served.get(d.load_id, 0.0)
+        w = weights[lid]
         den += w * ds
         num += w * (ds if ds < s else s)  # min(s, ds) without the call overhead
         num_meas += w * m
@@ -79,22 +82,27 @@ def operability(num: float, den: float) -> float:
 
 def weighted_service_sums(
     weights: MissionWeightSet,
-    states: Sequence[LoadState],
-    demands: Sequence[DemandPoint],
+    statuses: Mapping[int, float],
+    demands: Mapping[int, float],
 ) -> tuple[float, float]:
-    """Weighted served and demanded totals (numerator, denominator)."""
-    served = {s.load_id: s.status for s in states}
-    den, num, _ = service_sums(weights.weights, demands, served, repeat(0.0))
+    """Weighted served and demanded totals (numerator, denominator).
+
+    ``statuses`` and ``demands`` map load id to operating and demanded
+    status; a load with a demand but no status counts as shed.
+    """
+    served = [statuses.get(lid, 0.0) for lid in demands]
+    den, num, _ = service_sums(weights.weights, demands.keys(), demands.values(), served,
+                               repeat(0.0))
     return num, den
 
 
 def instantaneous_operability(
     weights: MissionWeightSet,
-    states: Sequence[LoadState],
-    demands: Sequence[DemandPoint],
+    statuses: Mapping[int, float],
+    demands: Mapping[int, float],
 ) -> OperabilitySample:
     """Weighted operability right now; 1.0 (flagged vacuous) when nothing is demanded."""
-    num, den = weighted_service_sums(weights, states, demands)
+    num, den = weighted_service_sums(weights, statuses, demands)
     return OperabilitySample(operability(num, den), vacuous=den <= 0.0)
 
 

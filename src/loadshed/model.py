@@ -8,7 +8,7 @@ never raises, it produces a :class:`ValidationReport` listing every problem.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,18 +101,6 @@ class LoadSpec:
 
 
 @dataclass(frozen=True)
-class LoadState:
-    load_id: int
-    status: float  # fraction of rated power, within the load's domain
-
-
-@dataclass(frozen=True)
-class DemandPoint:
-    load_id: int
-    demand_status: float  # maximum operation status demanded right now
-
-
-@dataclass(frozen=True)
 class MissionWeightSet:
     """Per-load importance weights for one mission, active from ``valid_from_s``."""
 
@@ -142,20 +130,25 @@ class ZoneLimit:
 class SystemSnapshot:
     """Plant telemetry for one control tick.
 
-    ``demands`` and ``measured_w`` are aligned, one entry per fleet load in
-    declaration order.
+    ``load_ids``, ``demands`` and ``measured_w`` are aligned columns, one
+    entry per fleet load in declaration order: the load's id, the maximum
+    operating status it demands right now, and its measured power in watts.
+    The plant shares one ``load_ids`` tuple across all its snapshots.
     """
 
     time_s: float
     mission_id: int
-    demands: tuple[DemandPoint, ...]
+    load_ids: tuple[int, ...]
+    demands: tuple[float, ...]
     measured_w: tuple[float, ...]
     total_capacity_w: float
     total_loss_w: float
     loading_pu: float
 
-    def demand_by_id(self) -> dict[int, float]:
-        return {d.load_id: d.demand_status for d in self.demands}
+    @property
+    def budget_w(self) -> float:
+        """Power the loads may draw: online capacity less distribution losses."""
+        return max(0.0, self.total_capacity_w - self.total_loss_w)
 
 
 @dataclass(frozen=True)
@@ -266,18 +259,6 @@ def weight_issues(fleet: Sequence[LoadSpec],
         issues.append(ValidationIssue("all-zero-weights", subject,
                                       "at least one weight must be positive"))
     return issues
-
-
-def required_power(spec: LoadSpec, demand: DemandPoint) -> float:
-    """Power needed to serve ``demand`` in full: demand status times rating."""
-    if spec.id != demand.load_id:
-        raise ValueError(f"demand point for load {demand.load_id} applied to load {spec.id}")
-    return demand.demand_status * spec.rated_power_w
-
-
-def online_capacity(modules: Iterable[GenerationModule]) -> float:
-    """Total rated power of the modules currently online."""
-    return sum(m.rated_power_w for m in modules if m.online)
 
 
 def fleet_by_id(fleet: Sequence[LoadSpec]) -> dict[int, LoadSpec]:

@@ -81,10 +81,6 @@ class InstanceEntry:
     zone: str | None = None
 
     @property
-    def required_power_w(self) -> float:
-        return self.demand_status * self.rated_power_w
-
-    @property
     def status_cap(self) -> float:
         if self.forced_off:
             return 0.0
@@ -115,7 +111,7 @@ def build_instance(
     forced_off: Set[int] = frozenset(),
 ) -> ShedInstance:
     """Assemble the per-tick optimization problem from telemetry and config."""
-    demand = snapshot.demand_by_id()
+    demand = dict(zip(snapshot.load_ids, snapshot.demands))
     entries = []
     for spec in fleet:
         weight = _weight(weights, spec.id)
@@ -132,17 +128,13 @@ def build_instance(
                 zone=spec.zone,
             )
         )
-    return ShedInstance(tuple(entries), _budget(snapshot), tuple(zones))
+    return ShedInstance(tuple(entries), snapshot.budget_w, tuple(zones))
 
 
 def _weight(weights: MissionWeightSet, load_id: int) -> float:
     if load_id not in weights.weights:
         raise ConfigurationError(f"mission {weights.mission_id} has no weight for load {load_id}")
     return weights.weights[load_id]
-
-
-def _budget(snapshot: SystemSnapshot) -> float:
-    return max(0.0, snapshot.total_capacity_w - snapshot.total_loss_w)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +154,8 @@ class FleetModel:
     def __init__(self, loads: Sequence[tuple[int, float, float, Variability, str | None]],
                  zones: Sequence[ZoneLimit]):
         cols = [list(col) for col in zip(*loads)] or [[] for _ in range(5)]
-        self.ids, self.weight, self.rated, self.variability, zone_names = cols
+        ids, self.weight, self.rated, self.variability, zone_names = cols
+        self.ids = tuple(ids)
         self.n = len(self.ids)
         self.density = [w / r for w, r in zip(self.weight, self.rated)]
         self.canonical = sorted(range(self.n), key=self.ids.__getitem__)
@@ -185,14 +178,14 @@ class FleetModel:
 
     def instance(self, snapshot: SystemSnapshot, limits_w: Sequence[float]) -> ModelInstance:
         """This tick's problem: caps read straight from the snapshot's demands,
-        which must list the model's loads in order, and ``limits_w`` this
-        tick's limits of the model's zones, in the same order."""
+        whose ids must be the model's in order, and ``limits_w`` this tick's
+        limits of the model's zones, in the same order."""
         demands = snapshot.demands
-        if [d.load_id for d in demands] != self.ids:
+        if snapshot.load_ids != self.ids or len(demands) != self.n:
             raise ConfigurationError("snapshot demands do not list the fleet's loads in order")
         # each demand clamped to [0, 1] exactly as min(max(x, 0.0), 1.0) clamps it
-        caps = [0.0 if (x := d.demand_status) < 0.0 else 1.0 if x > 1.0 else x for d in demands]
-        return ModelInstance(self, caps, _budget(snapshot), limits_w)
+        caps = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in demands]
+        return ModelInstance(self, caps, snapshot.budget_w, limits_w)
 
     def plan_key(self, statuses: Sequence[float]) -> tuple[float, float, tuple[float, ...]]:
         """Total-order key: (objective, served power, lexicographic statuses)."""

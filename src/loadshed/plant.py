@@ -14,14 +14,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from .model import (
-    DemandPoint,
-    GenerationModule,
-    LoadSpec,
-    ShedCommand,
-    SystemSnapshot,
-    online_capacity,
-)
+from .model import GenerationModule, LoadSpec, ShedCommand, SystemSnapshot
 
 log = logging.getLogger(__name__)
 
@@ -95,7 +88,9 @@ class Plant:
         if tau_s < 0:
             raise ValueError("actuator time constant must be >= 0")
         self.fleet = tuple(fleet)
-        self._by_id = {spec.id: spec for spec in self.fleet}
+        self.load_ids = tuple(spec.id for spec in self.fleet)  # every snapshot shares it
+        self._index = {lid: i for i, lid in enumerate(self.load_ids)}
+        self._rated = tuple(spec.rated_power_w for spec in self.fleet)
         self.tau_s = tau_s
         self.loss_fraction = loss_fraction
         self.mission_id = mission_id
@@ -107,33 +102,29 @@ class Plant:
         self._dt: float | None = None
         self._online = {m.id: m.online for m in generation}
         self._modules = tuple(generation)
-        self._profiles = dict(profiles)
+        self._profiles = tuple(profiles.get(lid) for lid in self.load_ids)
         self._events = sorted(events, key=lambda e: e.time_s)
         self._next_event = 0
         self.forced_off: set[int] = set()
-        self.commanded = {spec.id: 1.0 for spec in self.fleet}
+        # per load in fleet order: commanded status, measured power (W)
+        self.commanded = [1.0] * len(self.fleet)
         # start in steady state: measured power equals the initial target
-        self.measured_w = {
-            spec.id: self._target_w(spec, self._demand(spec.id, t_start_s))
-            for spec in self.fleet
-        }
+        self.measured_w = [min(1.0, d) * r for d, r in zip(self._demands(t_start_s), self._rated)]
 
-    def _demand(self, load_id: int, t: float) -> float:
-        if load_id in self.forced_off:
-            return 0.0
-        profile = self._profiles.get(load_id)
-        return sample_profile(profile, t) if profile is not None else 0.0
-
-    def _target_w(self, spec: LoadSpec, demand: float) -> float:
-        return min(self.commanded[spec.id], demand) * spec.rated_power_w
+    def _demands(self, t: float) -> tuple[float, ...]:
+        """Each load's demand status at ``t``; a failed load demands 0."""
+        forced = self.forced_off
+        return tuple(0.0 if profile is None or lid in forced else sample_profile(profile, t)
+                     for lid, profile in zip(self.load_ids, self._profiles))
 
     def apply_commands(self, commands: Iterable[ShedCommand]) -> None:
         """Update commanded statuses; unknown load ids are logged and skipped."""
         for cmd in commands:
-            if cmd.load_id not in self._by_id:
+            i = self._index.get(cmd.load_id)
+            if i is None:
                 log.warning("ignoring command for unknown load %d", cmd.load_id)
                 continue
-            self.commanded[cmd.load_id] = cmd.status
+            self.commanded[i] = cmd.status
 
     def _boundary_slack(self) -> float:
         # a nanosecond of relative slack: grid times and event times are both
@@ -169,20 +160,12 @@ class Plant:
         self._fire_due_events()
         alpha = 1.0 if self.tau_s == 0.0 else 1.0 - math.exp(-dt / self.tau_s)
         sample_t = self.clock_s + self._boundary_slack()
-        demands = []
-        measured = []
-        for spec in self.fleet:
-            d = self._demand(spec.id, sample_t)
-            target = self._target_w(spec, d)
-            p = self.measured_w[spec.id]
-            p += (target - p) * alpha
-            self.measured_w[spec.id] = p
-            demands.append(DemandPoint(spec.id, d))
-            measured.append(p)
-        capacity = online_capacity(
-            GenerationModule(m.id, m.name, m.rated_power_w, self._online[m.id])
-            for m in self._modules
-        )
+        demands = self._demands(sample_t)
+        measured = self.measured_w
+        for i, (c, d, rated) in enumerate(zip(self.commanded, demands, self._rated)):
+            p = measured[i]
+            measured[i] = p + (min(c, d) * rated - p) * alpha  # first-order lag to target
+        capacity = sum(m.rated_power_w for m in self._modules if self._online[m.id])
         total = sum(measured)
         loss = self.loss_fraction * total
         if capacity > 0:
@@ -192,7 +175,8 @@ class Plant:
         return SystemSnapshot(
             time_s=self.clock_s,
             mission_id=self.mission_id,
-            demands=tuple(demands),
+            load_ids=self.load_ids,
+            demands=demands,
             measured_w=tuple(measured),
             total_capacity_w=capacity,
             total_loss_w=loss,

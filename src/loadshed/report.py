@@ -112,16 +112,24 @@ def solve_time_stats(times: Sequence[float]) -> tuple[float, float]:
     return float(arr.max()), float(np.percentile(arr, 99))
 
 
-def run_metrics(meta: RunMeta, rows: Sequence[RunRecord], solve_times: Sequence[float]) -> dict:
-    """The per-run figures that ``summarize`` and ``compare_runs`` report."""
+def run_metrics(meta: RunMeta, rows: Sequence[RunRecord],
+                solve_times: Sequence[float] | None) -> dict:
+    """The per-run figures that ``summarize`` and ``compare_runs`` report.
+
+    Without ``solve_times`` (a run read back without its ``timing.csv``) the
+    solve time figures are None.
+    """
     op_cmd, op_meas = integral_ops(meta, rows)
-    t_max, t_p99 = solve_time_stats(solve_times)
+    t_max_ms = t_p99_ms = None
+    if solve_times is not None:
+        t_max, t_p99 = solve_time_stats(solve_times)
+        t_max_ms, t_p99_ms = t_max * 1e3, t_p99 * 1e3
     return {
         "algorithm": meta.algorithm,
         "op_cmd": op_cmd,
         "op_meas": op_meas,
-        "t_max_ms": t_max * 1e3,
-        "t_p99_ms": t_p99 * 1e3,
+        "t_max_ms": t_max_ms,
+        "t_p99_ms": t_p99_ms,
         "degraded": sum(r.degraded for r in rows),
         "sheds": shed_summary(meta, rows),
     }
@@ -217,7 +225,11 @@ def emit_plot_data(run_csv: str | Path, grouping: str, out_dir: str | Path) -> P
 
 
 def compare_runs(run_a_csv: str | Path, run_b_csv: str | Path) -> str:
-    """Side-by-side evaluation table for two runs on the same grid and fleet."""
+    """Side-by-side evaluation table for two runs on the same grid and fleet.
+
+    Solve times come from the ``timing.csv`` beside each ``run.csv``; a run
+    without one shows ``n/a`` for them.
+    """
     meta_a, rows_a = read_run_csv(run_a_csv)
     meta_b, rows_b = read_run_csv(run_b_csv)
     if meta_a.fleet != meta_b.fleet:
@@ -229,7 +241,7 @@ def compare_runs(run_a_csv: str | Path, run_b_csv: str | Path) -> str:
 
     def metrics_of(path, meta, rows):
         timing = Path(path).with_name("timing.csv")
-        times = read_timing_csv(timing) if timing.exists() else [r.solve_time_s for r in rows]
+        times = read_timing_csv(timing) if timing.exists() else None
         commands = sum(
             1
             for prev, cur in zip(rows, rows[1:])
@@ -241,13 +253,17 @@ def compare_runs(run_a_csv: str | Path, run_b_csv: str | Path) -> str:
     a = metrics_of(run_a_csv, meta_a, rows_a)
     b = metrics_of(run_b_csv, meta_b, rows_b)
     w = 28
+
+    def ms(value: float | None) -> str:
+        return "n/a" if value is None else f"{value:.2f}"
+
     lines = [
         f"{'metric':30s} {'run A':>{w}} {'run B':>{w}}",
         f"{'algorithm':30s} {a['algorithm']:>{w}} {b['algorithm']:>{w}}",
         f"{'integral operability (cmd)':30s} {a['op_cmd']:>{w}.4f} {b['op_cmd']:>{w}.4f}",
         f"{'integral operability (meas)':30s} {a['op_meas']:>{w}.4f} {b['op_meas']:>{w}.4f}",
-        f"{'solve time p99 (ms)':30s} {a['t_p99_ms']:>{w}.2f} {b['t_p99_ms']:>{w}.2f}",
-        f"{'solve time max (ms)':30s} {a['t_max_ms']:>{w}.2f} {b['t_max_ms']:>{w}.2f}",
+        f"{'solve time p99 (ms)':30s} {ms(a['t_p99_ms']):>{w}} {ms(b['t_p99_ms']):>{w}}",
+        f"{'solve time max (ms)':30s} {ms(a['t_max_ms']):>{w}} {ms(b['t_max_ms']):>{w}}",
         f"{'command changes':30s} {a['commands']:>{w}d} {b['commands']:>{w}d}",
         f"{'degraded ticks':30s} {a['degraded']:>{w}d} {b['degraded']:>{w}d}",
     ]

@@ -80,10 +80,10 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
 
     Also checks what the run and the wire assume: the solve deadline lies
     inside the tick (the control period), every weight set of the mission
-    covers the fleet and one is valid from the window start, the plant
-    constants, link impairment and module ratings are finite numbers in
-    range, module ids are unique, and every id and the fleet size fit the
-    datagrams.
+    covers the fleet, none starts at a NaN time and one is valid from the
+    window start, the plant constants, link impairment and module ratings
+    are finite numbers in range, module ids are unique, and every id and the
+    fleet size fit the datagrams.
     """
     issues: list[ValidationIssue] = list(validate_fleet(sc.fleet, sc.zones))
 
@@ -95,7 +95,10 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
         issues.extend(weight_issues(sc.fleet, ws))
     if not mission_sets:
         bad("missing-weights", f"mission {sc.mission_id}", "no weight set declared")
-    elif min(ws.valid_from_s for ws in mission_sets) > sc.window.t_start_s:
+    starts = [ws.valid_from_s for ws in mission_sets if not math.isnan(ws.valid_from_s)]
+    if len(starts) < len(mission_sets):  # a NaN start never applies
+        bad("weights-start", f"mission {sc.mission_id}", "a weight set starts at t=nan")
+    if starts and min(starts) > sc.window.t_start_s:
         bad("weights-start", f"mission {sc.mission_id}",
             f"no weight set is valid at the window start t={sc.window.t_start_s}")
     if sc.controller.solve_deadline_s >= sc.window.tick_s:

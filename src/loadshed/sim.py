@@ -28,6 +28,7 @@ import math
 import socket
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import truediv
 from typing import NamedTuple
@@ -36,7 +37,7 @@ from . import link
 from .controller import Controller, MissionDatabase, make_controller
 from .link import DelayQueue, Reassembler
 from .metrics import operability, service_sums
-from .model import ShedCommand, SystemSnapshot
+from .model import LoadSpec, ShedCommand, SystemSnapshot
 from .plant import Plant
 from .records import RunRecord, RunMeta, meta_from_fleet
 from .scenario import ScenarioConfig
@@ -82,7 +83,6 @@ class _Recorder:
 
     def __init__(self, sc: ScenarioConfig):
         self.db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
-        self.rated = {spec.id: spec.rated_power_w for spec in sc.fleet}
         self._ids = tuple(spec.id for spec in sc.fleet)
         self._rated_w = tuple(spec.rated_power_w for spec in sc.fleet)
 
@@ -94,10 +94,11 @@ class _Recorder:
         solve_time_s: float,
     ) -> RunRecord:
         segment = self.db.segment_at(snapshot.mission_id, snapshot.time_s)
+        statuses = tuple(map(commanded.__getitem__, self._ids))
         den = num_cmd = num_meas = 0.0
         if segment is not None:
             den, num_cmd, num_meas = service_sums(
-                segment.weights.weights, snapshot.demands, commanded,
+                segment.weights.weights, self._ids, snapshot.demands, statuses,
                 map(truediv, snapshot.measured_w, self._rated_w))
         return RunRecord(
             time_s=snapshot.time_s,
@@ -110,9 +111,9 @@ class _Recorder:
             op_commanded=operability(num_cmd, den),
             op_measured=operability(num_meas, den),
             degraded=degraded,
-            demands=tuple(d.demand_status for d in snapshot.demands),
-            commanded=tuple(map(commanded.__getitem__, self._ids)),
-            measured_w=tuple(snapshot.measured_w),
+            demands=snapshot.demands,
+            commanded=statuses,
+            measured_w=snapshot.measured_w,
             solve_time_s=solve_time_s,
         )
 
@@ -137,11 +138,11 @@ class _Decision(NamedTuple):
 class _ControlNode:
     """The controller side of the loop, whatever carries its messages."""
 
-    def __init__(self, controller: Controller, stale_limit: int,
-                 rated: dict[int, float]):
+    def __init__(self, controller: Controller, stale_limit: int, fleet: Sequence[LoadSpec]):
         self.controller = controller
         self.stale_limit = stale_limit
-        self.rated = rated
+        self._ids = tuple(spec.id for spec in fleet)
+        self._rated_w = tuple(spec.rated_power_w for spec in fleet)
         self._mailbox: tuple[int, SystemSnapshot] | None = None
         self.last = _Decision((), dict(controller.intent))
 
@@ -153,21 +154,20 @@ class _ControlNode:
         if self._mailbox is None or k - self._mailbox[0] > self.stale_limit:
             return self.last.held()  # failsafe: hold (re-send) the last batch
         seq, used = self._mailbox
-        # NaN and inf both survive the sum: answer non-finite telemetry as stale
-        if not math.isfinite(sum(d.demand_status for d in used.demands)
-                             + used.total_capacity_w + used.total_loss_w):
+        # answer telemetry of other loads, or non-finite telemetry, as stale;
+        # NaN and inf both survive the sum
+        if used.load_ids != self._ids or not math.isfinite(
+                sum(used.demands) + used.total_capacity_w + used.total_loss_w):
             return self.last.held()
         t0 = time.perf_counter()
         batch = self.controller.on_telemetry(used)
         solve_time = self.controller.last_solve_time_s or (time.perf_counter() - t0)
         plan = getattr(self.controller, "last_plan", None)
-        demand = used.demand_by_id()
+        intent = self.controller.intent  # every fleet load, in fleet order
         intent_power = 0.0
-        for lid, status in self.controller.intent.items():
-            d = demand.get(lid, 0.0)
-            intent_power += (d if d < status else status) * self.rated[lid]  # min(status, d)
-        self.last = _Decision(batch, dict(self.controller.intent), seq=seq,
-                              budget_w=max(0.0, used.total_capacity_w - used.total_loss_w),
+        for status, d, rated in zip(intent.values(), used.demands, self._rated_w):
+            intent_power += (d if d < status else status) * rated  # min(status, d)
+        self.last = _Decision(batch, dict(intent), seq=seq, budget_w=used.budget_w,
                               intent_power_w=intent_power, solve_time_s=solve_time,
                               optimal=plan is None or plan.optimal)
         return self.last
@@ -278,7 +278,7 @@ def _run(sc: ScenarioConfig, algorithm: str | None, seed: int | None,
     plant = build_plant(sc)
     recorder = _Recorder(sc)
     node = _ControlNode(make_controller(sc.fleet, cfg, recorder.db, sc.window.tick_s),
-                        cfg.stale_limit, recorder.rated)
+                        cfg.stale_limit, sc.fleet)
     q_tel = DelayQueue(queue_cfg, "telemetry")
     q_cmd = DelayQueue(queue_cfg, "commands")
 

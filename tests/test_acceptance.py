@@ -14,7 +14,7 @@ import pytest
 from _helpers import assert_plans_agree, random_instance, small_scenario
 from loadshed import link
 from loadshed.link import replay_drop_schedule
-from loadshed.model import DemandPoint, ShedCommand, SystemSnapshot
+from loadshed.model import ShedCommand, SystemSnapshot
 from loadshed.optimizer import brute_force_solve, plan_violations, solve
 from loadshed.records import group_of, write_run_csv
 from loadshed.report import integral_ops, solve_time_stats, summarize
@@ -140,7 +140,7 @@ def test_08_baseline_timer_semantics():
     }
 
     def snap(loading, t):
-        return SystemSnapshot(t, 1, (), (), 6e7, 0.0, loading)
+        return SystemSnapshot(t, 1, (), (), (), 6e7, 0.0, loading)
 
     rng = random.Random(81)
     for _ in range(200):
@@ -182,8 +182,8 @@ def test_09_codec():
         snap = SystemSnapshot(
             time_s=rng.uniform(0, 1e4),
             mission_id=rng.randint(0, 65535),
-            demands=tuple(DemandPoint(rng.randint(0, 65535), rng.random())
-                          for _ in range(n)),
+            load_ids=tuple(rng.randint(0, 65535) for _ in range(n)),
+            demands=tuple(rng.random() for _ in range(n)),
             measured_w=tuple(rng.uniform(0, 4e7) for _ in range(n)),
             total_capacity_w=rng.uniform(0, 1e8),
             total_loss_w=rng.uniform(0, 1e6),
@@ -206,12 +206,12 @@ def test_09_codec():
     assert crashes == 0
 
     empty = link.encode_telemetry(
-        SystemSnapshot(0.0, 0, (), (), 0.0, 0.0, 0.0), seq=1
+        SystemSnapshot(0.0, 0, (), (), (), 0.0, 0.0, 0.0), seq=1
     )
     assert empty[:18] == bytes([0x4C, 0x53, 1, 1, 1, 0, 0, 0]) + b"\x00" * 10
     assert len(empty) == 52
     one = link.encode_telemetry(
-        SystemSnapshot(0.0, 0, (DemandPoint(7, 1.0),), (0.0,), 0.0, 0.0, 0.0), seq=0
+        SystemSnapshot(0.0, 0, (7,), (1.0,), (0.0,), 0.0, 0.0, 0.0), seq=0
     )
     assert one[18:28] == b"\x07\x00" + b"\x00\x00\x00\x00\x00\x00\xf0\x3f"
     cmd = link.encode_commands([ShedCommand(3, 0.5)], seq=0)

@@ -24,7 +24,7 @@ VITAL_ORDER = [11, 14, 17]
 
 def snap(loading, t=0.0):
     return SystemSnapshot(
-        time_s=t, mission_id=1, demands=(), measured_w=(),
+        time_s=t, mission_id=1, load_ids=(), demands=(), measured_w=(),
         total_capacity_w=60 * MW, total_loss_w=0.0, loading_pu=loading,
     )
 

@@ -12,7 +12,7 @@ from loadshed.controller import (
     MissionDatabase,
     make_controller,
 )
-from loadshed.model import DemandPoint, MissionWeightSet, SystemSnapshot, ZoneLimit
+from loadshed.model import MissionWeightSet, SystemSnapshot, ZoneLimit
 from loadshed.optimizer import ConfigurationError, build_instance, solve
 from loadshed.plant import LoadFailure, ZoneLimitChange
 from loadshed.scenario import default_fleet, default_scenario, default_weights, validate_scenario
@@ -24,11 +24,11 @@ WEIGHTS = default_weights(FLEET)
 
 
 def snapshot(demands, capacity_w, t=0.0, mission_id=1, loss_fraction=0.02):
-    dps = tuple(DemandPoint(s.id, d) for s, d in zip(FLEET, demands))
     measured = tuple(d * s.rated_power_w for s, d in zip(FLEET, demands))
     loss = loss_fraction * sum(measured)
     loading = (sum(measured) + loss) / capacity_w
-    return SystemSnapshot(t, mission_id, dps, measured, capacity_w, loss, loading)
+    return SystemSnapshot(t, mission_id, tuple(s.id for s in FLEET), tuple(demands), measured,
+                          capacity_w, loss, loading)
 
 
 def full_demand():
@@ -156,14 +156,14 @@ class TestCachedModel:
             assert plan.optimal
             assert (plan.statuses, plan.objective, plan.served_power_w) == (
                 fresh.statuses, fresh.objective, fresh.served_power_w), f"t={t}"
-            for d in snap.demands:
-                if d.load_id in failed and d.demand_status > 0.0:
-                    up.add(d.load_id)
-                elif d.load_id in up:
-                    down.add(d.load_id)
+            for lid, d in zip(snap.load_ids, snap.demands):
+                if lid in failed and d > 0.0:
+                    up.add(lid)
+                elif lid in up:
+                    down.add(lid)
             for lid in down:
                 assert plan.statuses[lid] == 0.0 and ctrl.intent[lid] == 0.0, f"t={t}"
-            shed += any(plan.statuses[d.load_id] < d.demand_status for d in snap.demands)
+            shed += any(plan.statuses[lid] < d for lid, d in zip(snap.load_ids, snap.demands))
         assert shed > 0, "the window must shed for the check to mean anything"
         assert down == failed, "every failed load must drop to 0 demand in the window"
 
@@ -190,21 +190,24 @@ class TestCachedModel:
     def test_demands_must_line_up_with_the_fleet(self):
         ctrl = AdvancedController(FLEET, MissionDatabase([WEIGHTS]), ControllerConfig())
         snap = snapshot(full_demand(), 60 * MW)
-        for demands in (snap.demands[:-1], snap.demands[1:] + snap.demands[:1]):
+        ids, demands = snap.load_ids, snap.demands
+        for changed in (dict(load_ids=ids[:-1], demands=demands[:-1]),
+                        dict(load_ids=ids[1:] + ids[:1], demands=demands[1:] + demands[:1]),
+                        dict(demands=demands[:-1])):
             with pytest.raises(ConfigurationError):
-                ctrl.on_telemetry(replace(snap, demands=demands))
+                ctrl.on_telemetry(replace(snap, **changed))
 
 
 class TestBaselineControllerWrapper:
     def test_no_overload_no_commands(self):
-        ctrl = BaselineController(FLEET, ControllerConfig(algorithm="baseline"), tick_s=0.1)
+        ctrl = BaselineController(FLEET, tick_s=0.1)
         demands = full_demand()
         snap = snapshot(demands, 96 * MW)
         assert snap.loading_pu < 1.0
         assert ctrl.on_telemetry(snap) == ()
 
     def test_sheds_track_intent(self):
-        ctrl = BaselineController(FLEET, ControllerConfig(algorithm="baseline"), tick_s=0.1)
+        ctrl = BaselineController(FLEET, tick_s=0.1)
         overload = snapshot(full_demand(), 60 * MW)
         assert overload.loading_pu > 1.0
         sheds = []

@@ -31,25 +31,28 @@ from loadshed.link import (
     impairment_rng,
     replay_drop_schedule,
 )
-from loadshed.model import DemandPoint, ShedCommand, SystemSnapshot
+from loadshed.model import ShedCommand, SystemSnapshot
 
 
 def snapshot(n_loads=0, time_s=0.0, seq_base=0):
-    demands = tuple(DemandPoint(seq_base + i, 1.0) for i in range(n_loads))
+    ids = tuple(seq_base + i for i in range(n_loads))
     measured = tuple(float(i) * 1e6 for i in range(n_loads))
     return SystemSnapshot(
-        time_s=time_s, mission_id=0, demands=demands, measured_w=measured,
+        time_s=time_s, mission_id=0, load_ids=ids, demands=(1.0,) * n_loads,
+        measured_w=measured,
         total_capacity_w=0.0, total_loss_w=0.0, loading_pu=0.0,
     )
 
 
 def random_snapshot(rng):
     n = rng.randint(0, 60)
-    demands = tuple(DemandPoint(rng.randint(0, 65535), rng.random()) for _ in range(n))
+    ids = tuple(rng.randint(0, 65535) for _ in range(n))
+    demands = tuple(rng.random() for _ in range(n))
     measured = tuple(rng.uniform(0, 4e7) for _ in range(n))
     return SystemSnapshot(
         time_s=rng.uniform(0, 1e4),
         mission_id=rng.randint(0, 65535),
+        load_ids=ids,
         demands=demands,
         measured_w=measured,
         total_capacity_w=rng.uniform(0, 1e8),
@@ -65,9 +68,12 @@ class TestByteLayout:
         assert data[:18] == header
         assert len(data) == 18 + 34  # header plus the 34-byte trailer
         assert data[18:] == b"\x00" * 34
+        decoded = decode_telemetry(data)
+        assert decoded == snapshot()
+        assert (decoded.load_ids, decoded.demands, decoded.measured_w) == ((), (), ())
 
     def test_telemetry_record_bytes(self):
-        snap = SystemSnapshot(0.0, 0, (DemandPoint(7, 1.0),), (2.5e6,), 0.0, 0.0, 0.0)
+        snap = SystemSnapshot(0.0, 0, (7,), (1.0,), (2.5e6,), 0.0, 0.0, 0.0)
         data = encode_telemetry(snap, seq=0)
         record = data[18 : 18 + 18]
         assert record[:2] == b"\x07\x00"

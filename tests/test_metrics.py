@@ -8,14 +8,13 @@ from loadshed.metrics import (
     integral_operability,
     weighted_service_sums,
 )
-from loadshed.model import DemandPoint, LoadState, MissionWeightSet
+from loadshed.model import MissionWeightSet
 
 
 def mk(weights, statuses, demands):
-    ws = MissionWeightSet(1, {i: w for i, w in enumerate(weights)})
-    states = [LoadState(i, s) for i, s in enumerate(statuses)]
-    dps = [DemandPoint(i, d) for i, d in enumerate(demands)]
-    return ws, states, dps
+    """Weights, statuses and demands of loads 0, 1, ..., keyed by load id."""
+    ws = MissionWeightSet(1, dict(enumerate(weights)))
+    return ws, dict(enumerate(statuses)), dict(enumerate(demands))
 
 
 class TestInstantaneous:
@@ -150,6 +149,6 @@ class TestMissionWindow:
 
 
 def test_service_sums_skip_zero_demand_even_if_status_nonzero():
-    ws, states, demands = mk([5.0, 5.0], [1.0, 0.7], [1.0, 0.0])
-    num, den = weighted_service_sums(ws, states, demands)
+    ws, statuses, demands = mk([5.0, 5.0], [1.0, 0.7], [1.0, 0.0])
+    num, den = weighted_service_sums(ws, statuses, demands)
     assert (num, den) == (5.0, 5.0)

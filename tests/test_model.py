@@ -1,18 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from loadshed.model import (
-    DemandPoint,
-    GenerationModule,
     LoadGroup,
     LoadSpec,
     MissionWeightSet,
     Variability,
     ZoneLimit,
-    online_capacity,
-    required_power,
     validate_fleet,
 )
 from loadshed.scenario import default_fleet, default_weights
@@ -93,57 +88,3 @@ class TestValidateFleet:
         second = validate_fleet(fleet)
         assert first == second
         assert fleet == default_fleet()
-
-
-class TestRequiredPower:
-    def test_full_demand_identity(self):
-        spec = binary_load(3, rated=10 * MW)
-        assert required_power(spec, DemandPoint(3, 1.0)) == 10 * MW
-
-    def test_linear_scaling(self):
-        spec = binary_load(3, rated=10 * MW)
-        assert required_power(spec, DemandPoint(3, 0.5)) == 5 * MW
-
-    def test_pmm_fractional_demand(self):
-        pmm = LoadSpec(9, "PMM", LoadGroup.PMM, 36 * MW, Variability.continuous())
-        assert required_power(pmm, DemandPoint(9, 0.75)) == pytest.approx(27 * MW)
-
-    def test_id_mismatch_is_usage_error(self):
-        with pytest.raises(ValueError):
-            required_power(binary_load(1), DemandPoint(2, 1.0))
-
-    @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=1.0, max_value=1e8))
-    def test_never_exceeds_rating(self, demand, rated):
-        spec = LoadSpec(1, "L", LoadGroup.PMM, rated, Variability.continuous())
-        power = required_power(spec, DemandPoint(1, demand))
-        assert power <= rated
-        assert (power == rated) == (demand == 1.0)
-
-
-class TestOnlineCapacity:
-    def test_default_generation_totals(self):
-        modules = [
-            GenerationModule(1, "MPGM1", 36 * MW),
-            GenerationModule(2, "MPGM2", 36 * MW),
-            GenerationModule(3, "APGM1", 12 * MW),
-            GenerationModule(4, "APGM2", 12 * MW),
-        ]
-        assert online_capacity(modules) == 96 * MW
-        tripped = [m if m.id != 2 else GenerationModule(2, "MPGM2", 36 * MW, False)
-                   for m in modules]
-        assert online_capacity(tripped) == 60 * MW
-
-    def test_empty_sum(self):
-        assert online_capacity([]) == 0.0
-
-    @given(st.lists(st.floats(min_value=1.0, max_value=1e8), min_size=1, max_size=8),
-           st.data())
-    def test_offline_decrease_matches_rating(self, ratings, data):
-        modules = [GenerationModule(i, f"G{i}", r) for i, r in enumerate(ratings)]
-        k = data.draw(st.integers(min_value=0, max_value=len(modules) - 1))
-        before = online_capacity(modules)
-        modules[k] = GenerationModule(k, f"G{k}", ratings[k], online=False)
-        after = online_capacity(modules)
-        assert after <= before
-        # cancellation noise scales with the fleet total, not the one rating
-        assert before - after == pytest.approx(ratings[k], abs=1e-12 * max(before, 1.0))

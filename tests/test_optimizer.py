@@ -7,7 +7,6 @@ import pytest
 from _helpers import MW, assert_plans_agree, random_instance
 from loadshed.model import (
     STATUS_TOL,
-    DemandPoint,
     LoadGroup,
     LoadSpec,
     MissionWeightSet,
@@ -17,6 +16,7 @@ from loadshed.model import (
 )
 from loadshed.optimizer import (
     ConfigurationError,
+    FleetModel,
     InstanceEntry,
     InstanceTooLargeError,
     ShedInstance,
@@ -253,10 +253,9 @@ class TestContinuousFillAgainstLinprog:
 
 class TestBuildInstance:
     def snapshot(self, fleet, demands, capacity_w, loss_w, t=310.0):
-        dps = tuple(DemandPoint(s.id, d) for s, d in zip(fleet, demands))
         measured = tuple(d * s.rated_power_w for s, d in zip(fleet, demands))
-        return SystemSnapshot(t, 1, dps, measured, capacity_w, loss_w,
-                              (sum(measured) + loss_w) / capacity_w)
+        return SystemSnapshot(t, 1, tuple(s.id for s in fleet), tuple(demands), measured,
+                              capacity_w, loss_w, (sum(measured) + loss_w) / capacity_w)
 
     def fleet(self):
         return (
@@ -275,7 +274,7 @@ class TestBuildInstance:
         fleet = self.fleet()
         snap = self.snapshot(fleet, [0.0, 0.0], 60 * MW, 0.0)
         inst = build_instance(snap, MissionWeightSet(1, {1: 5.0, 5: 5.0}), fleet)
-        assert all(e.required_power_w == 0.0 for e in inst.entries)
+        assert all(e.demand_status * e.rated_power_w == 0.0 for e in inst.entries)
 
     def test_forced_off_passthrough(self):
         fleet = self.fleet()
@@ -291,6 +290,22 @@ class TestBuildInstance:
         snap = self.snapshot(fleet, [1.0, 1.0], 60 * MW, 0.0)
         with pytest.raises(ConfigurationError):
             build_instance(snap, MissionWeightSet(1, {1: 5.0}), fleet)
+
+    def test_missing_demand_is_configuration_error(self):
+        fleet = self.fleet()
+        snap = self.snapshot(fleet[:1], [1.0], 60 * MW, 0.0)
+        with pytest.raises(ConfigurationError, match="no demand for load 5"):
+            build_instance(snap, MissionWeightSet(1, {1: 5.0, 5: 5.0}), fleet)
+
+    def test_id_mismatch_is_configuration_error(self):
+        fleet = self.fleet()
+        model = FleetModel.of_fleet(fleet, MissionWeightSet(1, {1: 5.0, 5: 5.0}), ())
+        snap = self.snapshot(fleet, [1.0, 0.5], 60 * MW, 0.0)
+        assert model.instance(snap, ()).caps == [1.0, 0.5]
+        for changed in (dict(load_ids=(5, 1)), dict(load_ids=(1,), demands=(1.0,)),
+                        dict(demands=(1.0,))):
+            with pytest.raises(ConfigurationError):
+                model.instance(replace(snap, **changed), ())
 
 
 class TestProperties:

@@ -2,6 +2,7 @@ import logging
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from loadshed.model import (
     GenerationModule,
@@ -138,7 +139,7 @@ class TestEventsAndSnapshot:
         plant = simple_plant(tau=0.0, events=(LoadFailure(0.2, 1),))
         plant.tick(0.1)
         snap = plant.tick(0.1)
-        assert snap.demands[0].demand_status == 0.0
+        assert snap.demands[0] == 0.0
         assert snap.measured_w[0] == 0.0
 
     def test_loading_books_balance_exactly(self):
@@ -171,3 +172,30 @@ class TestEventsAndSnapshot:
             snap = plant.tick(0.1)
             for spec, p in zip(plant.fleet, snap.measured_w):
                 assert 0.0 <= p <= spec.rated_power_w
+
+
+class TestOnlineCapacity:
+    """Snapshot capacity is the total rating of the modules online."""
+
+    def test_default_generation_totals(self):
+        plant = simple_plant(events=(GeneratorTrip(0.2, 2),))
+        assert plant.tick(0.1).total_capacity_w == 96 * MW
+        assert plant.tick(0.1).total_capacity_w == 60 * MW
+
+    def test_empty_sum(self):
+        plant = Plant(simple_plant().fleet, (), {})
+        snap = plant.tick(0.1)
+        assert snap.total_capacity_w == 0.0
+        assert snap.loading_pu == 0.0  # nothing demanded, nothing loaded
+
+    @given(st.lists(st.floats(min_value=1.0, max_value=1e8), min_size=1, max_size=8),
+           st.data())
+    def test_offline_decrease_matches_rating(self, ratings, data):
+        modules = [GenerationModule(i, f"G{i}", r) for i, r in enumerate(ratings)]
+        k = data.draw(st.integers(min_value=0, max_value=len(modules) - 1))
+        plant = Plant(simple_plant().fleet, modules, {}, events=(GeneratorTrip(0.2, k),))
+        before = plant.tick(0.1).total_capacity_w
+        after = plant.tick(0.1).total_capacity_w
+        assert after <= before
+        # cancellation noise scales with the fleet total, not the one rating
+        assert before - after == pytest.approx(ratings[k], abs=1e-12 * max(before, 1.0))

@@ -106,6 +106,14 @@ class TestScenarioConfig:
         codes = {i.code for i in validate_scenario(replace(sc, weight_sets=(late,)))}
         assert codes == {"weights-start"}
 
+    @pytest.mark.parametrize("also_valid", [False, True])
+    def test_weights_starting_at_nan_flagged(self, also_valid):
+        sc = small_scenario()
+        first = sc.weight_sets[0]
+        sets = (replace(first, valid_from_s=math.nan),) + ((first,) if also_valid else ())
+        codes = {i.code for i in validate_scenario(replace(sc, weight_sets=sets))}
+        assert codes == {"weights-start"}
+
     def test_zone_change_for_undeclared_zone_flagged(self):
         sc = small_scenario()
         sc = replace(sc, events=sc.events + (ZoneLimitChange(5.0, "Z9", 1e6),))
@@ -262,6 +270,18 @@ class TestReport:
         for line in table.splitlines()[2:]:
             cells = line.split()
             assert cells[-1] == cells[-2]
+
+    def test_compare_reads_solve_times_from_timing_csv(self, small_runs, tmp_path):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "run.csv").write_bytes((small_runs["advanced"] / "run.csv").read_bytes())
+        table = compare_runs(small_runs["advanced"] / "run.csv", bare / "run.csv")
+        summary = (small_runs["advanced"] / "summary.txt").read_text()
+        t_max = summary.split("solve time: max ")[1].split(" ms")[0]
+        rows = {line[:30].strip(): line[30:].split() for line in table.splitlines()}
+        assert rows["solve time max (ms)"] == [t_max, "n/a"]
+        assert rows["solve time p99 (ms)"][1] == "n/a"
+        assert float(t_max) > 0.0
 
     def test_compare_mismatched_fleets_errors(self, small_runs, tmp_path):
         sc = small_scenario()

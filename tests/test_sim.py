@@ -203,20 +203,21 @@ class TestNetworked:
 
 class TestNonFiniteTelemetry:
     @pytest.mark.parametrize("corrupt", [
-        lambda snap: replace(snap, demands=(replace(snap.demands[0], demand_status=math.nan),)
-                             + snap.demands[1:]),
+        lambda snap: replace(snap, demands=(math.nan,) + snap.demands[1:]),
         lambda snap: replace(snap, total_capacity_w=math.inf),
         lambda snap: replace(snap, total_loss_w=math.inf),
-    ], ids=["nan-demand", "inf-capacity", "inf-loss"])
+        lambda snap: replace(snap, load_ids=snap.load_ids[::-1]),
+        lambda snap: replace(snap, load_ids=(), demands=(), measured_w=()),
+    ], ids=["nan-demand", "inf-capacity", "inf-loss", "other-loads", "no-records"])
     def test_tick_is_degraded_and_holds_the_last_batch(self, corrupt):
         sc = small_scenario()
         plant, recorder = build_plant(sc), _Recorder(sc)
         controller = make_controller(sc.fleet, sc.controller, recorder.db, sc.window.tick_s)
-        node = _ControlNode(controller, sc.controller.stale_limit, recorder.rated)
+        node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet)
         first = node.exchange(1, [(1, plant.tick(sc.window.tick_s))])
 
         def refuse(snapshot):
-            pytest.fail("the controller was handed non-finite telemetry")
+            pytest.fail("the controller was handed unusable telemetry")
 
         controller.on_telemetry = refuse
         held = node.exchange(2, [(2, corrupt(plant.tick(sc.window.tick_s)))])
