@@ -1,10 +1,11 @@
 """Shedding controllers: the staged baseline and the mission-weighted optimizer.
 
 Controllers are driven one telemetry snapshot at a time and reply with the
-commands whose statuses changed. The advanced controller looks up the weight
-set and zone limits in force in a mission schedule built once, and solves the
-shedding optimization within its per-tick deadline. The control period is the
-run's tick, which the engine passes in.
+commands whose statuses changed. Each keeps its ``intent``, the statuses it
+commands, as a tuple in fleet order. The advanced controller looks up the
+weight set and zone limits in force in a mission schedule built once, and
+solves the shedding optimization within its per-tick deadline. The control
+period is the run's tick, which the engine passes in.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class AdvancedController:
         self.fleet = tuple(fleet)
         self.database = database
         self.config = config
-        self.intent: dict[int, float] = {spec.id: 1.0 for spec in self.fleet}
+        self.intent: tuple[float, ...] = (1.0,) * len(self.fleet)
         self.last_plan: ShedPlan | None = None
         # one static model per weight set (zone membership is fixed); the
         # database holds the sets as long as we do, so identity is a stable key
@@ -125,13 +126,13 @@ class AdvancedController:
                 self.fleet, weights, self.database.zones)
         plan = solve(model.instance(snapshot, segment.limits_w), self.config.solve_deadline_s)
         self.last_plan = plan
-        commands = []
-        for spec in self.fleet:
-            status = plan.statuses[spec.id]
-            if status != self.intent[spec.id]:
-                self.intent[spec.id] = status
-                commands.append(ShedCommand(spec.id, status))
-        return tuple(commands)
+        statuses = plan.statuses.values()  # the model lists the fleet in order
+        commands = tuple(ShedCommand(spec.id, status)
+                         for spec, status, old in zip(self.fleet, statuses, self.intent)
+                         if status != old)
+        if commands:  # else every tick since the last command shares one tuple
+            self.intent = tuple(statuses)
+        return commands
 
 
 class BaselineController:
@@ -141,7 +142,8 @@ class BaselineController:
         self.fleet = tuple(fleet)
         self.tick_s = tick_s
         self.state: BaselineState = baseline_reset()
-        self.intent: dict[int, float] = {spec.id: 1.0 for spec in self.fleet}
+        self.intent: tuple[float, ...] = (1.0,) * len(self.fleet)
+        self._index = {spec.id: k for k, spec in enumerate(self.fleet)}
 
     @property
     def last_solve_time_s(self) -> float:
@@ -149,8 +151,11 @@ class BaselineController:
 
     def on_telemetry(self, snapshot: SystemSnapshot) -> tuple[ShedCommand, ...]:
         self.state, commands = baseline_step(self.state, snapshot, self.fleet, self.tick_s)
-        for cmd in commands:
-            self.intent[cmd.load_id] = cmd.status
+        if commands:
+            intent = list(self.intent)
+            for cmd in commands:
+                intent[self._index[cmd.load_id]] = cmd.status
+            self.intent = tuple(intent)
         return commands
 
 

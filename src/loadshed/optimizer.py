@@ -7,11 +7,17 @@ first. A node's upper bound is the linear (Dantzig) relaxation: the free loads
 filled greedily by density. Its loop starts at the first load the search has
 not fixed, and a child that takes the top status of a load the relaxation
 took whole inherits its parent's bound, which is exact for it (the greedy
-forward move of Martello & Toth, *Knapsack Problems*, 1990, ch. 2). A leaf
-fills the continuous loads greedily by density. Zone limits are disjoint per
-load (each load sits in at most one zone), so the constraint family is
-laminar and the greedy fill is exact. The clock is read at every node, so
-once the first leaf is reached a solve stops within one node of its deadline.
+forward move of Martello & Toth, *Knapsack Problems*, 1990, ch. 2). The root
+relaxation also records where its fill first falls short: before the item the
+budget cuts and before each zone's first cut. A sibling of the root's chain
+(lowering a load the root relaxation took whole, below ancestors that all
+followed it) resumes the fill there with the freed power instead of refilling
+from scratch (the forward move of Horowitz & Sahni, JACM 1974), so proving the
+first dive optimal costs about one fill, not one per level. A leaf fills the
+continuous loads greedily by density. Zone limits are disjoint per load (each
+load sits in at most one zone), so the constraint family is laminar and the
+greedy fill is exact. The clock is read at every node, so once the first leaf
+is reached a solve stops within one node of its deadline.
 
 Preparation is split in two. A :class:`FleetModel` holds what the fleet, its
 weight set and its zone membership fix: the canonical id order, the density
@@ -212,6 +218,11 @@ class ModelInstance:
     zone_limits_w: Sequence[float]
 
 
+# a relaxation's state where its fill first falls short of an item: the item's
+# index, the bound so far, the budget left and each zone's room left
+_Snapshot = tuple[int, float, float, tuple[float, ...]]
+
+
 class _Prepared:
     """One tick's search data: the model refreshed with the tick's caps, budget
     and zone limits (see the module docstring). Branch loads are those with a
@@ -263,6 +274,91 @@ class _Prepared:
         lead = len(self.steps) if lead is None else lead  # only branch items precede it
         self.first = list(range(lead)) + [lead] * (len(self.steps) + 1 - lead)
 
+    def relax_bound(self, start: int, level: int, rem: float, bound: float,
+                    zrem: list[float], snaps: dict[int, _Snapshot] | None = None,
+                    ) -> tuple[float, int]:
+        """Dantzig bound: ``bound`` plus the greedy fill by density of the
+        relaxation items from index ``start`` on that are free at ``level``,
+        into ``rem`` watts and the zone rooms ``zrem`` (a list it uses up);
+        and how many branch items from ``level`` on it takes whole at their
+        top status, one after another.
+
+        ``snaps``, when given, receives the fill's state (item index, bound,
+        ``rem``, zone rooms) where the fill first falls short of an item:
+        under key -1 before the item the budget cuts, or where the fill ends;
+        under a zone's index before that zone's first cut, if it comes
+        earlier. :meth:`resumed_bound` continues from there.
+        """
+        head = level
+        relax = self.relax
+        if self.zone_limits:
+            for k in range(start, len(relax)):
+                pos, max_power, density, zi = relax[k]
+                if pos < level:
+                    continue
+                room = zrem[zi] if zi >= 0 and zrem[zi] < rem else rem
+                if max_power <= room:
+                    take = max_power
+                    if pos == head:
+                        head += 1
+                else:
+                    if snaps is not None:
+                        cut = zi if room < rem else -1  # room < rem: the zone cuts it
+                        if cut not in snaps:
+                            snaps[cut] = (k, bound, rem, tuple(zrem))
+                    if room > 0.0:
+                        take = room
+                    else:
+                        continue
+                bound += take * density
+                rem -= take
+                if zi >= 0:
+                    zrem[zi] -= take
+                if rem <= 0.0:
+                    stop = k + 1
+                    break
+            else:
+                stop = len(relax)
+            if snaps is not None and -1 not in snaps:
+                snaps[-1] = (stop, bound, rem, tuple(zrem))
+        else:
+            for k in range(start, len(relax)):
+                pos, max_power, density, _ = relax[k]
+                if pos < level:
+                    continue
+                if max_power >= rem:  # the critical item: fill what is left
+                    if snaps is not None:
+                        snaps[-1] = (k, bound, rem, ())
+                    bound += rem * density
+                    break
+                bound += max_power * density
+                rem -= max_power
+                if pos == head:
+                    head += 1
+            else:
+                if snaps is not None:
+                    snaps[-1] = (len(relax), bound, rem, ())
+        return bound, head - level
+
+    def resumed_bound(self, snaps: dict[int, _Snapshot], level: int, status: float) -> float:
+        """The bound of the node that gives branch item ``level`` a
+        ``status`` below its top, where the relaxation that recorded
+        ``snaps`` took every free branch item up to ``level`` whole and the
+        node's ancestors gave each of them its top status. Lowering the item
+        frees Δ watts of budget and of its zone's room. That changes no take
+        before the first item the fill fell short of for lack of that room:
+        the budget's cut, or an earlier first cut of the item's own zone. So
+        the fill resumes there with Δ more room, from the bound less the
+        value the item gives up."""
+        i, weight, rated, zi, _, top = self.steps[level]
+        start, bound, rem, zrem = snaps.get(zi, snaps[-1])
+        freed = (top - status) * rated
+        zrem = list(zrem)
+        if zi >= 0:
+            zrem[zi] += freed
+        bound += weight * status - top * rated * self.model.density[i]
+        return self.relax_bound(start, level + 1, rem + freed, bound, zrem)[0]
+
 
 def _tie_tol(ref: float) -> float:
     return OBJ_REL_TOL * (1.0 + abs(ref))
@@ -279,10 +375,19 @@ class _DeadlineExpired(Exception):
 def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     """Maximize weighted status; exact unless the deadline expires first.
 
-    The clock is read at every node, but the deadline holds only from the
-    first leaf on: the first dive (the greedy plan, which nothing prunes) is
-    always completed, so an expired solve returns at least that plan, never
-    the all-zero one, flagged ``optimal=False``.
+    The root relaxation is filled once and records where its fill first falls
+    short (see :meth:`_Prepared.relax_bound`). While the search follows that
+    relaxation, each child that takes the top status of an item it took whole
+    inherits its bound, and each sibling that lowers such an item resumes the
+    fill there (:meth:`_Prepared.resumed_bound`) instead of refilling it from
+    scratch. A resumed bound that does not prune, and every node off that
+    chain, computes ``relax_bound`` in full.
+
+    The clock is read at every node, pruned siblings included, but the
+    deadline holds only from the first leaf on: the first dive (the greedy
+    plan, which nothing prunes) is always completed, so an expired solve
+    returns at least that plan, never the all-zero one, flagged
+    ``optimal=False``.
     """
     t0 = time.perf_counter()
     prep = _Prepared(instance)
@@ -291,53 +396,17 @@ def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.0
     statuses = [0.0] * model.n
     best_statuses = list(statuses)
     best_key = model.zero_key
+    cutoff = best_key[0] - _tie_tol(best_key[0])  # a bound below it is pruned
     stop_at = math.inf if deadline_s is None else t0 + deadline_s
     deadline = math.inf  # becomes stop_at at the first leaf
     steps = prep.steps
     n_branch = len(steps)
     zone_rem = list(prep.zone_limits)
-
-    def relax_bound(level: int, rem: float, obj_acc: float) -> tuple[float, int]:
-        """Dantzig bound over the free items, and how many branch items from
-        ``level`` on it takes whole at their top status, one after another."""
-        bound = obj_acc
-        head = level
-        if prep.zone_limits:
-            zrem = list(zone_rem)
-            for pos, max_power, density, zi in prep.relax[prep.first[level]:]:
-                if pos < level:
-                    continue
-                room = zrem[zi] if zi >= 0 and zrem[zi] < rem else rem
-                if max_power <= room:
-                    take = max_power
-                    if pos == head:
-                        head += 1
-                elif room > 0.0:
-                    take = room
-                else:
-                    continue
-                bound += take * density
-                rem -= take
-                if zi >= 0:
-                    zrem[zi] -= take
-                if rem <= 0.0:
-                    break
-        else:
-            for pos, max_power, density, _ in prep.relax[prep.first[level]:]:
-                if pos < level:
-                    continue
-                if max_power >= rem:  # the critical item: fill what is left
-                    bound += rem * density
-                    break
-                bound += max_power * density
-                rem -= max_power
-                if pos == head:
-                    head += 1
-        return bound, head - level
+    root: dict[int, _Snapshot] = {}  # the root relaxation's resume points
 
     def leaf(rem: float) -> None:
         """Fill the continuous loads, keep the plan if it ranks first, undo the fill."""
-        nonlocal best_key, best_statuses, deadline
+        nonlocal best_key, best_statuses, cutoff, deadline
         deadline = stop_at
         filled = []
         for i, zi, rated, power in prep.cont:
@@ -353,22 +422,26 @@ def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.0
         if key > best_key:
             best_key = key
             best_statuses = list(statuses)
+            cutoff = key[0] - _tie_tol(key[0])
         for i, zi, take in filled:
             statuses[i] = 0.0
             if zi >= 0:
                 zone_rem[zi] += take
 
-    def recurse(level: int, rem: float, obj_acc: float, whole: int | None) -> None:
+    def recurse(level: int, rem: float, obj_acc: float, whole: int | None, chain: bool) -> None:
         # whole=None: compute the bound. Otherwise this node took the top status
         # of a branch item its parent's relaxation took whole, so that bound is
         # exact here (up to rounding) and already passed the incumbent, which
         # no leaf has changed since; ``whole`` counts the next branch items the
-        # same relaxation took whole.
+        # same relaxation took whole. ``chain``: this is the root, or inherits
+        # the root's bound down an unbroken line, so ``root`` describes its
+        # relaxation and its children's siblings may resume it.
         if time.perf_counter() > deadline:
             raise _DeadlineExpired
         if whole is None:
-            bound, whole = relax_bound(level, rem, obj_acc)
-            if bound < best_key[0] - _tie_tol(best_key[0]):
+            bound, whole = prep.relax_bound(prep.first[level], level, rem, obj_acc,
+                                            list(zone_rem), root if chain else None)
+            if bound < cutoff:
                 return
         if level == n_branch:
             leaf(rem)
@@ -378,18 +451,27 @@ def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.0
             power = status * rated
             if power > rem or zi >= 0 and power > zone_rem[zi]:
                 continue
+            if whole and status == top:
+                child = whole - 1
+            elif whole and chain and prep.resumed_bound(root, level, status) < cutoff:
+                # a pruned chain sibling: no relax_bound, but its clock read
+                if time.perf_counter() > deadline:
+                    raise _DeadlineExpired
+                continue
+            else:
+                child = None
             statuses[i] = status
             if zi >= 0:
                 zone_rem[zi] -= power
-            recurse(level + 1, rem - power, obj_acc + weight * status,
-                    whole - 1 if whole and status == top else None)
+            recurse(level + 1, rem - power, obj_acc + weight * status, child,
+                    chain and child is not None)
             if zi >= 0:
                 zone_rem[zi] += power
             statuses[i] = 0.0
 
     optimal = True
     try:
-        recurse(0, prep.budget, 0.0, None)
+        recurse(0, prep.budget, 0.0, None, True)
     except _DeadlineExpired:
         optimal = False
     return model.to_plan(best_statuses, best_key, time.perf_counter() - t0, optimal)

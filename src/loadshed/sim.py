@@ -89,16 +89,15 @@ class _Recorder:
     def row(
         self,
         snapshot: SystemSnapshot,
-        commanded: dict[int, float],
+        commanded: tuple[float, ...],
         degraded: bool,
         solve_time_s: float,
     ) -> RunRecord:
         segment = self.db.segment_at(snapshot.mission_id, snapshot.time_s)
-        statuses = tuple(map(commanded.__getitem__, self._ids))
         den = num_cmd = num_meas = 0.0
         if segment is not None:
             den, num_cmd, num_meas = service_sums(
-                segment.weights.weights, self._ids, snapshot.demands, statuses,
+                segment.weights.weights, self._ids, snapshot.demands, commanded,
                 map(truediv, snapshot.measured_w, self._rated_w))
         return RunRecord(
             time_s=snapshot.time_s,
@@ -112,7 +111,7 @@ class _Recorder:
             op_measured=operability(num_meas, den),
             degraded=degraded,
             demands=snapshot.demands,
-            commanded=statuses,
+            commanded=commanded,
             measured_w=snapshot.measured_w,
             solve_time_s=solve_time_s,
         )
@@ -122,7 +121,7 @@ class _Decision(NamedTuple):
     """What the controller side answered for one tick."""
 
     batch: tuple[ShedCommand, ...]
-    intent: dict[int, float]  # the controller's statuses after this decision
+    intent: tuple[float, ...]  # the controller's statuses after this decision, in fleet order
     degraded: bool = False
     seq: int | None = None  # telemetry seq the batch was based on
     budget_w: float | None = None
@@ -144,7 +143,7 @@ class _ControlNode:
         self._ids = tuple(spec.id for spec in fleet)
         self._rated_w = tuple(spec.rated_power_w for spec in fleet)
         self._mailbox: tuple[int, SystemSnapshot] | None = None
-        self.last = _Decision((), dict(controller.intent))
+        self.last = _Decision((), controller.intent)
 
     def exchange(self, k: int, arrived: list[tuple[int, SystemSnapshot]]) -> _Decision:
         """Take the telemetry that arrived by tick ``k`` and answer for tick ``k``."""
@@ -163,11 +162,11 @@ class _ControlNode:
         batch = self.controller.on_telemetry(used)
         solve_time = self.controller.last_solve_time_s or (time.perf_counter() - t0)
         plan = getattr(self.controller, "last_plan", None)
-        intent = self.controller.intent  # every fleet load, in fleet order
+        intent = self.controller.intent
         intent_power = 0.0
-        for status, d, rated in zip(intent.values(), used.demands, self._rated_w):
+        for status, d, rated in zip(intent, used.demands, self._rated_w):
             intent_power += (d if d < status else status) * rated  # min(status, d)
-        self.last = _Decision(batch, dict(intent), seq=seq, budget_w=used.budget_w,
+        self.last = _Decision(batch, intent, seq=seq, budget_w=used.budget_w,
                               intent_power_w=intent_power, solve_time_s=solve_time,
                               optimal=plan is None or plan.optimal)
         return self.last

@@ -5,6 +5,7 @@ criterion. The bundled-scenario fixtures are shared session-wide, so the two
 full 600 s runs execute once.
 """
 
+import hashlib
 import random
 import time
 from dataclasses import replace
@@ -21,6 +22,12 @@ from loadshed.report import integral_ops, solve_time_stats, summarize
 from loadshed.sim import run_lockstep, run_networked
 
 WINDOW_START, TRIP_T, RELIEF_T, WINDOW_END = 0.0, 310.0, 395.0, 600.0
+# sha256 of run.csv for the bundled lockstep runs (impairment seed 42): the
+# determinism contract, which a faster solver must not change
+BUNDLED_RUN_CSV_SHA256 = {
+    "advanced": "4006ad93a8176c4e300fc775d9e6eb5d984410782cbe3c58c47e4c893851c010",
+    "baseline": "d2f44931125fe1052eb01fab1671ceda49406e5b6c73982c4a4afdc9f64646d5",
+}
 
 
 def announce(n, name):
@@ -258,3 +265,13 @@ def test_11_impairment_robustness(bundled_scenario):
             assert implied <= budget + 1e-6, "infeasible command batch sent"
     degraded = sum(expected)
     announce(11, f"impairment robustness (degraded ticks {degraded} match replay)")
+
+
+def test_12_pinned_run_csv(advanced_run, baseline_run, tmp_path):
+    """The bundled runs' run.csv bytes are the pinned ones."""
+    for algorithm, result in (("advanced", advanced_run), ("baseline", baseline_run)):
+        path = tmp_path / f"{algorithm}.csv"
+        write_run_csv(path, result.meta, result.rows)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == BUNDLED_RUN_CSV_SHA256[algorithm], f"{algorithm} run.csv changed"
+    announce(12, "pinned run.csv of the bundled advanced and baseline runs")

@@ -62,8 +62,7 @@ class TestAdvancedController:
         ctrl = self.make()
         commands = ctrl.on_telemetry(snapshot(full_demand(), 96 * MW))
         # every load tracks its demand status exactly
-        for s, d in zip(FLEET, full_demand()):
-            assert ctrl.intent[s.id] == d
+        assert ctrl.intent == tuple(full_demand())
         # first tick emits commands only for loads below full permission
         assert {c.load_id for c in commands} == {s.id for s in FLEET
                                                  if s.variability.kind == "continuous"}
@@ -71,13 +70,12 @@ class TestAdvancedController:
     def test_trip_throttles_pmm_only(self):
         ctrl = self.make()
         commands = ctrl.on_telemetry(snapshot(full_demand(), 60 * MW, t=310.0))
-        pmm_ids = {s.id for s in FLEET if s.group.value == "PMM"}
+        pmm = [s.group.value == "PMM" for s in FLEET]
         assert commands, "shortfall must produce commands"
-        for s in FLEET:
-            if s.id in pmm_ids:
-                continue
-            assert ctrl.intent[s.id] == 1.0, f"non-PMM load {s.id} was curtailed"
-        pmm_total = sum(ctrl.intent[i] * 18 * MW for i in pmm_ids)
+        for s, is_pmm, status in zip(FLEET, pmm, ctrl.intent):
+            if not is_pmm:
+                assert status == 1.0, f"non-PMM load {s.id} was curtailed"
+        pmm_total = sum(status * 18 * MW for is_pmm, status in zip(pmm, ctrl.intent) if is_pmm)
         assert pmm_total < 0.64 * 4 * 18 * MW
 
     def test_no_commands_when_nothing_changes(self):
@@ -97,8 +95,8 @@ class TestAdvancedController:
         ctrl = self.make()
         demands = [0.0 if k % 3 == 0 else d for k, d in enumerate(full_demand())]
         ctrl.on_telemetry(snapshot(demands, 96 * MW))
-        for s, d in zip(FLEET, demands):
-            assert ctrl.intent[s.id] <= d
+        for status, d in zip(ctrl.intent, demands):
+            assert status <= d
 
     def test_solve_time_tracked(self):
         ctrl = self.make()
@@ -161,8 +159,9 @@ class TestCachedModel:
                     up.add(lid)
                 elif lid in up:
                     down.add(lid)
+            intent = dict(zip(snap.load_ids, ctrl.intent))
             for lid in down:
-                assert plan.statuses[lid] == 0.0 and ctrl.intent[lid] == 0.0, f"t={t}"
+                assert plan.statuses[lid] == 0.0 and intent[lid] == 0.0, f"t={t}"
             shed += any(plan.statuses[lid] < d for lid, d in zip(snap.load_ids, snap.demands))
         assert shed > 0, "the window must shed for the check to mean anything"
         assert down == failed, "every failed load must drop to 0 demand in the window"
@@ -214,8 +213,9 @@ class TestBaselineControllerWrapper:
         for k in range(10):
             sheds += list(ctrl.on_telemetry(overload))
         assert sheds, "sustained overload must shed"
+        intent = dict(zip((s.id for s in FLEET), ctrl.intent))
         for cmd in sheds:
-            assert ctrl.intent[cmd.load_id] == 0.0
+            assert intent[cmd.load_id] == 0.0
 
 
 class TestMissionDatabase:

@@ -20,6 +20,7 @@ from loadshed.optimizer import (
     InstanceEntry,
     InstanceTooLargeError,
     ShedInstance,
+    _Prepared,
     brute_force_solve,
     build_instance,
     plan_violations,
@@ -211,6 +212,85 @@ class TestStatusTableBoundary:
                 top = max(e.variability.discrete_statuses(e.status_cap))
                 assert fast.statuses[e.load_id] == top
             assert (fast.statuses[1] == level) == (offset <= STATUS_TOL)
+
+
+def chain_instance(seed: int) -> ShedInstance:
+    """Binary, stepped and continuous loads, 0-3 zones whose limits bind or
+    not, and a budget from tight to ample, so that chain siblings meet every
+    way the root relaxation's fill can end."""
+    rng = random.Random(f"chain/{seed}")
+    zones = [f"Z{z + 1}" for z in range(rng.randint(0, 3))]
+    entries = []
+    for lid in range(1, rng.randint(6, 14) + 1):
+        zone = rng.choice(zones + [None])
+        weight, rated = rng.uniform(0.5, 10.0), rng.uniform(0.5, 4.0) * MW
+        if rng.random() < 0.2:
+            entries.append(cont_entry(lid, weight, rated, rng.uniform(0.3, 1.0), zone))
+        elif rng.random() < 0.2:
+            var = Variability.stepped([0.25, 0.5, 1.0])
+            entries.append(InstanceEntry(lid, weight, rated, 1.0, var, False, zone))
+        else:
+            entries.append(binary_entry(lid, weight, rated, zone=zone))
+    limits = []
+    for z in zones:
+        members = tuple(e.load_id for e in entries if e.zone == z)
+        zone_w = sum(e.status_cap * e.rated_power_w for e in entries if e.zone == z)
+        if members:
+            limits.append(ZoneLimit(z, rng.uniform(0.2, 1.2) * zone_w, members))
+    total = sum(e.status_cap * e.rated_power_w for e in entries)
+    return ShedInstance(tuple(entries), rng.uniform(0.3, 1.2) * total, tuple(limits))
+
+
+def chain_siblings(inst: ShedInstance):
+    """Each sibling of the root relaxation's chain: its case, its resumed
+    bound and its bound from scratch. The chain gives the first ``whole``
+    branch items the top status the root relaxation took whole; a sibling
+    gives the last of them a lower status."""
+    prep = _Prepared(inst)
+    snaps = {}
+    _, whole = prep.relax_bound(0, 0, prep.budget, 0.0, list(prep.zone_limits), snaps)
+    rem, obj, zrem = prep.budget, 0.0, list(prep.zone_limits)
+    for level in range(whole):
+        _, weight, rated, zi, downward, top = prep.steps[level]
+        start = snaps.get(zi, snaps[-1])[0]
+        if start == len(prep.relax):
+            case = "nothing-cut"
+        elif zi < 0:
+            case = "no-zone"
+        elif zi in snaps:
+            case = "zone-cut-first"
+        else:
+            case = "budget-cut-first"
+        for status in downward[1:]:
+            room = list(zrem)
+            if zi >= 0:
+                room[zi] -= status * rated
+            scratch, _ = prep.relax_bound(prep.first[level + 1], level + 1, rem - status * rated,
+                                          obj + weight * status, room)
+            yield case, prep.resumed_bound(snaps, level, status), scratch
+        rem -= top * rated
+        obj += weight * top
+        if zi >= 0:
+            zrem[zi] -= top * rated
+
+
+class TestResumedBound:
+    """A chain sibling's bound, resumed from the root relaxation, equals the
+    relaxation bound computed from scratch, in each way the fill can end:
+    nothing cut; the freed power's zone cut before the budget; the budget
+    cut before that zone; the load in no zone."""
+
+    @pytest.mark.parametrize("case", ["nothing-cut", "zone-cut-first", "budget-cut-first",
+                                      "no-zone"])
+    def test_matches_the_bound_from_scratch(self, case):
+        checked = 0
+        for seed in range(300):
+            for sibling_case, resumed, scratch in chain_siblings(chain_instance(seed)):
+                if sibling_case == case:
+                    assert abs(resumed - scratch) <= 1e-9 * (1.0 + abs(scratch)), (
+                        f"seed {seed}: resumed {resumed} vs from scratch {scratch}")
+                    checked += 1
+        assert checked >= 50, f"only {checked} siblings of case {case}"
 
 
 class TestContinuousFillAgainstLinprog:
