@@ -4,20 +4,19 @@
 budget, per-zone line-flow limits and forced-off loads, by depth-first branch
 and bound over the discrete loads in weight-density order, highest status
 first. A node's upper bound is the linear (Dantzig) relaxation: the free loads
-filled greedily by density. Its loop starts at the first load the search has
-not fixed, and a child that takes the top status of a load the relaxation
-took whole inherits its parent's bound, which is exact for it (the greedy
-forward move of Martello & Toth, *Knapsack Problems*, 1990, ch. 2). The root
-relaxation also records where its fill first falls short: before the item the
-budget cuts and before each zone's first cut. A sibling of the root's chain
-(lowering a load the root relaxation took whole, below ancestors that all
-followed it) resumes the fill there with the freed power instead of refilling
-from scratch (the forward move of Horowitz & Sahni, JACM 1974), so proving the
-first dive optimal costs about one fill, not one per level. A leaf fills the
-continuous loads greedily by density. Zone limits are disjoint per load (each
-load sits in at most one zone), so the constraint family is laminar and the
-greedy fill is exact. The clock is read at every node, so once the first leaf
-is reached a solve stops within one node of its deadline.
+filled greedily by density. A child that takes the top status of a load the
+relaxation took whole inherits its parent's bound, which is exact for it (the
+greedy forward move of Martello & Toth, *Knapsack Problems*, 1990, ch. 2).
+The root relaxation also records where its fill first falls short: before the
+item the budget cuts and before each zone's first cut. A sibling of the root's
+chain (lowering a load the root relaxation took whole, below ancestors that
+all followed it) resumes the fill there with the freed power instead of
+refilling from scratch (the forward move of Horowitz & Sahni, JACM 1974), so
+proving the first dive optimal costs about one fill, not one per level. A leaf
+fills the continuous loads greedily by density. Zone limits are disjoint per
+load (each load sits in at most one zone), so the constraint family is laminar
+and the greedy fill is exact. The clock is read at every node, so once the
+first leaf is reached a solve stops within one node of its deadline.
 
 Preparation is split in two. A :class:`FleetModel` holds what the fleet, its
 weight set and its zone membership fix: the canonical id order, the density
@@ -248,18 +247,14 @@ class _Prepared:
         # relaxation items in density order: every branchable and continuous
         # load, capped at the highest status it could take. Branch positions
         # below the search level are fixed; continuous items sit past every
-        # level. The first ``lead`` items are branch positions 0, 1, ..., so
-        # the first item not fixed at a level is at index min(level, lead).
+        # level.
         self.relax: list[tuple[int, float, float, int]] = []
-        lead = None
         rated, density, zone_of = model.rated, model.density, model.zone_of
         for i in model.order:
             cap = caps[i]
             downward = model.downward[i]
             if downward is None:
                 if cap > 0.0:
-                    if lead is None:
-                        lead = len(self.relax)
                     power = cap * rated[i]
                     self.cont.append((i, zone_of[i], rated[i], power))
                     self.relax.append((model.n, power, density[i], zone_of[i]))
@@ -271,8 +266,6 @@ class _Prepared:
             if len(downward) > 1:
                 self.relax.append((len(self.steps), top * rated[i], density[i], zone_of[i]))
                 self.steps.append((i, model.weight[i], rated[i], zone_of[i], downward, top))
-        lead = len(self.steps) if lead is None else lead  # only branch items precede it
-        self.first = list(range(lead)) + [lead] * (len(self.steps) + 1 - lead)
 
     def relax_bound(self, start: int, level: int, rem: float, bound: float,
                     zrem: list[float], snaps: dict[int, _Snapshot] | None = None,
@@ -291,53 +284,35 @@ class _Prepared:
         """
         head = level
         relax = self.relax
-        if self.zone_limits:
-            for k in range(start, len(relax)):
-                pos, max_power, density, zi = relax[k]
-                if pos < level:
-                    continue
-                room = zrem[zi] if zi >= 0 and zrem[zi] < rem else rem
-                if max_power <= room:
-                    take = max_power
-                    if pos == head:
-                        head += 1
-                else:
-                    if snaps is not None:
-                        cut = zi if room < rem else -1  # room < rem: the zone cuts it
-                        if cut not in snaps:
-                            snaps[cut] = (k, bound, rem, tuple(zrem))
-                    if room > 0.0:
-                        take = room
-                    else:
-                        continue
-                bound += take * density
-                rem -= take
-                if zi >= 0:
-                    zrem[zi] -= take
-                if rem <= 0.0:
-                    stop = k + 1
-                    break
-            else:
-                stop = len(relax)
-            if snaps is not None and -1 not in snaps:
-                snaps[-1] = (stop, bound, rem, tuple(zrem))
-        else:
-            for k in range(start, len(relax)):
-                pos, max_power, density, _ = relax[k]
-                if pos < level:
-                    continue
-                if max_power >= rem:  # the critical item: fill what is left
-                    if snaps is not None:
-                        snaps[-1] = (k, bound, rem, ())
-                    bound += rem * density
-                    break
-                bound += max_power * density
-                rem -= max_power
+        for k in range(start, len(relax)):
+            pos, max_power, density, zi = relax[k]
+            if pos < level:
+                continue
+            room = zrem[zi] if zi >= 0 and zrem[zi] < rem else rem
+            if max_power <= room:
+                take = max_power
                 if pos == head:
                     head += 1
             else:
                 if snaps is not None:
-                    snaps[-1] = (len(relax), bound, rem, ())
+                    cut = zi if room < rem else -1  # room < rem: the zone cuts it
+                    if cut not in snaps:
+                        snaps[cut] = (k, bound, rem, tuple(zrem))
+                if room > 0.0:
+                    take = room
+                else:
+                    continue
+            bound += take * density
+            rem -= take
+            if zi >= 0:
+                zrem[zi] -= take
+            if rem <= 0.0:
+                stop = k + 1
+                break
+        else:
+            stop = len(relax)
+        if snaps is not None and -1 not in snaps:
+            snaps[-1] = (stop, bound, rem, tuple(zrem))
         return bound, head - level
 
     def resumed_bound(self, snaps: dict[int, _Snapshot], level: int, status: float) -> float:
@@ -382,6 +357,10 @@ def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.0
     fill there (:meth:`_Prepared.resumed_bound`) instead of refilling it from
     scratch. A resumed bound that does not prune, and every node off that
     chain, computes ``relax_bound`` in full.
+
+    The search is a loop over a list of paused visits (generators), not a
+    recursion, so its depth (a level per branch load) is bounded by memory,
+    not by the interpreter's recursion limit.
 
     The clock is read at every node, pruned siblings included, but the
     deadline holds only from the first leaf on: the first dive (the greedy
@@ -428,50 +407,69 @@ def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.0
             if zi >= 0:
                 zone_rem[zi] += take
 
-    def recurse(level: int, rem: float, obj_acc: float, whole: int | None, chain: bool) -> None:
-        # whole=None: compute the bound. Otherwise this node took the top status
-        # of a branch item its parent's relaxation took whole, so that bound is
-        # exact here (up to rounding) and already passed the incumbent, which
-        # no leaf has changed since; ``whole`` counts the next branch items the
-        # same relaxation took whole. ``chain``: this is the root, or inherits
-        # the root's bound down an unbroken line, so ``root`` describes its
-        # relaxation and its children's siblings may resume it.
+    def visit(level: int, rem: float, obj_acc: float):
+        """Bound a node, search the line of first children that inherit its
+        bound, then yield the visit of each other child, deepest first."""
         if time.perf_counter() > deadline:
             raise _DeadlineExpired
-        if whole is None:
-            bound, whole = prep.relax_bound(prep.first[level], level, rem, obj_acc,
-                                            list(zone_rem), root if chain else None)
-            if bound < cutoff:
-                return
-        if level == n_branch:
-            leaf(rem)
+        chain = level == 0  # the root and its line: ``root`` describes their relaxation
+        bound, whole = prep.relax_bound(0, level, rem, obj_acc, list(zone_rem),
+                                        root if chain else None)
+        if bound < cutoff:
             return
-        i, weight, rated, zi, downward, top = steps[level]
-        for status in downward:
-            power = status * rated
+        # The relaxation took the next ``whole`` branch items whole, so a child
+        # giving one its top status inherits the bound: exact there (up to
+        # rounding), and it passed the incumbent, which no leaf has changed since.
+        line = [(level, rem, obj_acc, whole)]
+        while whole and level < n_branch:
+            i, weight, rated, zi, _, top = steps[level]
+            power = top * rated
             if power > rem or zi >= 0 and power > zone_rem[zi]:
-                continue
-            if whole and status == top:
-                child = whole - 1
-            elif whole and chain and prep.resumed_bound(root, level, status) < cutoff:
-                # a pruned chain sibling: no relax_bound, but its clock read
-                if time.perf_counter() > deadline:
-                    raise _DeadlineExpired
-                continue
-            else:
-                child = None
-            statuses[i] = status
+                break
+            if time.perf_counter() > deadline:
+                raise _DeadlineExpired
+            statuses[i] = top
             if zi >= 0:
                 zone_rem[zi] -= power
-            recurse(level + 1, rem - power, obj_acc + weight * status, child,
-                    chain and child is not None)
-            if zi >= 0:
-                zone_rem[zi] += power
-            statuses[i] = 0.0
+            level, rem, obj_acc, whole = level + 1, rem - power, obj_acc + weight * top, whole - 1
+            line.append((level, rem, obj_acc, whole))
+        if level == n_branch:
+            leaf(rem)
+            line.pop()
+        for level, rem, obj_acc, whole in reversed(line):
+            i, weight, rated, zi, downward, top = steps[level]
+            if statuses[i]:  # the top status, taken on the way down
+                statuses[i] = 0.0
+                if zi >= 0:
+                    zone_rem[zi] += top * rated
+            for status in downward:
+                power = status * rated
+                if whole and status == top or power > rem or zi >= 0 and power > zone_rem[zi]:
+                    continue
+                if whole and chain and prep.resumed_bound(root, level, status) < cutoff:
+                    # a pruned chain sibling: no relax_bound, but its clock read
+                    if time.perf_counter() > deadline:
+                        raise _DeadlineExpired
+                    continue
+                statuses[i] = status
+                if zi >= 0:
+                    zone_rem[zi] -= power
+                yield visit(level + 1, rem - power, obj_acc + weight * status)
+                if zi >= 0:
+                    zone_rem[zi] += power
+                statuses[i] = 0.0
 
+    # the visits from the root down to the current one, each paused where it
+    # yielded the visit of a child
+    path = [visit(0, prep.budget, 0.0)]
     optimal = True
     try:
-        recurse(0, prep.budget, 0.0, None, True)
+        while path:
+            for child in path[-1]:
+                path.append(child)
+                break
+            else:
+                path.pop()
     except _DeadlineExpired:
         optimal = False
     return model.to_plan(best_statuses, best_key, time.perf_counter() - t0, optimal)

@@ -162,11 +162,12 @@ class Plant:
         sample_t = self.clock_s + self._boundary_slack()
         demands = self._demands(sample_t)
         measured = self.measured_w
+        total = 0.0  # added in order: from Python 3.12 on, sum() rounds floats differently
         for i, (c, d, rated) in enumerate(zip(self.commanded, demands, self._rated)):
             p = measured[i]
-            measured[i] = p + (min(c, d) * rated - p) * alpha  # first-order lag to target
+            measured[i] = p = p + (min(c, d) * rated - p) * alpha  # first-order lag to target
+            total += p
         capacity = sum(m.rated_power_w for m in self._modules if self._online[m.id])
-        total = sum(measured)
         loss = self.loss_fraction * total
         if capacity > 0:
             loading = (total + loss) / capacity

@@ -153,10 +153,10 @@ class _ControlNode:
         if self._mailbox is None or k - self._mailbox[0] > self.stale_limit:
             return self.last.held()  # failsafe: hold (re-send) the last batch
         seq, used = self._mailbox
-        # answer telemetry of other loads, or non-finite telemetry, as stale;
-        # NaN and inf both survive the sum
-        if used.load_ids != self._ids or not math.isfinite(
-                sum(used.demands) + used.total_capacity_w + used.total_loss_w):
+        # answer as stale: other loads, non-finite values (NaN and inf survive the sum), or
+        # loading NaN (the baseline reads it as overload) or negative; +inf is zero capacity
+        if (used.load_ids != self._ids or not used.loading_pu >= 0.0 or not math.isfinite(
+                sum(used.demands) + used.total_capacity_w + used.total_loss_w)):
             return self.last.held()
         t0 = time.perf_counter()
         batch = self.controller.on_telemetry(used)

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -265,7 +266,7 @@ def chain_siblings(inst: ShedInstance):
             room = list(zrem)
             if zi >= 0:
                 room[zi] -= status * rated
-            scratch, _ = prep.relax_bound(prep.first[level + 1], level + 1, rem - status * rated,
+            scratch, _ = prep.relax_bound(0, level + 1, rem - status * rated,
                                           obj + weight * status, room)
             yield case, prep.resumed_bound(snaps, level, status), scratch
         rem -= top * rated
@@ -450,6 +451,23 @@ class TestProperties:
         assert plan_violations(inst, solve(inst, deadline_s=None)) == []
 
 
+class TestDeepSearch:
+    """The search keeps one level per branch load without recursing, so a
+    fleet deeper than the interpreter's recursion limit solves to optimality."""
+
+    @pytest.mark.parametrize("zoned", [False, True], ids=["no-zone", "one-zone"])
+    def test_1500_binary_loads(self, zoned):
+        n = 1500
+        zone = "Z1" if zoned else None
+        entries = tuple(binary_entry(i + 1, 2 - i / n, MW, zone=zone) for i in range(n))
+        limits = (ZoneLimit("Z1", 1100 * MW, tuple(e.load_id for e in entries)),) if zoned else ()
+        inst = ShedInstance(entries, 1000 * MW, limits)
+        plan = solve(inst, None)
+        assert plan.optimal
+        assert plan.objective == math.fsum(e.weight for e in entries[:1000])
+        assert plan_violations(inst, plan) == []
+
+
 class TestTieBreak:
     def test_equal_loads_prefer_lower_id_at_higher_status(self):
         inst = ShedInstance(
@@ -510,6 +528,21 @@ class TestDeadline:
         assert not plan.optimal
         assert len(reads) <= 14  # start, 11 dive nodes, the stopping node, the end
         assert plan_violations(inst, plan) == []
+
+    def test_one_clock_read_per_node(self, monkeypatch):
+        # every load fits: the first dive inherits the root's bound down all
+        # 10 levels (11 nodes), then each level's sibling is pruned on its
+        # resumed bound (10 nodes); each node reads the clock once
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0
+
+        monkeypatch.setattr("loadshed.optimizer.time.perf_counter", clock)
+        inst = ShedInstance(tuple(binary_entry(i, 5.0, MW) for i in range(1, 11)), 20 * MW)
+        assert solve(inst, deadline_s=None).optimal
+        assert len(reads) == 2 + 21  # the start and end reads, and 21 nodes
 
     def test_solve_time_is_recorded(self):
         inst = random_instance(11, max_discrete=10)

@@ -208,7 +208,10 @@ class TestNonFiniteTelemetry:
         lambda snap: replace(snap, total_loss_w=math.inf),
         lambda snap: replace(snap, load_ids=snap.load_ids[::-1]),
         lambda snap: replace(snap, load_ids=(), demands=(), measured_w=()),
-    ], ids=["nan-demand", "inf-capacity", "inf-loss", "other-loads", "no-records"])
+        lambda snap: replace(snap, loading_pu=math.nan),
+        lambda snap: replace(snap, loading_pu=-0.5),
+    ], ids=["nan-demand", "inf-capacity", "inf-loss", "other-loads", "no-records",
+            "nan-loading", "negative-loading"])
     def test_tick_is_degraded_and_holds_the_last_batch(self, corrupt):
         sc = small_scenario()
         plant, recorder = build_plant(sc), _Recorder(sc)
