@@ -5,6 +5,11 @@ across repeats of the same seeded lockstep scenario. Wall-clock solve times
 are written to a ``timing.csv`` sidecar instead, since they vary run to run.
 The CSV schema is versioned in comment lines so downstream tooling can rely
 on it.
+
+The writers stream: each row is rendered and written as it is reached, so no
+whole file is built in memory. Every number is written as its ``repr``, which
+never needs CSV quoting, so a line is a plain comma-joined string and ``csv``
+readers parse it back exactly.
 """
 
 from __future__ import annotations
@@ -95,37 +100,68 @@ def _columns(load_ids: Sequence[int]) -> list[str]:
     return cols
 
 
+class _FloatReprs(dict):
+    """``repr`` of floats, memoised by value.
+
+    Only nonzero, non-NaN floats are kept: ``0.0`` and ``-0.0`` are equal keys
+    with different reprs, and a NaN key is never found again. Equal ints and
+    floats are equal keys too, so look up only values whose type is ``float``.
+    Once ``MAX_ENTRIES`` values are kept, new ones are rendered but not kept.
+    """
+
+    MAX_ENTRIES = 1 << 13
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value and value == value and len(self) < self.MAX_ENTRIES:
+            self[value] = text
+        return text
+
+
 def write_run_csv(path: str | Path, meta: RunMeta, rows: Sequence[RunRecord]) -> None:
-    path = Path(path)
     fleet_desc = ",".join(f"{lid}:{group}:{rated!r}" for lid, group, rated in meta.fleet)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# {RUN_CSV_VERSION}\n")
-        fh.write(
+    # measured powers repeat once each actuator lag settles on its target;
+    # demands and statuses are not memoised, as they may hold ints
+    measured_repr = _FloatReprs().__getitem__
+    only_float = {float}
+    cmd_obj = cmd_text = None
+    with Path(path).open("w", newline="") as fh:
+        write = fh.write
+        write(f"# {RUN_CSV_VERSION}\n")
+        write(
             f"# meta tick_s={meta.tick_s!r} t_start_s={meta.t_start_s!r}"
             f" t_end_s={meta.t_end_s!r} algorithm={meta.algorithm}"
             f" mode={meta.mode} seed={meta.seed} mission_id={meta.mission_id}\n"
         )
-        fh.write(f"# fleet {fleet_desc}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_columns(meta.load_ids))
+        write(f"# fleet {fleet_desc}\n")
+        write(",".join(_columns(meta.load_ids)) + "\n")
         for r in rows:
-            row = [
-                repr(r.time_s), repr(r.capacity_w), repr(r.loss_w), repr(r.loading_pu),
-                repr(r.wsum_demand), repr(r.wsum_commanded), repr(r.wsum_measured),
-                repr(r.op_commanded), repr(r.op_measured), int(r.degraded),
-            ]
-            row += [repr(v) for v in r.demands]
-            row += [repr(v) for v in r.commanded]
-            row += [repr(v) for v in r.measured_w]
-            writer.writerow(row)
+            # the controllers pass their intent tuple on uncopied, so a row
+            # whose commands did not change holds the previous row's tuple
+            if r.commanded is not cmd_obj:
+                cmd_obj = r.commanded
+                cmd_text = "," + ",".join(map(repr, cmd_obj)) if cmd_obj else ""
+            demands, measured = r.demands, r.measured_w
+            demand_text = "," + ",".join(map(repr, demands)) if demands else ""
+            if measured:
+                to_text = measured_repr if set(map(type, measured)) <= only_float else repr
+                meas_text = "," + ",".join(map(to_text, measured))
+            else:
+                meas_text = ""
+            write(
+                f"{r.time_s!r},{r.capacity_w!r},{r.loss_w!r},{r.loading_pu!r},"
+                f"{r.wsum_demand!r},{r.wsum_commanded!r},{r.wsum_measured!r},"
+                f"{r.op_commanded!r},{r.op_measured!r},{int(r.degraded)}"
+                f"{demand_text}{cmd_text}{meas_text}\n"
+            )
 
 
 def write_timing_csv(path: str | Path, rows: Sequence[RunRecord]) -> None:
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tick", "time_s", "solve_time_s"])
+        write = fh.write
+        write("tick,time_s,solve_time_s\n")
         for k, r in enumerate(rows, start=1):
-            writer.writerow([k, repr(r.time_s), repr(r.solve_time_s)])
+            write(f"{k},{r.time_s!r},{r.solve_time_s!r}\n")
 
 
 def read_timing_csv(path: str | Path) -> list[float]:
@@ -185,9 +221,9 @@ def read_run_csv(path: str | Path) -> tuple[RunMeta, list[RunRecord]]:
                     op_commanded=float(fixed[7]),
                     op_measured=float(fixed[8]),
                     degraded=bool(int(fixed[9])),
-                    demands=tuple(float(v) for v in per_load[:n]),
-                    commanded=tuple(float(v) for v in per_load[n : 2 * n]),
-                    measured_w=tuple(float(v) for v in per_load[2 * n :]),
+                    demands=tuple(map(float, per_load[:n])),
+                    commanded=tuple(map(float, per_load[n : 2 * n])),
+                    measured_w=tuple(map(float, per_load[2 * n :])),
                 )
             )
     return meta, rows
@@ -195,7 +231,3 @@ def read_run_csv(path: str | Path) -> tuple[RunMeta, list[RunRecord]]:
 
 def group_of(meta: RunMeta) -> dict[int, LoadGroup]:
     return {lid: LoadGroup(group) for lid, group, _ in meta.fleet}
-
-
-def rated_of(meta: RunMeta) -> dict[int, float]:
-    return {lid: rated for lid, _, rated in meta.fleet}

@@ -3,11 +3,15 @@
 All post-run analysis works from ``run.csv`` (plus the ``timing.csv``
 sidecar when present), so comparisons can be made across processes and
 machines without the original scenario object.
+
+Artifacts are streamed: the group series of every grouping are built in one
+pass over the rows and written line by line, each number as its ``repr``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +21,6 @@ from .model import LoadGroup
 from .records import (
     RunMeta,
     RunRecord,
-    group_of,
-    rated_of,
     read_run_csv,
     read_timing_csv,
     write_run_csv,
@@ -50,51 +52,66 @@ def integral_ops(meta: RunMeta, rows: Sequence[RunRecord]) -> tuple[float, float
     return cmd, meas
 
 
+def _group_series(
+    meta: RunMeta, rows: Sequence[RunRecord]
+) -> Iterator[tuple[float, list[tuple[float, float]]]]:
+    """Per row: its time and (demanded W, served W) of each of ``GROUPINGS``.
+
+    Served power is the physically measured power; TOTAL covers the fleet.
+    Each sum starts from int 0 and adds its members' powers in fleet order,
+    left to right, as ``sum`` did before Python 3.12 (it compensates from
+    3.12 on), so the bytes written do not depend on the Python version.
+    """
+    groups = list(LoadGroup)
+    n = len(groups)
+    slots = [groups.index(LoadGroup(group)) for _, group, _ in meta.fleet]
+    rated = [r for _, _, r in meta.fleet]
+    for r in rows:
+        demand = [0] * n
+        served = [0] * n
+        total_demand = total_served = 0
+        for k, d, rated_w, m in zip(slots, r.demands, rated, r.measured_w):
+            p = d * rated_w
+            demand[k] += p
+            served[k] += m
+            total_demand += p
+            total_served += m
+        yield r.time_s, [(total_demand, total_served), *zip(demand, served)]
+
+
+def _grouping_index(grouping: str) -> int:
+    if grouping not in GROUPINGS:
+        raise ValueError(f"unknown grouping {grouping!r}; choose from {GROUPINGS}")
+    return GROUPINGS.index(grouping)
+
+
 def group_power_series(
     meta: RunMeta, rows: Sequence[RunRecord], grouping: str
 ) -> list[tuple[float, float, float]]:
-    """(time, demanded watts, served watts) for one load grouping.
-
-    Served power is the physically measured power; TOTAL covers the fleet.
-    """
-    if grouping not in GROUPINGS:
-        raise ValueError(f"unknown grouping {grouping!r}; choose from {GROUPINGS}")
-    groups = group_of(meta)
-    rated = rated_of(meta)
-    ids = meta.load_ids
-    members = [
-        i
-        for i, lid in enumerate(ids)
-        if grouping == "TOTAL" or groups[lid].value == grouping
-    ]
-    series = []
-    for r in rows:
-        demand = sum(r.demands[i] * rated[ids[i]] for i in members)
-        served = sum(r.measured_w[i] for i in members)
-        series.append((r.time_s, demand, served))
-    return series
+    """(time, demanded watts, served watts) for one load grouping."""
+    k = _grouping_index(grouping)
+    return [(t, *sums[k]) for t, sums in _group_series(meta, rows)]
 
 
 def shed_summary(meta: RunMeta, rows: Sequence[RunRecord]) -> dict[str, dict[str, float]]:
     """Per-group service: demanded/served energy and loads ever cut to zero."""
-    groups = group_of(meta)
-    rated = rated_of(meta)
-    ids = meta.load_ids
+    scale = meta.tick_s / 3.6e9  # watt-ticks to MWh
     out: dict[str, dict[str, float]] = {}
     for g in LoadGroup:
-        members = [i for i, lid in enumerate(ids) if groups[lid] is g]
+        members = [(i, lid, rated) for i, (lid, group, rated) in enumerate(meta.fleet)
+                   if LoadGroup(group) is g]
         if not members:
             continue
         demand_mwh = served_mwh = 0.0
         cut: set[int] = set()
         for r in rows:
-            for i in members:
-                d = r.demands[i]
-                demand_mwh += d * rated[ids[i]]
-                served_mwh += min(r.commanded[i], d) * rated[ids[i]]
-                if d > 0.0 and r.commanded[i] == 0.0:
-                    cut.add(ids[i])
-        scale = meta.tick_s / 3.6e9  # watt-ticks to MWh
+            demands, commanded = r.demands, r.commanded
+            for i, lid, rated in members:
+                d, c = demands[i], commanded[i]
+                demand_mwh += d * rated
+                served_mwh += (d if d < c else c) * rated  # min(c, d)
+                if d > 0.0 and c == 0.0:
+                    cut.add(lid)
         out[g.value] = {
             "demand_mwh": demand_mwh * scale,
             "served_mwh": served_mwh * scale,
@@ -165,8 +182,7 @@ def write_run_artifacts(result, out_dir: str | Path) -> Path:
     (out / "summary.txt").write_text(summarize(result.meta, result.rows))
     groups_dir = out / "groups"
     groups_dir.mkdir(exist_ok=True)
-    for grouping in GROUPINGS:
-        write_group_csv(result.meta, result.rows, grouping, groups_dir)
+    write_group_csv(result.meta, result.rows, GROUPINGS, groups_dir)
     return out
 
 
@@ -207,21 +223,28 @@ def run_scenario(
     return write_run_artifacts(result, out_dir)
 
 
-def write_group_csv(meta: RunMeta, rows: Sequence[RunRecord], grouping: str,
-                    out_dir: str | Path) -> Path:
-    path = Path(out_dir) / f"{grouping}.csv"
-    with path.open("w", newline="") as fh:
-        fh.write(f"# loadshed-group-csv v1 grouping={grouping} served=measured\n")
-        fh.write("time_s,demand_w,served_w\n")
-        for t, demand, served in group_power_series(meta, rows, grouping):
-            fh.write(f"{t!r},{demand!r},{served!r}\n")
-    return path
+def write_group_csv(meta: RunMeta, rows: Sequence[RunRecord], groupings: Sequence[str],
+                    out_dir: str | Path) -> list[Path]:
+    """Write ``<grouping>.csv`` for each grouping, in one pass over the rows."""
+    indices = [_grouping_index(grouping) for grouping in groupings]
+    paths = [Path(out_dir) / f"{grouping}.csv" for grouping in groupings]
+    with ExitStack() as stack:
+        writes = [stack.enter_context(path.open("w", newline="")).write for path in paths]
+        for write, grouping in zip(writes, groupings):
+            write(f"# loadshed-group-csv v1 grouping={grouping} served=measured\n")
+            write("time_s,demand_w,served_w\n")
+        for t, sums in _group_series(meta, rows):
+            t_text = repr(t)
+            for write, k in zip(writes, indices):
+                demand, served = sums[k]
+                write(f"{t_text},{demand!r},{served!r}\n")
+    return paths
 
 
 def emit_plot_data(run_csv: str | Path, grouping: str, out_dir: str | Path) -> Path:
     meta, rows = read_run_csv(run_csv)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return write_group_csv(meta, rows, grouping, out_dir)
+    return write_group_csv(meta, rows, (grouping,), out_dir)[0]
 
 
 def compare_runs(run_a_csv: str | Path, run_b_csv: str | Path) -> str:

@@ -18,7 +18,8 @@ from loadshed.link import replay_drop_schedule
 from loadshed.model import ShedCommand, SystemSnapshot
 from loadshed.optimizer import brute_force_solve, plan_violations, solve
 from loadshed.records import group_of, write_run_csv
-from loadshed.report import integral_ops, solve_time_stats, summarize
+from loadshed.report import (GROUPINGS, integral_ops, solve_time_stats, summarize,
+                             write_group_csv)
 from loadshed.sim import run_lockstep, run_networked
 
 WINDOW_START, TRIP_T, RELIEF_T, WINDOW_END = 0.0, 310.0, 395.0, 600.0
@@ -27,6 +28,17 @@ WINDOW_START, TRIP_T, RELIEF_T, WINDOW_END = 0.0, 310.0, 395.0, 600.0
 BUNDLED_RUN_CSV_SHA256 = {
     "advanced": "4006ad93a8176c4e300fc775d9e6eb5d984410782cbe3c58c47e4c893851c010",
     "baseline": "d2f44931125fe1052eb01fab1671ceda49406e5b6c73982c4a4afdc9f64646d5",
+}
+# sha256 of groups/<grouping>.csv for the bundled advanced run: each sum adds
+# in fleet order, so the bytes do not depend on how the interpreter's sum()
+# rounds (it compensates from Python 3.12 on)
+BUNDLED_GROUP_CSV_SHA256 = {
+    "TOTAL": "9157f2cea056e94448a5f06ff8026d42d451299cdf28c085baa4029cd168f89a",
+    "ACLC_Vital": "a766cf57e8e3ce718ddc8a9c0063285970c0c2fbed1d4e22bbe95fe5fd3cf209",
+    "ACLC_NonVital": "b7022fd21ed494b81e0987a8522ab247ceb5dc12539c6d681238de26661bfb55",
+    "MWClass": "d1758d8f8332ddef569528334981f41d5ddd8711c88a94e6789d83c6b29cbfe6",
+    "IPNC": "9d31ca0cf9460df106d5c0dbcd96a352cfceb950431d886bac3c2f5307bd305b",
+    "PMM": "0f8e5fd7ee506f53506661c821fe6c5b5c4d2cc33b286d121c62201915f39e84",
 }
 
 
@@ -275,3 +287,12 @@ def test_12_pinned_run_csv(advanced_run, baseline_run, tmp_path):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == BUNDLED_RUN_CSV_SHA256[algorithm], f"{algorithm} run.csv changed"
     announce(12, "pinned run.csv of the bundled advanced and baseline runs")
+
+
+def test_13_pinned_group_csvs(advanced_run, tmp_path):
+    """The bundled advanced run's six group series bytes are the pinned ones."""
+    write_group_csv(advanced_run.meta, advanced_run.rows, GROUPINGS, tmp_path)
+    for grouping in GROUPINGS:
+        digest = hashlib.sha256((tmp_path / f"{grouping}.csv").read_bytes()).hexdigest()
+        assert digest == BUNDLED_GROUP_CSV_SHA256[grouping], f"{grouping}.csv changed"
+    announce(13, "pinned group series of the bundled advanced run")
