@@ -4,8 +4,10 @@ Controllers are driven one telemetry snapshot at a time and reply with the
 commands whose statuses changed. Each keeps its ``intent``, the statuses it
 commands, as a tuple in fleet order. The advanced controller looks up the
 weight set and zone limits in force in a mission schedule built once, and
-solves the shedding optimization within its per-tick deadline. The control
-period is the run's tick, which the engine passes in.
+solves the shedding optimization within its per-tick deadline. A tick whose
+problem equals the one behind the last plan, when that plan was proven
+optimal, keeps the plan without solving: ``solve`` is a pure function of the
+problem. The control period is the run's tick, which the engine passes in.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 from .baseline import BaselineState, baseline_reset, baseline_step
 from .metrics import DEFAULT_TICK_S
 from .model import LoadSpec, MissionWeightSet, ShedCommand, SystemSnapshot, ZoneLimit
-from .optimizer import FleetModel, ShedPlan, solve
+from .optimizer import FleetModel, ModelInstance, ShedPlan, solve
 from .plant import PlantEvent, ZoneLimitChange
 
 log = logging.getLogger(__name__)
@@ -96,7 +98,12 @@ class MissionDatabase:
 
 
 class AdvancedController:
-    """Per-tick re-solve of the mission-weighted shedding optimization."""
+    """Per-tick re-solve of the mission-weighted shedding optimization.
+
+    ``last_solve_time_s`` is the solve time of this tick's plan, or 0.0 when
+    the tick solved nothing: it held, or it kept an optimal plan whose problem
+    (model, caps, budget and zone limits) had not changed.
+    """
 
     def __init__(self, fleet: Sequence[LoadSpec], database: MissionDatabase,
                  config: ControllerConfig):
@@ -105,15 +112,14 @@ class AdvancedController:
         self.config = config
         self.intent: tuple[float, ...] = (1.0,) * len(self.fleet)
         self.last_plan: ShedPlan | None = None
+        self.last_solve_time_s = 0.0
+        self._solved: ModelInstance | None = None  # the problem behind last_plan
         # one static model per weight set (zone membership is fixed); the
         # database holds the sets as long as we do, so identity is a stable key
         self._models: dict[int, FleetModel] = {}
 
-    @property
-    def last_solve_time_s(self) -> float:
-        return self.last_plan.solve_time_s if self.last_plan is not None else 0.0
-
     def on_telemetry(self, snapshot: SystemSnapshot) -> tuple[ShedCommand, ...]:
+        self.last_solve_time_s = 0.0
         segment = self.database.segment_at(snapshot.mission_id, snapshot.time_s)
         if segment is None:
             log.warning("no weights for mission %d at t=%.1f s; holding last commands",
@@ -124,8 +130,12 @@ class AdvancedController:
         if model is None:
             model = self._models[id(weights)] = FleetModel.of_fleet(
                 self.fleet, weights, self.database.zones)
-        plan = solve(model.instance(snapshot, segment.limits_w), self.config.solve_deadline_s)
-        self.last_plan = plan
+        instance = model.instance(snapshot, segment.limits_w)
+        if self.last_plan is not None and self.last_plan.optimal and instance == self._solved:
+            return ()  # the same plan, which the intent already holds
+        plan = solve(instance, self.config.solve_deadline_s)
+        self.last_plan, self._solved = plan, instance
+        self.last_solve_time_s = plan.solve_time_s
         statuses = plan.statuses.values()  # the model lists the fleet in order
         commands = tuple(ShedCommand(spec.id, status)
                          for spec, status, old in zip(self.fleet, statuses, self.intent)

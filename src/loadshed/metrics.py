@@ -8,15 +8,14 @@ integrated separately and divided once, so a time-varying demand profile is
 handled correctly.
 
 ``instantaneous_operability`` takes statuses and demands keyed by load id.
-``service_sums``, which the run recorder calls every tick, takes aligned
-per-load columns in fleet order, as telemetry carries them.
+``served_sums`` and ``measured_sum``, which the run recorder calls, take
+aligned per-load columns in fleet order, as telemetry carries them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import repeat
 
 from .model import MissionWeightSet
 
@@ -55,24 +54,33 @@ class MissionWindow:
         return round((self.t_end_s - self.t_start_s) / self.tick_s)
 
 
-def service_sums(weights: Mapping[int, float], load_ids: Iterable[int],
-                 demands: Iterable[float], served: Iterable[float],
-                 measured_pu: Iterable[float]) -> tuple[float, float, float]:
-    """Weighted (demanded, served, measured) totals in one pass over the loads.
+def served_sums(weights: Mapping[int, float], load_ids: Iterable[int],
+                demands: Iterable[float], served: Iterable[float]) -> tuple[float, float]:
+    """Weighted (demanded, served) totals in one pass over the loads.
 
-    ``load_ids``, ``demands``, ``served`` and ``measured_pu`` are aligned
-    columns, one entry per load. A served status counts up to its load's
-    demand status. Loads with zero demand status add to no sum.
+    ``load_ids``, ``demands`` and ``served`` are aligned columns, one entry
+    per load. A served status counts up to its load's demand status. Loads
+    with zero demand status add to neither sum.
     """
-    den = num = num_meas = 0.0
-    for lid, ds, s, m in zip(load_ids, demands, served, measured_pu):
+    den = num = 0.0
+    for lid, ds, s in zip(load_ids, demands, served):
         if ds == 0.0:
             continue
         w = weights[lid]
         den += w * ds
         num += w * (ds if ds < s else s)  # min(s, ds) without the call overhead
-        num_meas += w * m
-    return den, num, num_meas
+    return den, num
+
+
+def measured_sum(weights: Mapping[int, float], load_ids: Iterable[int],
+                 demands: Iterable[float], measured_pu: Iterable[float]) -> float:
+    """Weighted measured status over the loads with nonzero demand status,
+    added in the order given, like :func:`served_sums`."""
+    total = 0.0
+    for lid, ds, m in zip(load_ids, demands, measured_pu):
+        if ds != 0.0:
+            total += weights[lid] * m
+    return total
 
 
 def operability(num: float, den: float) -> float:
@@ -91,8 +99,7 @@ def weighted_service_sums(
     status; a load with a demand but no status counts as shed.
     """
     served = [statuses.get(lid, 0.0) for lid in demands]
-    den, num, _ = service_sums(weights.weights, demands.keys(), demands.values(), served,
-                               repeat(0.0))
+    den, num = served_sums(weights.weights, demands.keys(), demands.values(), served)
     return num, den
 
 

@@ -22,13 +22,15 @@ Preparation is split in two. A :class:`FleetModel` holds what the fleet, its
 weight set and its zone membership fix: the canonical id order, the density
 order of all loads, each load's zone, weight, rating and density, and each
 discrete load's status table. It is built once and reused while those hold.
-Each solve refreshes it with the tick's caps, budget and zone limits
-(``_Prepared``): one walk of the cached density order picks out the branch,
-continuous and relaxation items, with no sorting, and calls
-``discrete_statuses`` only for a load capped below its top status. A
-:class:`ModelInstance` carries a model and one tick's caps; a
-:class:`ShedInstance` derives its model inside ``solve`` and takes the same
-path.
+The search data (``_Prepared``) is the model refreshed with a tick's caps and
+zone limits, not its budget, which ``solve`` hands to the root node: one walk
+of the cached density order picks out the branch, continuous and relaxation
+items, with no sorting, and calls ``discrete_statuses`` only for a load capped
+below its top status. The model keeps the last search data it built and
+returns it again while the caps and limits are equal, which they are on most
+ticks; the search only reads it. A :class:`ModelInstance` carries a model and
+one tick's caps; a :class:`ShedInstance` derives its model inside ``solve``
+and takes the same path.
 
 ``brute_force_solve`` is the verification oracle: it enumerates every
 discrete assignment outright (vectorized, in blocks) and fills the
@@ -173,6 +175,8 @@ class FleetModel:
         self.downward = [None if t is None else t[::-1] for t in tables]
         self.top = [None if t is None else max(t) for t in tables]
         self.zero_key = (0.0, 0.0, (0.0,) * self.n)  # the all-shed plan's key
+        self._prepared_key: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+        self._prepared: _Prepared | None = None
 
     @classmethod
     def of_fleet(cls, fleet: Sequence[LoadSpec], weights: MissionWeightSet,
@@ -191,6 +195,16 @@ class FleetModel:
         # each demand clamped to [0, 1] exactly as min(max(x, 0.0), 1.0) clamps it
         caps = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in demands]
         return ModelInstance(self, caps, snapshot.budget_w, limits_w)
+
+    def prepared(self, caps: Sequence[float], zone_limits_w: Sequence[float]) -> _Prepared:
+        """The search data for these caps and zone limits: the last one built
+        while they are equal to its own (by value, so a decoded snapshot
+        qualifies), else a new one, which is kept instead."""
+        key = (tuple(caps), tuple(zone_limits_w))
+        if key != self._prepared_key:
+            self._prepared = _Prepared(self, key[0], key[1])
+            self._prepared_key = key
+        return self._prepared
 
     def plan_key(self, statuses: Sequence[float]) -> tuple[float, float, tuple[float, ...]]:
         """Total-order key: (objective, served power, lexicographic statuses)."""
@@ -222,24 +236,27 @@ class ModelInstance:
 _Snapshot = tuple[int, float, float, tuple[float, ...]]
 
 
-class _Prepared:
-    """One tick's search data: the model refreshed with the tick's caps, budget
-    and zone limits (see the module docstring). Branch loads are those with a
-    real discrete choice under their cap. A ``ShedInstance`` derives its model
-    first."""
+def _prepare(instance: ShedInstance | ModelInstance) -> _Prepared:
+    """The search data of ``instance``, from its model's memo (see
+    :meth:`FleetModel.prepared`). A ``ShedInstance`` derives its model first."""
+    if isinstance(instance, ShedInstance):
+        entries = instance.entries
+        model = FleetModel([(e.load_id, e.weight, e.rated_power_w, e.variability, e.zone)
+                            for e in entries], instance.zone_limits)
+        return model.prepared([e.status_cap for e in entries],
+                              [zl.limit_w for zl in instance.zone_limits])
+    return instance.model.prepared(instance.caps, instance.zone_limits_w)
 
-    def __init__(self, instance: ShedInstance | ModelInstance):
-        if isinstance(instance, ShedInstance):
-            entries = instance.entries
-            model = FleetModel([(e.load_id, e.weight, e.rated_power_w, e.variability, e.zone)
-                                for e in entries], instance.zone_limits)
-            instance = ModelInstance(model, [e.status_cap for e in entries],
-                                     instance.capacity_budget_w,
-                                     [zl.limit_w for zl in instance.zone_limits])
-        model = self.model = instance.model
-        caps = instance.caps
-        self.budget = instance.capacity_budget_w
-        self.zone_limits = [max(0.0, limit) for limit in instance.zone_limits_w]
+
+class _Prepared:
+    """The search data of a model under one set of caps and zone limits (see
+    the module docstring); it does not depend on the budget. Branch loads are
+    those with a real discrete choice under their cap."""
+
+    def __init__(self, model: FleetModel, caps: Sequence[float],
+                 zone_limits_w: Sequence[float]):
+        self.model = model
+        self.zone_limits = [max(0.0, limit) for limit in zone_limits_w]
         # per search level: load, weight, rating, zone, statuses highest first, top status
         self.steps: list[tuple[int, float, float, int, tuple[float, ...], float]] = []
         # continuous loads with room to move: load, zone, rating, power at the cap
@@ -369,7 +386,7 @@ def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.0
     ``optimal=False``.
     """
     t0 = time.perf_counter()
-    prep = _Prepared(instance)
+    prep = _prepare(instance)
     model = prep.model
 
     statuses = [0.0] * model.n
@@ -461,7 +478,7 @@ def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.0
 
     # the visits from the root down to the current one, each paused where it
     # yielded the visit of a child
-    path = [visit(0, prep.budget, 0.0)]
+    path = [visit(0, instance.capacity_budget_w, 0.0)]
     optimal = True
     try:
         while path:
@@ -488,7 +505,7 @@ def brute_force_solve(instance: ShedInstance | ModelInstance) -> ShedPlan:
     4 continuous loads.
     """
     t0 = time.perf_counter()
-    prep = _Prepared(instance)
+    prep = _prepare(instance)
     model = prep.model
     if len(prep.cont) > MAX_BRUTE_CONTINUOUS:
         raise InstanceTooLargeError(f"{len(prep.cont)} continuous loads exceed the oracle limit")
@@ -499,7 +516,7 @@ def brute_force_solve(instance: ShedInstance | ModelInstance) -> ShedPlan:
         if total > MAX_BRUTE_COMBOS:
             raise InstanceTooLargeError(f"more than {MAX_BRUTE_COMBOS} discrete combinations")
 
-    budget = prep.budget
+    budget = instance.capacity_budget_w
     n_zones = len(prep.zone_limits)
     choice_arrays = [np.asarray(step[4][::-1], dtype=np.float64) for step in prep.steps]
     strides = [1] * len(cards)

@@ -124,7 +124,7 @@ def write_run_csv(path: str | Path, meta: RunMeta, rows: Sequence[RunRecord]) ->
     # demands and statuses are not memoised, as they may hold ints
     measured_repr = _FloatReprs().__getitem__
     only_float = {float}
-    cmd_obj = cmd_text = None
+    cmd_obj = cmd_text = demand_obj = demand_text = meas_obj = meas_text = None
     with Path(path).open("w", newline="") as fh:
         write = fh.write
         write(f"# {RUN_CSV_VERSION}\n")
@@ -136,18 +136,22 @@ def write_run_csv(path: str | Path, meta: RunMeta, rows: Sequence[RunRecord]) ->
         write(f"# fleet {fleet_desc}\n")
         write(",".join(_columns(meta.load_ids)) + "\n")
         for r in rows:
-            # the controllers pass their intent tuple on uncopied, so a row
-            # whose commands did not change holds the previous row's tuple
+            # the controllers pass their intent tuple on uncopied, and the
+            # plant its demand and measured tuples while they are unchanged,
+            # so a row often holds the previous row's tuples: render them once
             if r.commanded is not cmd_obj:
                 cmd_obj = r.commanded
                 cmd_text = "," + ",".join(map(repr, cmd_obj)) if cmd_obj else ""
-            demands, measured = r.demands, r.measured_w
-            demand_text = "," + ",".join(map(repr, demands)) if demands else ""
-            if measured:
-                to_text = measured_repr if set(map(type, measured)) <= only_float else repr
-                meas_text = "," + ",".join(map(to_text, measured))
-            else:
-                meas_text = ""
+            if r.demands is not demand_obj:
+                demand_obj = r.demands
+                demand_text = "," + ",".join(map(repr, demand_obj)) if demand_obj else ""
+            if r.measured_w is not meas_obj:
+                meas_obj = measured = r.measured_w
+                if measured:
+                    to_text = measured_repr if set(map(type, measured)) <= only_float else repr
+                    meas_text = "," + ",".join(map(to_text, measured))
+                else:
+                    meas_text = ""
             write(
                 f"{r.time_s!r},{r.capacity_w!r},{r.loss_w!r},{r.loading_pu!r},"
                 f"{r.wsum_demand!r},{r.wsum_commanded!r},{r.wsum_measured!r},"

@@ -36,7 +36,7 @@ from typing import NamedTuple
 from . import link
 from .controller import Controller, MissionDatabase, make_controller
 from .link import DelayQueue, Reassembler
-from .metrics import operability, service_sums
+from .metrics import measured_sum, operability, served_sums
 from .model import LoadSpec, ShedCommand, SystemSnapshot
 from .plant import Plant
 from .records import RunRecord, RunMeta, meta_from_fleet
@@ -85,6 +85,10 @@ class _Recorder:
         self.db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
         self._ids = tuple(spec.id for spec in sc.fleet)
         self._rated_w = tuple(spec.rated_power_w for spec in sc.fleet)
+        # the last row's sums after the objects they were taken from: (weights,
+        # demands, commanded, den, num, op) and (weights, demands, measured, num, op)
+        self._served: tuple | None = None
+        self._measured: tuple | None = None
 
     def row(
         self,
@@ -94,11 +98,26 @@ class _Recorder:
         solve_time_s: float,
     ) -> RunRecord:
         segment = self.db.segment_at(snapshot.mission_id, snapshot.time_s)
-        den = num_cmd = num_meas = 0.0
-        if segment is not None:
-            den, num_cmd, num_meas = service_sums(
-                segment.weights.weights, self._ids, snapshot.demands, commanded,
-                map(truediv, snapshot.measured_w, self._rated_w))
+        weights = None if segment is None else segment.weights.weights
+        demands, measured = snapshot.demands, snapshot.measured_w
+        # the same objects give the same sums (each adds the same terms in the
+        # same order), so a row takes the last row's where its inputs are its
+        s = self._served
+        if s is None or s[0] is not weights or s[1] is not demands or s[2] is not commanded:
+            den = num = 0.0
+            if weights is not None:
+                den, num = served_sums(weights, self._ids, demands, commanded)
+            s = self._served = (weights, demands, commanded, den, num, operability(num, den))
+        _, _, _, den, num_cmd, op_cmd = s
+        m = self._measured
+        if m is None or m[0] is not weights or m[1] is not demands or m[2] is not measured:
+            num_meas = 0.0
+            if weights is not None:
+                num_meas = measured_sum(weights, self._ids, demands,
+                                        map(truediv, measured, self._rated_w))
+            m = self._measured = (weights, demands, measured, num_meas,
+                                  operability(num_meas, den))
+        _, _, _, num_meas, op_meas = m
         return RunRecord(
             time_s=snapshot.time_s,
             capacity_w=snapshot.total_capacity_w,
@@ -107,12 +126,12 @@ class _Recorder:
             wsum_demand=den,
             wsum_commanded=num_cmd,
             wsum_measured=num_meas,
-            op_commanded=operability(num_cmd, den),
-            op_measured=operability(num_meas, den),
+            op_commanded=op_cmd,
+            op_measured=op_meas,
             degraded=degraded,
-            demands=snapshot.demands,
+            demands=demands,
             commanded=commanded,
-            measured_w=snapshot.measured_w,
+            measured_w=measured,
             solve_time_s=solve_time_s,
         )
 
@@ -144,6 +163,7 @@ class _ControlNode:
         self._rated_w = tuple(spec.rated_power_w for spec in fleet)
         self._mailbox: tuple[int, SystemSnapshot] | None = None
         self.last = _Decision((), controller.intent)
+        self._intent_power = (None, None, 0.0)  # (intent, demands) -> power of the last answer
 
     def exchange(self, k: int, arrived: list[tuple[int, SystemSnapshot]]) -> _Decision:
         """Take the telemetry that arrived by tick ``k`` and answer for tick ``k``."""
@@ -163,9 +183,12 @@ class _ControlNode:
         solve_time = self.controller.last_solve_time_s or (time.perf_counter() - t0)
         plan = getattr(self.controller, "last_plan", None)
         intent = self.controller.intent
-        intent_power = 0.0
-        for status, d, rated in zip(intent, used.demands, self._rated_w):
-            intent_power += (d if d < status else status) * rated  # min(status, d)
+        last_intent, last_demands, intent_power = self._intent_power
+        if intent is not last_intent or used.demands is not last_demands:
+            intent_power = 0.0
+            for status, d, rated in zip(intent, used.demands, self._rated_w):
+                intent_power += (d if d < status else status) * rated  # min(status, d)
+            self._intent_power = (intent, used.demands, intent_power)
         self.last = _Decision(batch, intent, seq=seq, budget_w=used.budget_w,
                               intent_power_w=intent_power, solve_time_s=solve_time,
                               optimal=plan is None or plan.optimal)

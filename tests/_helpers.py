@@ -17,7 +17,7 @@ from loadshed.model import (
     ZoneLimit,
 )
 from loadshed.optimizer import InstanceEntry, ShedInstance
-from loadshed.plant import GeneratorTrip, LoadProfile
+from loadshed.plant import GeneratorTrip, LoadFailure, LoadProfile, ZoneLimitChange
 from loadshed.scenario import PlantConfig, ScenarioConfig
 
 MW = 1e6
@@ -159,3 +159,19 @@ def small_scenario(
         impairment=ImpairmentConfig(loss_probability=loss, latency_ms=latency_ms, seed=seed),
         controller=ControllerConfig(algorithm="advanced", stale_limit=stale_limit),
     )
+
+
+def failure_scenario() -> ScenarioConfig:
+    """:func:`small_scenario` with a zone around loads 5 and 7 whose limit
+    drops at 17 s, a second weight set from 14 s, and loads 6 and 7 failing
+    at 20 and 22 s."""
+    sc = small_scenario()
+    fleet = tuple(replace(s, zone="Z1") if s.id in (5, 7) else s for s in sc.fleet)
+    first = sc.weight_sets[0]
+    later = MissionWeightSet(first.mission_id,
+                             {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 8.0, 6: 8.0, 7: 9.0, 8: 1.0},
+                             valid_from_s=14.0)
+    return replace(sc, fleet=fleet, zones=(ZoneLimit("Z1", 6 * MW, (5, 7)),),
+                   weight_sets=(first, later),
+                   events=sc.events + (ZoneLimitChange(17.0, "Z1", 2.5 * MW),
+                                       LoadFailure(20.0, 6), LoadFailure(22.0, 7)))

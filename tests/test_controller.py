@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from _helpers import small_scenario
+from _helpers import failure_scenario
 from loadshed.controller import (
     AdvancedController,
     BaselineController,
@@ -16,7 +16,7 @@ from loadshed.model import MissionWeightSet, SystemSnapshot, ZoneLimit
 from loadshed.optimizer import ConfigurationError, build_instance, solve
 from loadshed.plant import LoadFailure, ZoneLimitChange
 from loadshed.scenario import default_fleet, default_scenario, default_weights, validate_scenario
-from loadshed.sim import run_lockstep
+from loadshed.sim import _ControlNode, run_lockstep
 
 MW = 1e6
 FLEET = default_fleet()
@@ -173,16 +173,7 @@ class TestCachedModel:
                                                                       t_end_s=320.0)))
 
     def test_weight_switch_zone_change_and_failure(self, monkeypatch):
-        sc = small_scenario()
-        fleet = tuple(replace(s, zone="Z1") if s.id in (5, 7) else s for s in sc.fleet)
-        first = sc.weight_sets[0]
-        later = MissionWeightSet(first.mission_id,
-                                 {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0, 5: 8.0, 6: 8.0, 7: 9.0, 8: 1.0},
-                                 valid_from_s=14.0)
-        sc = replace(sc, fleet=fleet, zones=(ZoneLimit("Z1", 6 * MW, (5, 7)),),
-                     weight_sets=(first, later),
-                     events=sc.events + (ZoneLimitChange(17.0, "Z1", 2.5 * MW),
-                                         LoadFailure(20.0, 6), LoadFailure(22.0, 7)))
+        sc = failure_scenario()
         assert validate_scenario(sc).ok
         self.check_every_tick(monkeypatch, sc)
 
@@ -195,6 +186,84 @@ class TestCachedModel:
                         dict(demands=demands[:-1])):
             with pytest.raises(ConfigurationError):
                 ctrl.on_telemetry(replace(snap, **changed))
+
+
+class TestPlanReuse:
+    """A tick whose problem (model, caps, budget, zone limits) equals the one
+    behind the last plan, when that plan was proven optimal, keeps the plan
+    and solves nothing."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        plans = []
+
+        def counting(instance, deadline_s=0.05):
+            plans.append(solve(instance, deadline_s))
+            return plans[-1]
+
+        monkeypatch.setattr("loadshed.controller.solve", counting)
+        return plans
+
+    @staticmethod
+    def make(db=None, fleet=FLEET, deadline_s=0.05):
+        return AdvancedController(fleet, db or MissionDatabase([WEIGHTS]),
+                                  ControllerConfig(solve_deadline_s=deadline_s))
+
+    def test_identical_snapshots_solve_once(self, solves):
+        ctrl = self.make()
+        snap = snapshot(full_demand(), 60 * MW)
+        assert ctrl.on_telemetry(snap)
+        assert ctrl.last_solve_time_s == solves[0].solve_time_s
+        # the same snapshot, then an equal one built anew (as a decoded one is)
+        assert ctrl.on_telemetry(snap) == ()
+        assert ctrl.on_telemetry(replace(snap, demands=tuple(list(snap.demands)))) == ()
+        assert len(solves) == 1 and ctrl.last_plan is solves[0]
+        assert ctrl.last_solve_time_s == 0.0
+
+    def test_a_deadline_cut_plan_is_solved_again(self, solves):
+        ctrl = self.make(deadline_s=1e-12)
+        snap = snapshot(full_demand(), 60 * MW)
+        ctrl.on_telemetry(snap)
+        assert not solves[0].optimal, "the check needs a plan the deadline cut"
+        ctrl.on_telemetry(snap)
+        assert len(solves) == 2
+
+    def test_a_budget_one_ulp_away_is_solved_again(self, solves):
+        ctrl = self.make()
+        snap = snapshot(full_demand(), 60 * MW, loss_fraction=0.0)
+        nudged = snapshot(full_demand(), math.nextafter(60 * MW, math.inf), loss_fraction=0.0)
+        assert nudged.budget_w == math.nextafter(snap.budget_w, math.inf)
+        for s in (snap, nudged, nudged):
+            ctrl.on_telemetry(s)
+        assert len(solves) == 2
+
+    def test_a_zone_limit_change_is_solved_again(self, solves):
+        fleet = tuple(replace(s, zone="Z1") if s.group.value == "PMM" else s for s in FLEET)
+        members = tuple(s.id for s in fleet if s.zone == "Z1")
+        db = MissionDatabase([WEIGHTS], [ZoneLimit("Z1", 40 * MW, members)],
+                             events=[ZoneLimitChange(1.0, "Z1", 20 * MW)])
+        ctrl = self.make(db, fleet)
+        for t in (0.5, 1.0, 1.5):
+            ctrl.on_telemetry(snapshot(full_demand(), 60 * MW, t=t))
+        assert len(solves) == 2
+
+    def test_a_new_weight_set_is_solved_again(self, solves):
+        later = MissionWeightSet(1, dict(WEIGHTS.weights), valid_from_s=1.0)
+        ctrl = self.make(MissionDatabase([WEIGHTS, later]))
+        for t in (0.5, 1.0, 1.5):
+            ctrl.on_telemetry(snapshot(full_demand(), 60 * MW, t=t))
+        assert len(solves) == 2
+
+    def test_a_reuse_tick_records_its_own_decision_time(self, solves):
+        node = _ControlNode(self.make(), stale_limit=3, fleet=FLEET)
+        snap = snapshot(full_demand(), 60 * MW)
+        solved = node.exchange(1, [(1, snap)])
+        reused = node.exchange(2, [(2, snap)])
+        assert len(solves) == 1
+        assert solved.solve_time_s == solves[0].solve_time_s
+        assert reused.solve_time_s > 0.0 and reused.solve_time_s != solved.solve_time_s
+        assert reused.optimal and reused.batch == ()
+        assert reused.intent_power_w == solved.intent_power_w
 
 
 class TestBaselineControllerWrapper:

@@ -20,8 +20,9 @@ from loadshed.optimizer import (
     FleetModel,
     InstanceEntry,
     InstanceTooLargeError,
+    ModelInstance,
     ShedInstance,
-    _Prepared,
+    _prepare,
     brute_force_solve,
     build_instance,
     plan_violations,
@@ -247,10 +248,11 @@ def chain_siblings(inst: ShedInstance):
     bound and its bound from scratch. The chain gives the first ``whole``
     branch items the top status the root relaxation took whole; a sibling
     gives the last of them a lower status."""
-    prep = _Prepared(inst)
+    prep = _prepare(inst)
     snaps = {}
-    _, whole = prep.relax_bound(0, 0, prep.budget, 0.0, list(prep.zone_limits), snaps)
-    rem, obj, zrem = prep.budget, 0.0, list(prep.zone_limits)
+    budget = inst.capacity_budget_w
+    _, whole = prep.relax_bound(0, 0, budget, 0.0, list(prep.zone_limits), snaps)
+    rem, obj, zrem = budget, 0.0, list(prep.zone_limits)
     for level in range(whole):
         _, weight, rated, zi, downward, top = prep.steps[level]
         start = snaps.get(zi, snaps[-1])[0]
@@ -387,6 +389,35 @@ class TestBuildInstance:
                         dict(demands=(1.0,))):
             with pytest.raises(ConfigurationError):
                 model.instance(replace(snap, **changed), ())
+
+
+class TestPreparedMemo:
+    """A model keeps the search data of the last caps and zone limits."""
+
+    def test_equal_caps_and_limits_share_one(self):
+        fleet = (LoadSpec(1, "A", LoadGroup.ACLC_VITAL, 10 * MW, Variability.binary(), "Z1"),
+                 LoadSpec(5, "B", LoadGroup.PMM, 20 * MW, Variability.continuous()))
+        zones = (ZoneLimit("Z1", 8 * MW, (1,)),)
+        model = FleetModel.of_fleet(fleet, MissionWeightSet(1, {1: 5.0, 5: 5.0}), zones)
+        first = model.prepared([1.0, 0.5], (8 * MW,))
+        assert model.prepared([1.0, 0.5], [8 * MW]) is first
+        changed = model.prepared([1.0, 0.25], (8 * MW,))
+        assert changed is not first
+        assert model.prepared([1.0, 0.25], (9 * MW,)) is not changed
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_model_across_budgets_gives_the_fresh_plans(self, seed):
+        inst = random_instance(seed + 700, max_discrete=10)
+        entries = inst.entries
+        model = FleetModel([(e.load_id, e.weight, e.rated_power_w, e.variability, e.zone)
+                            for e in entries], inst.zone_limits)
+        caps = [e.status_cap for e in entries]
+        limits = [zl.limit_w for zl in inst.zone_limits]
+        total = sum(c * e.rated_power_w for c, e in zip(caps, entries))
+        for share in (0.3, 0.9, 0.5, 1.5, 0.3):
+            shared = solve(ModelInstance(model, caps, share * total, limits), None)
+            fresh = solve(replace(inst, capacity_budget_w=share * total), None)
+            assert (shared.statuses, shared.objective) == (fresh.statuses, fresh.objective)
 
 
 class TestProperties:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import csv
 import math
 import tracemalloc
+from dataclasses import replace
 
 from loadshed.records import RunMeta, RunRecord, read_run_csv, write_run_csv
-from loadshed.report import write_run_artifacts
+from loadshed.report import GROUPINGS, write_group_csv, write_run_artifacts
 
 # values whose repr or equality a value-keyed shortcut could get wrong:
 # equal zeros with different signs, ints equal to floats, NaN, infinities,
@@ -81,12 +82,56 @@ def special_rows() -> tuple[RunMeta, list[RunRecord]]:
     return meta, rows
 
 
+def sharing_rows() -> tuple[RunMeta, list[RunRecord]]:
+    """:func:`special_rows` whose demand and measured columns follow the
+    commanded one: rows 4 and 5 share one tuple object, and row 6 holds an
+    equal tuple with other text, as the plant shares unchanged tuples."""
+    meta, rows = special_rows()
+    shared, other = rows[4].commanded, rows[6].commanded
+    for k, column in ((4, shared), (5, shared), (6, other)):
+        rows[k] = replace(rows[k], demands=column, measured_w=column)
+    return meta, rows
+
+
+def unshared(rows: list[RunRecord]) -> list[RunRecord]:
+    """The same rows with every tuple a distinct object."""
+    return [replace(r, demands=tuple(list(r.demands)), commanded=tuple(list(r.commanded)),
+                    measured_w=tuple(list(r.measured_w))) for r in rows]
+
+
 class TestRunCsvWriter:
     def test_bytes_match_the_csv_writer_reference(self, tmp_path):
         meta, rows = special_rows()
         write_run_csv(tmp_path / "run.csv", meta, rows)
         reference_run_csv(tmp_path / "reference.csv", meta, rows)
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_rows_sharing_tuples_match_the_reference(self, tmp_path):
+        meta, rows = sharing_rows()
+        write_run_csv(tmp_path / "run.csv", meta, rows)
+        reference_run_csv(tmp_path / "reference.csv", meta, rows)
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_group_sums_of_shared_tuples_are_the_unshared_ones(self, tmp_path):
+        # IPNC holds one load of int rating, so its sums print an int where
+        # the row holds an int: a tuple equal to the last row's but with 1.0
+        # for 1 must not take that row's sums
+        meta = RunMeta(tick_s=0.1, t_start_s=0.0, t_end_s=0.5, algorithm="advanced",
+                       mode="lockstep", seed=0, mission_id=1,
+                       fleet=((1, "IPNC", 250), (2, "PMM", 1e6), (3, "PMM", 250)))
+        ints, floats = (1, 0.5, -0.0), (1.0, 0.5, 0.0)
+        rows = [RunRecord(0.1 * (k + 1), 1e7, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, False,
+                          demands=column, commanded=column, measured_w=column)
+                for k, column in enumerate((ints, ints, floats, floats, ints))]
+        for name, rows in (("shared", rows), ("fresh", unshared(rows))):
+            (tmp_path / name).mkdir()
+            write_group_csv(meta, rows, GROUPINGS, tmp_path / name)
+        for grouping in GROUPINGS:
+            shared = (tmp_path / "shared" / f"{grouping}.csv").read_bytes()
+            assert shared == (tmp_path / "fresh" / f"{grouping}.csv").read_bytes(), grouping
+        lines = (tmp_path / "shared" / "IPNC.csv").read_text().splitlines()[2:]
+        assert [line.split(",", 1)[1] for line in lines] == [
+            "250,1", "250,1", "250.0,1.0", "250.0,1.0", "250,1"]
 
     def test_round_trip_reads_every_value_back(self, tmp_path):
         meta, rows = special_rows()

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import time
 from dataclasses import replace
 
 import pytest
 
-from _helpers import small_scenario
+from _helpers import failure_scenario, small_scenario
 from loadshed.controller import make_controller
 from loadshed.link import replay_drop_schedule
 from loadshed.records import read_run_csv, write_run_csv
@@ -20,6 +21,23 @@ def expected_degraded(drops, stale_limit):
             freshest = k
         out.append(freshest is None or (k - freshest) > stale_limit)
     return out
+
+
+# sha256 of run.csv for two small lockstep runs: a lossy one, and one with a
+# weight switch, a zone limit change and load failures (advanced, seed 0)
+PINNED_RUN_CSV_SHA256 = {
+    "lossy": "88661cf9965a5c1f87ad7c506f6bafc33f9adb4d10093ee9ee9369ab41892f7a",
+    "failure": "920673f0b7d0e29111ccbac2898b12333403917b971ab1ea354e92b7ca54f65b",
+}
+
+
+@pytest.mark.parametrize("name, scenario", [("lossy", lambda: small_scenario(loss=0.2, seed=5)),
+                                            ("failure", failure_scenario)])
+def test_pinned_run_csv(name, scenario, tmp_path):
+    result = run_lockstep(scenario())
+    write_run_csv(tmp_path / "run.csv", result.meta, result.rows)
+    digest = hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_RUN_CSV_SHA256[name], f"{name} run.csv changed"
 
 
 class TestLockstep:
@@ -199,6 +217,24 @@ class TestNetworked:
                             controller_port=0, realtime=True)
         assert len(net.rows) == 5
         assert time.monotonic() - t0 >= 4 * sc.window.tick_s
+
+
+def test_intent_power_follows_demand_under_a_held_intent():
+    """A tick that keeps the intent tuple but brings other demands reports
+    the power the intent implies at those demands."""
+    sc = small_scenario()
+    controller = make_controller(sc.fleet, replace(sc.controller, algorithm="baseline"),
+                                 tick_s=sc.window.tick_s)
+    node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet)
+    plant = build_plant(sc)
+    snaps = [plant.tick(sc.window.tick_s) for _ in range(30)]  # before the trip
+    decisions = [node.exchange(k, [(k, snap)]) for k, snap in enumerate(snaps, start=1)]
+    assert decisions[-1].intent is decisions[0].intent  # ample capacity: nothing shed
+    assert len({d.intent_power_w for d in decisions}) > 1
+    rated = [spec.rated_power_w for spec in sc.fleet]
+    for snap, d in zip(snaps, decisions):
+        implied = math.fsum(min(s, x) * r for s, x, r in zip(d.intent, snap.demands, rated))
+        assert d.intent_power_w == pytest.approx(implied, rel=1e-12)
 
 
 class TestNonFiniteTelemetry:
