@@ -36,11 +36,10 @@ from .model import (
     validate_fleet,
 )
 from .optimizer import (
-    InstanceEntry,
-    ShedInstance,
+    FleetModel,
+    ModelInstance,
     ShedPlan,
     brute_force_solve,
-    build_instance,
     plan_violations,
     solve,
 )

@@ -1,13 +1,14 @@
 """Mission-weighted load shedding optimizer.
 
 ``solve`` maximizes total weighted operating status subject to the capacity
-budget, per-zone line-flow limits and forced-off loads, by depth-first branch
-and bound over the discrete loads in weight-density order, highest status
-first. A node's upper bound is the linear (Dantzig) relaxation: the free loads
-filled greedily by density. A child that takes the top status of a load the
-relaxation took whole inherits its parent's bound, which is exact for it (the
-greedy forward move of Martello & Toth, *Knapsack Problems*, 1990, ch. 2).
-The root relaxation also records where its fill first falls short: before the
+budget, per-zone line-flow limits and each load's demand (a failed load
+demands 0), by depth-first branch and bound over the discrete loads in
+weight-density order, highest status first. A node's upper bound is the
+linear (Dantzig) relaxation: the free loads filled greedily by density. A
+child that takes the top status of a load the relaxation took whole inherits
+its parent's bound, which is exact for it (the greedy forward move of
+Martello & Toth, *Knapsack Problems*, 1990, ch. 2). The root relaxation
+also records where its fill first falls short: before the
 item the budget cuts and before each zone's first cut. A sibling of the root's
 chain (lowering a load the root relaxation took whole, below ancestors that
 all followed it) resumes the fill there with the freed power instead of
@@ -28,9 +29,9 @@ of the cached density order picks out the branch, continuous and relaxation
 items, with no sorting, and calls ``discrete_statuses`` only for a load capped
 below its top status. The model keeps the last search data it built and
 returns it again while the caps and limits are equal, which they are on most
-ticks; the search only reads it. A :class:`ModelInstance` carries a model and
-one tick's caps; a :class:`ShedInstance` derives its model inside ``solve``
-and takes the same path.
+ticks; the search only reads it. A :class:`ModelInstance`, a model with one
+tick's caps, budget and zone limits, is the one input of ``solve``,
+``brute_force_solve`` and ``plan_violations``.
 
 ``brute_force_solve`` is the verification oracle: it enumerates every
 discrete assignment outright (vectorized, in blocks) and fills the
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence, Set
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,66 +77,12 @@ class InstanceTooLargeError(Exception):
 
 
 @dataclass(frozen=True)
-class InstanceEntry:
-    """One load as seen by the optimizer at a single tick."""
-
-    load_id: int
-    weight: float
-    rated_power_w: float
-    demand_status: float
-    variability: Variability
-    forced_off: bool = False
-    zone: str | None = None
-
-    @property
-    def status_cap(self) -> float:
-        if self.forced_off:
-            return 0.0
-        return min(max(self.demand_status, 0.0), 1.0)
-
-
-@dataclass(frozen=True)
-class ShedInstance:
-    entries: tuple[InstanceEntry, ...]
-    capacity_budget_w: float
-    zone_limits: tuple[ZoneLimit, ...] = ()
-
-
-@dataclass(frozen=True)
 class ShedPlan:
     statuses: dict[int, float]
     objective: float
     served_power_w: float
     solve_time_s: float
     optimal: bool
-
-
-def build_instance(
-    snapshot: SystemSnapshot,
-    weights: MissionWeightSet,
-    fleet: Sequence[LoadSpec],
-    zones: Sequence[ZoneLimit] = (),
-    forced_off: Set[int] = frozenset(),
-) -> ShedInstance:
-    """Assemble the per-tick optimization problem from telemetry and config."""
-    demand = dict(zip(snapshot.load_ids, snapshot.demands))
-    entries = []
-    for spec in fleet:
-        weight = _weight(weights, spec.id)
-        if spec.id not in demand:
-            raise ConfigurationError(f"snapshot carries no demand for load {spec.id}")
-        entries.append(
-            InstanceEntry(
-                load_id=spec.id,
-                weight=weight,
-                rated_power_w=spec.rated_power_w,
-                demand_status=min(max(demand[spec.id], 0.0), 1.0),
-                variability=spec.variability,
-                forced_off=spec.id in forced_off,
-                zone=spec.zone,
-            )
-        )
-    return ShedInstance(tuple(entries), snapshot.budget_w, tuple(zones))
 
 
 def _weight(weights: MissionWeightSet, load_id: int) -> float:
@@ -234,18 +181,6 @@ class ModelInstance:
 # a relaxation's state where its fill first falls short of an item: the item's
 # index, the bound so far, the budget left and each zone's room left
 _Snapshot = tuple[int, float, float, tuple[float, ...]]
-
-
-def _prepare(instance: ShedInstance | ModelInstance) -> _Prepared:
-    """The search data of ``instance``, from its model's memo (see
-    :meth:`FleetModel.prepared`). A ``ShedInstance`` derives its model first."""
-    if isinstance(instance, ShedInstance):
-        entries = instance.entries
-        model = FleetModel([(e.load_id, e.weight, e.rated_power_w, e.variability, e.zone)
-                            for e in entries], instance.zone_limits)
-        return model.prepared([e.status_cap for e in entries],
-                              [zl.limit_w for zl in instance.zone_limits])
-    return instance.model.prepared(instance.caps, instance.zone_limits_w)
 
 
 class _Prepared:
@@ -364,7 +299,7 @@ class _DeadlineExpired(Exception):
     pass
 
 
-def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
+def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     """Maximize weighted status; exact unless the deadline expires first.
 
     The root relaxation is filled once and records where its fill first falls
@@ -386,7 +321,7 @@ def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.0
     ``optimal=False``.
     """
     t0 = time.perf_counter()
-    prep = _prepare(instance)
+    prep = instance.model.prepared(instance.caps, instance.zone_limits_w)
     model = prep.model
 
     statuses = [0.0] * model.n
@@ -496,7 +431,7 @@ def solve(instance: ShedInstance | ModelInstance, deadline_s: float | None = 0.0
 # brute-force oracle
 
 
-def brute_force_solve(instance: ShedInstance | ModelInstance) -> ShedPlan:
+def brute_force_solve(instance: ModelInstance) -> ShedPlan:
     """Exhaustively enumerate all discrete assignments (vectorized in blocks).
 
     Continuous loads are filled per combination in weight-density order,
@@ -505,7 +440,7 @@ def brute_force_solve(instance: ShedInstance | ModelInstance) -> ShedPlan:
     4 continuous loads.
     """
     t0 = time.perf_counter()
-    prep = _prepare(instance)
+    prep = instance.model.prepared(instance.caps, instance.zone_limits_w)
     model = prep.model
     if len(prep.cont) > MAX_BRUTE_CONTINUOUS:
         raise InstanceTooLargeError(f"{len(prep.cont)} continuous loads exceed the oracle limit")
@@ -576,34 +511,33 @@ def brute_force_solve(instance: ShedInstance | ModelInstance) -> ShedPlan:
 
 
 def plan_violations(
-    instance: ShedInstance,
+    instance: ModelInstance,
     plan: ShedPlan,
     tol_w: float = FEASIBILITY_TOL_W,
 ) -> list[str]:
-    """Every constraint the plan violates beyond ``tol_w`` watts of slack."""
+    """Every constraint the plan violates beyond ``tol_w`` watts of slack.
+    A zone is named by its index in ``zone_limits_w``; a failed load's cap
+    is 0, so serving it shows as exceeding demand 0."""
+    model = instance.model
     problems = []
     served_total = 0.0
-    zone_served: dict[str, float] = {zl.zone: 0.0 for zl in instance.zone_limits}
-    zone_members = {zl.zone: set(zl.members) for zl in instance.zone_limits}
-    for e in instance.entries:
-        s = plan.statuses.get(e.load_id, 0.0)
-        p = s * e.rated_power_w
+    zone_served = [0.0] * len(instance.zone_limits_w)
+    for lid, rated, variability, zi, cap in zip(model.ids, model.rated, model.variability,
+                                                 model.zone_of, instance.caps):
+        s = plan.statuses.get(lid, 0.0)
+        p = s * rated
         served_total += p
-        if e.zone in zone_served and e.load_id in zone_members[e.zone]:
-            zone_served[e.zone] += p
-        if e.forced_off and abs(s) > 1e-9:
-            problems.append(f"load {e.load_id}: forced off but status {s}")
-        if s > e.status_cap + 1e-9:
-            problems.append(f"load {e.load_id}: status {s} exceeds demand {e.status_cap}")
-        if not e.variability.contains(s):
-            problems.append(f"load {e.load_id}: status {s} outside its domain")
+        if zi >= 0:
+            zone_served[zi] += p
+        if s > cap + 1e-9:
+            problems.append(f"load {lid}: status {s} exceeds demand {cap}")
+        if not variability.contains(s):
+            problems.append(f"load {lid}: status {s} outside its domain")
     if served_total > instance.capacity_budget_w + tol_w:
         problems.append(
             f"capacity: served {served_total} W exceeds budget {instance.capacity_budget_w} W"
         )
-    for zl in instance.zone_limits:
-        if zone_served[zl.zone] > zl.limit_w + tol_w:
-            problems.append(
-                f"zone {zl.zone}: served {zone_served[zl.zone]} W exceeds limit {zl.limit_w} W"
-            )
+    for zi, (served, limit) in enumerate(zip(zone_served, instance.zone_limits_w)):
+        if served > limit + tol_w:
+            problems.append(f"zone {zi}: served {served} W exceeds limit {limit} W")
     return problems

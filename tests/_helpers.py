@@ -16,12 +16,21 @@ from loadshed.model import (
     Variability,
     ZoneLimit,
 )
-from loadshed.optimizer import InstanceEntry, ShedInstance
+from loadshed.optimizer import FleetModel, ModelInstance
 from loadshed.plant import GeneratorTrip, LoadFailure, LoadProfile, ZoneLimitChange
 from loadshed.scenario import PlantConfig, ScenarioConfig
 
 MW = 1e6
 MAX_GEN_COMBOS = 1 << 20
+
+
+def model_instance(rows, budget: float, zones=()) -> ModelInstance:
+    """The problem over ``(id, weight, rated, demand, variability, zone)``
+    rows under ``zones`` (ZoneLimits), each demand clamped to [0, 1] as
+    :meth:`FleetModel.instance` clamps it."""
+    model = FleetModel([(lid, w, r, v, z) for lid, w, r, _, v, z in rows], zones)
+    caps = [0.0 if d < 0.0 else 1.0 if d > 1.0 else d for _, _, _, d, _, _ in rows]
+    return ModelInstance(model, caps, budget, [zl.limit_w for zl in zones])
 
 
 def random_instance(
@@ -30,10 +39,11 @@ def random_instance(
     max_continuous: int = 2,
     min_discrete: int = 3,
     allow_zones: bool = True,
-    allow_forced: bool = True,
+    allow_failed: bool = True,
     allow_stepped: bool = True,
-) -> ShedInstance:
-    """Seeded random shedding instance within the oracle's size limits."""
+) -> ModelInstance:
+    """Seeded random shedding instance within the oracle's size limits. Up
+    to three loads may have failed: they demand 0."""
     rng = random.Random(seed)
     n_disc = rng.randint(min_discrete, max_discrete)
     n_cont = rng.randint(0, max_continuous)
@@ -41,7 +51,7 @@ def random_instance(
     if allow_zones and rng.random() < 0.5:
         zone_pool = [f"Z{z + 1}" for z in range(rng.randint(1, 2))]
 
-    entries: list[InstanceEntry] = []
+    rows: list[list] = []  # id, weight, rated, demand, variability, zone
     combos = 1
     lid = 1
     for _ in range(n_disc):
@@ -59,37 +69,32 @@ def random_instance(
         if var.kind == "stepped" and demand == 1.0 and rng.random() < 0.3:
             demand = rng.choice(var.levels)
         zone = rng.choice(zone_pool) if zone_pool and rng.random() < 0.5 else None
-        entries.append(
-            InstanceEntry(lid, rng.uniform(0.5, 10.0), rng.uniform(1.0, 40.0) * MW,
-                          demand, var, False, zone)
-        )
+        rows.append([lid, rng.uniform(0.5, 10.0), rng.uniform(1.0, 40.0) * MW, demand, var, zone])
         lid += 1
     for _ in range(n_cont):
         zone = rng.choice(zone_pool) if zone_pool and rng.random() < 0.5 else None
-        entries.append(
-            InstanceEntry(lid, rng.uniform(0.5, 10.0), rng.uniform(1.0, 40.0) * MW,
-                          rng.uniform(0.2, 1.0), Variability.continuous(), False, zone)
-        )
+        rows.append([lid, rng.uniform(0.5, 10.0), rng.uniform(1.0, 40.0) * MW,
+                     rng.uniform(0.2, 1.0), Variability.continuous(), zone])
         lid += 1
 
-    if allow_forced and entries:
-        n_forced = rng.randint(0, min(3, len(entries)))
-        for pos in rng.sample(range(len(entries)), k=n_forced):
-            entries[pos] = replace(entries[pos], forced_off=True)
+    if allow_failed and rows:
+        n_failed = rng.randint(0, min(3, len(rows)))
+        for pos in rng.sample(range(len(rows)), k=n_failed):
+            rows[pos][3] = 0.0
 
-    total_required = sum(e.status_cap * e.rated_power_w for e in entries)
+    total_required = sum(d * r for _, _, r, d, _, _ in rows)
     budget = rng.uniform(0.0, total_required) if total_required > 0 else 0.0
     zone_limits = []
     for zname in zone_pool:
-        members = tuple(e.load_id for e in entries if e.zone == zname)
+        members = tuple(row[0] for row in rows if row[5] == zname)
         if not members:
             continue
-        zcap = sum(e.status_cap * e.rated_power_w for e in entries if e.zone == zname)
+        zcap = sum(d * r for _, _, r, d, _, z in rows if z == zname)
         zone_limits.append(ZoneLimit(zname, rng.uniform(0.2, 1.1) * max(zcap, 1.0), members))
-    return ShedInstance(tuple(entries), budget, tuple(zone_limits))
+    return model_instance(rows, budget, zone_limits)
 
 
-def assert_plans_agree(instance: ShedInstance, a, b, tol: float = 1e-9) -> None:
+def assert_plans_agree(instance: ModelInstance, a, b, tol: float = 1e-9) -> None:
     """Objectives within relative tolerance, plans identical under the tie-break.
 
     Discrete statuses must match exactly; continuous fills may differ by
@@ -99,12 +104,12 @@ def assert_plans_agree(instance: ShedInstance, a, b, tol: float = 1e-9) -> None:
     assert abs(a.objective - b.objective) <= tol * scale, (
         f"objectives differ: {a.objective} vs {b.objective}"
     )
-    for e in instance.entries:
-        sa, sb = a.statuses[e.load_id], b.statuses[e.load_id]
-        if e.variability.kind == "continuous":
-            assert abs(sa - sb) <= tol, f"load {e.load_id}: {sa} vs {sb}"
+    for lid, variability in zip(instance.model.ids, instance.model.variability):
+        sa, sb = a.statuses[lid], b.statuses[lid]
+        if variability.kind == "continuous":
+            assert abs(sa - sb) <= tol, f"load {lid}: {sa} vs {sb}"
         else:
-            assert sa == sb, f"load {e.load_id}: {sa} vs {sb}"
+            assert sa == sb, f"load {lid}: {sa} vs {sb}"
 
 
 def small_fleet() -> tuple[LoadSpec, ...]:

@@ -13,7 +13,7 @@ from loadshed.controller import (
     make_controller,
 )
 from loadshed.model import MissionWeightSet, SystemSnapshot, ZoneLimit
-from loadshed.optimizer import ConfigurationError, build_instance, solve
+from loadshed.optimizer import ConfigurationError, FleetModel, solve
 from loadshed.plant import LoadFailure, ZoneLimitChange
 from loadshed.scenario import default_fleet, default_scenario, default_weights, validate_scenario
 from loadshed.sim import _ControlNode, run_lockstep
@@ -149,7 +149,9 @@ class TestCachedModel:
             ctrl.on_telemetry(snap)
             weights = reference_weights(sc.weight_sets, snap.mission_id, t)
             zones = reference_zones(sc.zones, sc.events, t)
-            fresh = solve(build_instance(snap, weights, sc.fleet, zones), None)
+            # a fresh model each tick shares no model or search data with the controller
+            model = FleetModel.of_fleet(sc.fleet, weights, zones)
+            fresh = solve(model.instance(snap, [zl.limit_w for zl in zones]), None)
             plan = ctrl.last_plan
             assert plan.optimal
             assert (plan.statuses, plan.objective, plan.served_power_w) == (
