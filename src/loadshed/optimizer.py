@@ -8,16 +8,22 @@ linear (Dantzig) relaxation: the free loads filled greedily by density. A
 child that takes the top status of a load the relaxation took whole inherits
 its parent's bound, which is exact for it (the greedy forward move of
 Martello & Toth, *Knapsack Problems*, 1990, ch. 2). The root relaxation
-also records where its fill first falls short: before the
-item the budget cuts and before each zone's first cut. A sibling of the root's
-chain (lowering a load the root relaxation took whole, below ancestors that
-all followed it) resumes the fill there with the freed power instead of
-refilling from scratch (the forward move of Horowitz & Sahni, JACM 1974), so
-proving the first dive optimal costs about one fill, not one per level. A leaf
-fills the continuous loads greedily by density. Zone limits are disjoint per
-load (each load sits in at most one zone), so the constraint family is laminar
-and the greedy fill is exact. The clock is read at every node, so once the
-first leaf is reached a solve stops within one node of its deadline.
+also records where its fill first falls short: before the item the budget
+cuts and before each zone's first cut. A sibling of the root's chain
+(lowering a load the root relaxation took whole, below ancestors that all
+followed it) resumes the fill there with the freed power instead of refilling
+from scratch (the forward move of Horowitz & Sahni, JACM 1974), so proving the
+first dive optimal costs about one fill, not one per level. Most such siblings
+need no fill at all: the watts a sibling frees can only go to items from its
+resume point on, whose density is at most that point's, so its bound is at
+most the root bound less the freed watts times the density it gives up over
+that point's (the critical-item bound, Martello & Toth ch. 2). ``solve``
+checks that O(1) ceiling first; it prunes only siblings the resumed fill
+would prune, so the search tree is unchanged. A leaf fills the continuous
+loads greedily by density. Zone limits are disjoint per load (each load sits
+in at most one zone), so the constraint family is laminar and the greedy fill
+is exact. The clock is read at every node, so once the first leaf is reached
+a solve stops within one node of its deadline.
 
 Preparation is split in two. A :class:`FleetModel` holds what the fleet, its
 weight set and its zone membership fix: the canonical id order, the density
@@ -122,6 +128,26 @@ class FleetModel:
         self.downward = [None if t is None else t[::-1] for t in tables]
         self.top = [None if t is None else max(t) for t in tables]
         self.zero_key = (0.0, 0.0, (0.0,) * self.n)  # the all-shed plan's key
+        # How far a resumed bound (``_Prepared.resumed_bound``) may round above
+        # the ceiling ``solve`` checks first. Take u = 2**-53, m relaxation
+        # items (at most n), P the sum of their powers (at most the sum of
+        # ratings: no status exceeds 1 by more than STATUS_TOL, which the
+        # margin below absorbs) and V = P × (largest |density|), which bounds
+        # any fill's sum of |take × density|:
+        # - the root fill adds up to m rounded products, the resumed fill up
+        #   to m + 2, every term and partial sum at most 3V: 12(m + 1)uV;
+        # - each fill subtracts each take from the budget and a zone's room,
+        #   and the resumed fill adds Δ to both first: 2(m + 1) roundings each.
+        #   A room of 2P or more cannot cut any later item; a smaller one
+        #   rounds by at most 2uP, which moves the fill's value by at most
+        #   2uV: 8(m + 1)uV over both fills;
+        # - the ceiling's five operations, the cutoff less the slack, and the
+        #   resumed bound's w·s - top·r·density for -Δ·density: 20uV.
+        # That totals 20(m + 2)uV; the slack takes 32(n + 2)uV for margin. It
+        # scales with the loads, not with the bound, so it holds for any
+        # finite weights.
+        reach = sum(map(abs, self.rated)) * max(map(abs, self.density), default=0.0)
+        self.ceiling_slack = 32 * (self.n + 2) * 2.0 ** -53 * reach
         self._prepared_key: tuple[tuple[float, ...], tuple[float, ...]] | None = None
         self._prepared: _Prepared | None = None
 
@@ -234,6 +260,10 @@ class _Prepared:
         under a zone's index before that zone's first cut, if it comes
         earlier. :meth:`resumed_bound` continues from there.
         """
+        if rem <= 0.0:  # no room for any item, whose power is positive: nothing to scan
+            if snaps is not None:
+                snaps[-1] = (start, bound, rem, tuple(zrem))
+            return bound, 0
         head = level
         relax = self.relax
         for k in range(start, len(relax)):
@@ -266,6 +296,21 @@ class _Prepared:
         if snaps is not None and -1 not in snaps:
             snaps[-1] = (stop, bound, rem, tuple(zrem))
         return bound, head - level
+
+    def resume_rates(self, snaps: dict[int, _Snapshot]) -> list[float]:
+        """Per zone index, then for the budget (index -1), the most a watt
+        freed there can add to the relaxation that recorded ``snaps``: the
+        density of the item where :meth:`resumed_bound` resumes the fill,
+        which no later item exceeds, but at least 0 (the freed watt may go
+        unused); 0 where the fill ended uncut."""
+        relax = self.relax
+
+        def rate(snap: _Snapshot) -> float:
+            return max(0.0, relax[snap[0]][2]) if snap[0] < len(relax) else 0.0
+
+        budget = snaps[-1]
+        zones = [rate(snaps.get(zi, budget)) for zi in range(len(self.zone_limits))]
+        return zones + [rate(budget)]
 
     def resumed_bound(self, snaps: dict[int, _Snapshot], level: int, status: float) -> float:
         """The bound of the node that gives branch item ``level`` a
@@ -310,15 +355,31 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     scratch. A resumed bound that does not prune, and every node off that
     chain, computes ``relax_bound`` in full.
 
+    Before it resumes a sibling's fill it checks a ceiling on that bound in
+    O(1). Lowering load L from its top status to s frees Δ = (top - s)·rated
+    watts of budget and of L's zone. Every item before L's resume point (its
+    zone's first cut, else the budget's) that shares L's zone or no zone was
+    taken whole, and no other zone's room grew, so the freed watts can only
+    go to items from the resume point on. Those have at most the density d⁺
+    of the item there (taken as at least 0; 0 where the fill ended uncut),
+    and they take at most Δ more watts in all. So the resumed bound is at
+    most R - Δ·(density_L - d⁺), R the root bound. A sibling whose ceiling
+    falls below the cutoff by more than ``FleetModel.ceiling_slack``, which
+    covers the rounding of both sides, is one the resumed bound prunes too:
+    the search tree, and so every plan, is the one the resumed fills alone
+    give. Where a density ties d⁺ the ceiling cannot decide, and the resumed
+    fill does.
+
     The search is a loop over a list of paused visits (generators), not a
     recursion, so its depth (a level per branch load) is bounded by memory,
     not by the interpreter's recursion limit.
 
-    The clock is read at every node, pruned siblings included, but the
-    deadline holds only from the first leaf on: the first dive (the greedy
-    plan, which nothing prunes) is always completed, so an expired solve
-    returns at least that plan, never the all-zero one, flagged
-    ``optimal=False``.
+    The clock is read at every node, pruned siblings included (whichever
+    bound pruned them, so the ceiling leaves each solve's clock reads as they
+    were), but the deadline holds only from the first leaf on: the first
+    dive (the greedy plan, which nothing prunes) is always completed, so an
+    expired solve returns at least that plan, never the all-zero one,
+    flagged ``optimal=False``.
     """
     t0 = time.perf_counter()
     prep = instance.model.prepared(instance.caps, instance.zone_limits_w)
@@ -332,6 +393,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     deadline = math.inf  # becomes stop_at at the first leaf
     steps = prep.steps
     n_branch = len(steps)
+    density, slack = model.density, model.ceiling_slack
     zone_rem = list(prep.zone_limits)
     root: dict[int, _Snapshot] = {}  # the root relaxation's resume points
 
@@ -369,6 +431,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
                                         root if chain else None)
         if bound < cutoff:
             return
+        rates = prep.resume_rates(root) if chain else None
         # The relaxation took the next ``whole`` branch items whole, so a child
         # giving one its top status inherits the bound: exact there (up to
         # rounding), and it passed the incumbent, which no leaf has changed since.
@@ -398,8 +461,11 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
                 power = status * rated
                 if whole and status == top or power > rem or zi >= 0 and power > zone_rem[zi]:
                     continue
-                if whole and chain and prep.resumed_bound(root, level, status) < cutoff:
-                    # a pruned chain sibling: no relax_bound, but its clock read
+                # a chain sibling: its ceiling, else its resumed bound, may prune it
+                if whole and chain and (
+                        bound - (top - status) * rated * (density[i] - rates[zi]) < cutoff - slack
+                        or prep.resumed_bound(root, level, status) < cutoff):
+                    # pruned: no fill, but its clock read
                     if time.perf_counter() > deadline:
                         raise _DeadlineExpired
                     continue

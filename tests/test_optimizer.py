@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _helpers import MW, assert_plans_agree, model_instance, random_instance
+from loadshed import optimizer
 from loadshed.model import (
     STATUS_TOL,
     LoadGroup,
@@ -33,6 +34,18 @@ def binary_row(lid, weight, power_w, demand=1.0, zone=None):
 
 def cont_row(lid, weight, power_w, demand=1.0, zone=None):
     return (lid, weight, power_w, demand, Variability.continuous(), zone)
+
+
+def reweighted(inst: ModelInstance, weight) -> ModelInstance:
+    """``inst`` with the weight w of the load at model position k replaced
+    by ``weight(k, w)``: the same loads and zones, each zone named by its
+    index."""
+    m = inst.model
+    zones = [ZoneLimit(str(zi), limit, tuple(lid for lid, z in zip(m.ids, m.zone_of) if z == zi))
+             for zi, limit in enumerate(inst.zone_limits_w)]
+    loads = [(lid, weight(k, w), r, v, str(z)) for k, (lid, w, r, v, z)
+             in enumerate(zip(m.ids, m.weight, m.rated, m.variability, m.zone_of))]
+    return replace(inst, model=FleetModel(loads, zones))
 
 
 class TestSolveExamples:
@@ -293,6 +306,79 @@ class TestResumedBound:
         assert checked >= 50, f"only {checked} siblings of case {case}"
 
 
+def chain_ceilings(inst: ModelInstance):
+    """Each sibling of the root relaxation's chain, as ``chain_siblings``
+    walks them: the ceiling ``solve`` checks it against, the slack it allows
+    that check, and its resumed bound."""
+    prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
+    snaps = {}
+    bound, whole = prep.relax_bound(0, 0, inst.capacity_budget_w, 0.0,
+                                    list(prep.zone_limits), snaps)
+    rates = prep.resume_rates(snaps)
+    for level in range(whole):
+        i, _, rated, zi, downward, top = prep.steps[level]
+        for status in downward[1:]:
+            ceiling = bound - (top - status) * rated * (inst.model.density[i] - rates[zi])
+            yield ceiling, inst.model.ceiling_slack, prep.resumed_bound(snaps, level, status)
+
+
+def count_resumed_fills(monkeypatch) -> list:
+    """Patch ``_Prepared.resumed_bound`` to append to the list it returns."""
+    calls = []
+    resumed_bound = optimizer._Prepared.resumed_bound
+
+    def counted(prep, *args):
+        calls.append(args)
+        return resumed_bound(prep, *args)
+
+    monkeypatch.setattr(optimizer._Prepared, "resumed_bound", counted)
+    return calls
+
+
+class TestResumeCeiling:
+    """Before it resumes a chain sibling's fill, ``solve`` checks an O(1)
+    ceiling on the bound that fill would give: the root bound less the freed
+    power times the density the load gives up over the best density left
+    where the fill would resume."""
+
+    @pytest.mark.parametrize("family", [
+        lambda seed: random_instance(seed, max_discrete=14),
+        tied_zoned_instance,
+        chain_instance,
+        # weights validation refuses but a direct caller may pass: fills meet
+        # items of negative density, and a freed watt may earn less than 0
+        lambda seed: reweighted(chain_instance(seed), lambda k, w: -w if k % 3 == 1 else w),
+    ], ids=["random", "tied-zoned", "chain", "signed"])
+    def test_bounds_every_resumed_bound(self, family):
+        checked = 0
+        for seed in range(300):
+            for ceiling, slack, resumed in chain_ceilings(family(seed)):
+                assert ceiling + slack >= resumed, f"seed {seed}: {ceiling} < {resumed}"
+                checked += 1
+        assert checked >= 300, f"only {checked} siblings"
+
+    def test_prunes_every_sibling_when_every_load_fits(self, monkeypatch):
+        # test_one_clock_read_per_node's instance: the fill ends uncut, so a
+        # freed watt earns nothing and each sibling's ceiling is the root
+        # bound less the lowered load's weight, below the greedy plan's value
+        calls = count_resumed_fills(monkeypatch)
+        inst = model_instance(tuple(binary_row(i, 5.0, MW) for i in range(1, 11)), 20 * MW)
+        assert solve(inst, deadline_s=None).optimal
+        assert calls == []
+
+    def test_tied_density_falls_back_to_the_resumed_fill(self, monkeypatch):
+        # every load earns 1 per MW, and the budget cuts load 3: a watt freed
+        # by lowering load 1 or 2 earns what it gave up, so the ceiling stays
+        # at the root bound 2.5, above the greedy plan's 2, and the resumed
+        # fill decides (bound 2, a tie, so the sibling is searched)
+        calls = count_resumed_fills(monkeypatch)
+        inst = model_instance(tuple(binary_row(i, 1.0, MW) for i in (1, 2, 3)), 2.5 * MW)
+        fast = solve(inst, deadline_s=None)
+        assert calls
+        assert fast.optimal
+        assert_plans_agree(inst, fast, brute_force_solve(inst))
+
+
 class TestContinuousFillAgainstLinprog:
     """Independent check of the greedy density fill with an LP solver."""
 
@@ -420,15 +506,7 @@ class TestProperties:
     def test_weight_scaling_keeps_the_plan(self, seed, c):
         inst = random_instance(seed + 700, max_discrete=12)
         base = solve(inst, deadline_s=None)
-        m = inst.model
-        # the same loads and zones, each zone named by its index
-        zones = [ZoneLimit(str(zi), limit, tuple(lid for lid, z in zip(m.ids, m.zone_of)
-                                                 if z == zi))
-                 for zi, limit in enumerate(inst.zone_limits_w)]
-        scaled_model = FleetModel([(lid, w * c, r, v, str(z)) for lid, w, r, v, z
-                                   in zip(m.ids, m.weight, m.rated, m.variability, m.zone_of)],
-                                  zones)
-        scaled = solve(replace(inst, model=scaled_model), deadline_s=None)
+        scaled = solve(reweighted(inst, lambda k, w: w * c), deadline_s=None)
         assert scaled.statuses == base.statuses
         assert scaled.objective == pytest.approx(base.objective * c, rel=1e-9)
 
@@ -515,6 +593,29 @@ class TestDeepSearch:
         assert plan.optimal
         assert plan.objective == math.fsum(row[1] for row in rows[:1000])
         assert plan_violations(inst, plan) == []
+
+
+class TestZeroBudget:
+    def test_dive_without_room_is_linear(self):
+        # with no budget no item fits, so no node's fill scans the relaxation
+        # items (the root reads one, the rate at its resume point): the dive
+        # costs O(n), not O(n^2)
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, k):
+                self.reads += 1
+                return super().__getitem__(k)
+
+        n = 2000
+        rows = tuple(binary_row(i + 1, 2 - i / n, MW) for i in range(n))
+        inst = model_instance(rows, 0.0)
+        prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
+        prep.relax = CountingList(prep.relax)
+        plan = solve(inst, deadline_s=None)
+        assert plan.optimal
+        assert plan.objective == 0.0 and set(plan.statuses.values()) == {0.0}
+        assert prep.relax.reads <= n
 
 
 class TestTieBreak:
