@@ -7,7 +7,6 @@ an exact mission-weighted shedding optimizer, and scenario tooling with
 operability metrics and comparison reports.
 """
 
-from .baseline import BaselineState, baseline_reset, baseline_step
 from .controller import (
     AdvancedController,
     BaselineController,

@@ -9,10 +9,10 @@ run; the timer resets whenever loading drops to 1.0 pu or below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import deque
 from collections.abc import Sequence
 
-from .model import Category, LoadSpec, ShedCommand, SystemSnapshot
+from .model import Category, LoadSpec, SystemSnapshot
 
 # Stage opening thresholds, in escalation order (seconds of sustained overload).
 STAGE_THRESHOLDS_S: tuple[tuple[Category, float], ...] = (
@@ -27,53 +27,36 @@ STAGE_THRESHOLDS_S: tuple[tuple[Category, float], ...] = (
 _BOUNDARY_SLACK_S = 1e-6
 
 
-@dataclass(frozen=True)
-class BaselineState:
-    overload_timer_s: float = 0.0
-    shed: frozenset[int] = frozenset()
-    cursors: tuple[int, int, int] = (0, 0, 0)  # next index per stage category
+class BaselineController:
+    """The staged rule: each overloaded tick advances the timer and cuts at
+    most one load, from the first open stage whose category has one left.
 
+    ``intent`` is the statuses it commands, in fleet order; it stays the same
+    tuple object while no load is cut. There is no optimization solve, so
+    ``last_solve_time_s`` stays 0.0 and ``last_plan`` None.
+    """
 
-def baseline_reset() -> BaselineState:
-    return BaselineState()
+    last_solve_time_s = 0.0
+    last_plan = None
 
+    def __init__(self, fleet: Sequence[LoadSpec], tick_s: float):
+        self.fleet = tuple(fleet)
+        self.tick_s = tick_s
+        self.intent: tuple[float, ...] = (1.0,) * len(self.fleet)
+        self.overload_timer_s = 0.0
+        # per stage, the fleet positions of its category's uncut loads, in declaration order
+        self._uncut = tuple(
+            deque(k for k, spec in enumerate(self.fleet) if spec.group.category is cat)
+            for cat, _ in STAGE_THRESHOLDS_S)
 
-def category_order(fleet: Sequence[LoadSpec]) -> dict[Category, list[int]]:
-    """Load ids per category, in fleet declaration order."""
-    order: dict[Category, list[int]] = {cat: [] for cat, _ in STAGE_THRESHOLDS_S}
-    for spec in fleet:
-        order[spec.group.category].append(spec.id)
-    return order
-
-
-def baseline_step(
-    state: BaselineState,
-    snapshot: SystemSnapshot,
-    fleet: Sequence[LoadSpec],
-    tick_s: float,
-) -> tuple[BaselineState, tuple[ShedCommand, ...]]:
-    """Advance the overload timer by one tick and shed at most one load."""
-    if snapshot.loading_pu <= 1.0:
-        if state.overload_timer_s == 0.0:
-            return state, ()
-        return replace(state, overload_timer_s=0.0), ()
-
-    timer = state.overload_timer_s + tick_s
-    order = category_order(fleet)
-    cursors = list(state.cursors)
-    for stage, (cat, threshold) in enumerate(STAGE_THRESHOLDS_S):
-        if timer <= threshold + _BOUNDARY_SLACK_S:
-            continue
-        ids = order[cat]
-        if cursors[stage] >= len(ids):
-            continue  # this category is exhausted, try the next open stage
-        target = ids[cursors[stage]]
-        cursors[stage] += 1
-        next_state = BaselineState(
-            overload_timer_s=timer,
-            shed=state.shed | {target},
-            cursors=tuple(cursors),
-        )
-        return next_state, (ShedCommand(target, 0.0),)
-
-    return replace(state, overload_timer_s=timer), ()
+    def on_telemetry(self, snapshot: SystemSnapshot) -> None:
+        if snapshot.loading_pu <= 1.0:
+            self.overload_timer_s = 0.0
+            return
+        self.overload_timer_s += self.tick_s
+        for (_, threshold), uncut in zip(STAGE_THRESHOLDS_S, self._uncut):
+            if uncut and self.overload_timer_s > threshold + _BOUNDARY_SLACK_S:
+                intent = list(self.intent)
+                intent[uncut.popleft()] = 0.0
+                self.intent = tuple(intent)
+                return

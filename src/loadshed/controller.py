@@ -1,13 +1,15 @@
 """Shedding controllers: the staged baseline and the mission-weighted optimizer.
 
-Controllers are driven one telemetry snapshot at a time and reply with the
-commands whose statuses changed. Each keeps its ``intent``, the statuses it
-commands, as a tuple in fleet order. The advanced controller looks up the
-weight set and zone limits in force in a mission schedule built once, and
-solves the shedding optimization within its per-tick deadline. A tick whose
-problem equals the one behind the last plan, when that plan was proven
-optimal, keeps the plan without solving: ``solve`` is a pure function of the
-problem. The control period is the run's tick, which the engine passes in.
+A controller turns telemetry into intent. It is driven one snapshot at a time
+and keeps its ``intent``, the statuses it commands, as a tuple in fleet order:
+the same tuple object while no status changes. The control node diffs the
+intent into command batches; no controller builds commands. The advanced
+controller looks up the weight set and zone limits in force in a mission
+schedule built once, and solves the shedding optimization within its per-tick
+deadline. A tick whose problem equals the one behind the last plan, when that
+plan was proven optimal, keeps the plan without solving: ``solve`` is a pure
+function of the problem. The control period is the run's tick, which the
+engine passes in.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .baseline import BaselineState, baseline_reset, baseline_step
+from .baseline import BaselineController
 from .metrics import DEFAULT_TICK_S
-from .model import LoadSpec, MissionWeightSet, ShedCommand, SystemSnapshot, ZoneLimit
+from .model import LoadSpec, MissionWeightSet, SystemSnapshot, ZoneLimit
 from .optimizer import FleetModel, ModelInstance, ShedPlan, solve
 from .plant import PlantEvent, ZoneLimitChange
 
@@ -118,13 +120,13 @@ class AdvancedController:
         # database holds the sets as long as we do, so identity is a stable key
         self._models: dict[int, FleetModel] = {}
 
-    def on_telemetry(self, snapshot: SystemSnapshot) -> tuple[ShedCommand, ...]:
+    def on_telemetry(self, snapshot: SystemSnapshot) -> None:
         self.last_solve_time_s = 0.0
         segment = self.database.segment_at(snapshot.mission_id, snapshot.time_s)
         if segment is None:
             log.warning("no weights for mission %d at t=%.1f s; holding last commands",
                         snapshot.mission_id, snapshot.time_s)
-            return ()
+            return
         weights = segment.weights
         model = self._models.get(id(weights))
         if model is None:
@@ -132,41 +134,13 @@ class AdvancedController:
                 self.fleet, weights, self.database.zones)
         instance = model.instance(snapshot, segment.limits_w)
         if self.last_plan is not None and self.last_plan.optimal and instance == self._solved:
-            return ()  # the same plan, which the intent already holds
+            return  # the same plan, which the intent already holds
         plan = solve(instance, self.config.solve_deadline_s)
         self.last_plan, self._solved = plan, instance
         self.last_solve_time_s = plan.solve_time_s
-        statuses = plan.statuses.values()  # the model lists the fleet in order
-        commands = tuple(ShedCommand(spec.id, status)
-                         for spec, status, old in zip(self.fleet, statuses, self.intent)
-                         if status != old)
-        if commands:  # else every tick since the last command shares one tuple
-            self.intent = tuple(statuses)
-        return commands
-
-
-class BaselineController:
-    """Wrapper giving the staged baseline the same driving surface."""
-
-    def __init__(self, fleet: Sequence[LoadSpec], tick_s: float):
-        self.fleet = tuple(fleet)
-        self.tick_s = tick_s
-        self.state: BaselineState = baseline_reset()
-        self.intent: tuple[float, ...] = (1.0,) * len(self.fleet)
-        self._index = {spec.id: k for k, spec in enumerate(self.fleet)}
-
-    @property
-    def last_solve_time_s(self) -> float:
-        return 0.0  # rule evaluation, no optimization solve
-
-    def on_telemetry(self, snapshot: SystemSnapshot) -> tuple[ShedCommand, ...]:
-        self.state, commands = baseline_step(self.state, snapshot, self.fleet, self.tick_s)
-        if commands:
-            intent = list(self.intent)
-            for cmd in commands:
-                intent[self._index[cmd.load_id]] = cmd.status
-            self.intent = tuple(intent)
-        return commands
+        statuses = tuple(plan.statuses.values())  # the model lists the fleet in order
+        if statuses != self.intent:  # else every tick since the last change shares one tuple
+            self.intent = statuses
 
 
 Controller = AdvancedController | BaselineController

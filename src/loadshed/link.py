@@ -85,12 +85,8 @@ class CountMismatch(DecodeError):
     """Datagram length does not match its record count."""
 
 
-class MultipartPart(DecodeError):
-    """A split datagram part; feed it to a :class:`Reassembler` instead."""
-
-
 class DatagramTooLarge(ValueError):
-    """Message does not fit one datagram (use a ``_parts`` encoder) or MAX_PARTS parts."""
+    """Message does not fit in MAX_PARTS parts."""
 
 
 @dataclass(frozen=True)
@@ -135,50 +131,31 @@ def _command_body(commands: Sequence[ShedCommand]) -> tuple[bytes, bytes]:
     return b"".join(_COMMAND_RECORD.pack(c.load_id, c.status) for c in commands), b""
 
 
-def _encode(msg_type: int, seq: int, timestamp_ms: int, count: int,
-            records: bytes, trailer: bytes) -> bytes:
-    header = _HEADER.pack(MAGIC, VERSION, msg_type, seq, timestamp_ms, count)
-    data = header + records + trailer
-    if len(data) > MAX_DATAGRAM:
-        raise DatagramTooLarge(f"{len(data)} bytes exceed the {MAX_DATAGRAM} byte cap")
-    return data
-
-
 def _encode_parts(msg_type: int, seq: int, timestamp_ms: int, count: int,
                   records: bytes, trailer: bytes) -> tuple[bytes, ...]:
-    single = _HEADER.size + len(records) + len(trailer)
-    if single <= MAX_DATAGRAM:
-        return (_encode(msg_type, seq, timestamp_ms, count, records, trailer),)
     step = _PER_PART[msg_type] * _RECORD_SIZE[msg_type]
-    chunks = [records[i : i + step] for i in range(0, len(records), step)]
-    if len(chunks) > MAX_PARTS:
-        raise DatagramTooLarge(f"{count} records need {len(chunks)} parts, over {MAX_PARTS}")
+    n_parts = -(-len(records) // step)
+    if n_parts > MAX_PARTS:
+        raise DatagramTooLarge(f"{count} records need {n_parts} parts, over {MAX_PARTS}")
     header = _HEADER.pack(MAGIC, VERSION, msg_type, seq, timestamp_ms, count)
+    if len(header) + len(records) + len(trailer) <= MAX_DATAGRAM:
+        return (header + records + trailer,)
     parts = []
-    for index, chunk in enumerate(chunks):
-        final = index == len(chunks) - 1
+    for index, start in enumerate(range(0, len(records), step)):
+        final = index == n_parts - 1
         part_byte = bytes([index | (0x80 if final else 0)])
-        parts.append(header + part_byte + chunk + (trailer if final else b""))
+        parts.append(header + part_byte + records[start : start + step]
+                     + (trailer if final else b""))
     return tuple(parts)
 
 
-def encode_telemetry(snapshot: SystemSnapshot, seq: int) -> bytes:
-    """One telemetry datagram; raises :class:`DatagramTooLarge` if it won't fit."""
-    records, trailer = _telemetry_body(snapshot)
-    timestamp = max(0, round(snapshot.time_s * 1000.0))
-    return _encode(MSG_TELEMETRY, seq, timestamp, len(snapshot.load_ids), records, trailer)
-
-
 def encode_telemetry_parts(snapshot: SystemSnapshot, seq: int) -> tuple[bytes, ...]:
+    """One datagram, or the parts of a message over ``MAX_DATAGRAM`` bytes;
+    raises :class:`DatagramTooLarge` past ``MAX_PARTS`` parts."""
     records, trailer = _telemetry_body(snapshot)
     timestamp = max(0, round(snapshot.time_s * 1000.0))
     return _encode_parts(MSG_TELEMETRY, seq, timestamp, len(snapshot.load_ids), records,
                          trailer)
-
-
-def encode_commands(commands: Sequence[ShedCommand], seq: int, timestamp_ms: int = 0) -> bytes:
-    records, trailer = _command_body(commands)
-    return _encode(MSG_COMMANDS, seq, timestamp_ms, len(commands), records, trailer)
 
 
 def encode_commands_parts(
@@ -264,24 +241,6 @@ def decode_datagram(data: bytes) -> DatagramView | DatagramPart:
     if len(body) % rec_size != 0:
         raise CountMismatch("part payload is not a whole number of records")
     return DatagramPart(msg_type, seq, timestamp_ms, count, index, final, body, trailer)
-
-
-def decode_telemetry(data: bytes) -> SystemSnapshot:
-    view = decode_datagram(data)
-    if isinstance(view, DatagramPart):
-        raise MultipartPart("telemetry arrived split; use a Reassembler")
-    if view.msg_type != MSG_TELEMETRY:
-        raise BadMessageType("datagram is not telemetry")
-    return view.snapshot
-
-
-def decode_commands(data: bytes) -> tuple[ShedCommand, ...]:
-    view = decode_datagram(data)
-    if isinstance(view, DatagramPart):
-        raise MultipartPart("command batch arrived split; use a Reassembler")
-    if view.msg_type != MSG_COMMANDS:
-        raise BadMessageType("datagram is not a command batch")
-    return view.commands
 
 
 class Reassembler:

@@ -192,17 +192,28 @@ def validate_fleet(
     weights: MissionWeightSet | None = None,
 ) -> ValidationReport:
     """Check every fleet/zone/weight invariant; collects issues, never raises."""
+    issues, _ = fleet_issues(fleet, zones)
+    if weights is not None:
+        issues.extend(weight_issues(fleet, weights))
+    return ValidationReport(tuple(issues))
+
+
+def fleet_issues(
+    fleet: Sequence[LoadSpec], zones: Sequence[ZoneLimit]
+) -> tuple[list[ValidationIssue], dict[int, LoadSpec]]:
+    """The fleet and zone issues, and the fleet by load id (the last of a
+    duplicated id wins)."""
     issues: list[ValidationIssue] = []
 
     def bad(code: str, subject: str, message: str) -> None:
         issues.append(ValidationIssue(code, subject, message))
 
-    seen: set[int] = set()
+    by_id: dict[int, LoadSpec] = {}
     for spec in fleet:
         subject = f"load {spec.id}"
-        if spec.id in seen:
+        if spec.id in by_id:
             bad("duplicate-id", subject, "id appears more than once in the fleet")
-        seen.add(spec.id)
+        by_id[spec.id] = spec
         if not 0 < spec.rated_power_w < math.inf:
             bad("rated-power", subject,
                 f"rated power must be finite and > 0 W, got {spec.rated_power_w}")
@@ -219,8 +230,6 @@ def validate_fleet(
                     bad("stepped-levels", subject, f"last level must be 1.0, got {levels[-1]}")
         elif spec.variability.kind not in ("binary", "continuous"):
             bad("variability", subject, f"unknown variability kind {spec.variability.kind!r}")
-
-    by_id = {spec.id: spec for spec in fleet}
 
     seen_zones: set[str] = set()
     for zl in zones:
@@ -239,9 +248,7 @@ def validate_fleet(
             elif spec.zone != zl.zone:
                 bad("zone-members", subject, f"member load {lid} declares zone {spec.zone!r}")
 
-    if weights is not None:
-        issues.extend(weight_issues(fleet, weights))
-    return ValidationReport(tuple(issues))
+    return issues, by_id
 
 
 def weight_issues(fleet: Sequence[LoadSpec],
@@ -260,6 +267,3 @@ def weight_issues(fleet: Sequence[LoadSpec],
                                       "at least one weight must be positive"))
     return issues
 
-
-def fleet_by_id(fleet: Sequence[LoadSpec]) -> dict[int, LoadSpec]:
-    return {spec.id: spec for spec in fleet}

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import LoadGroup, LoadSpec
+from .model import LoadGroup
 
 RUN_CSV_VERSION = "loadshed-run-csv v1"
 
@@ -63,29 +63,6 @@ class RunMeta:
     @property
     def load_ids(self) -> tuple[int, ...]:
         return tuple(lid for lid, _, _ in self.fleet)
-
-
-def meta_from_fleet(
-    fleet: Sequence[LoadSpec],
-    *,
-    tick_s: float,
-    t_start_s: float,
-    t_end_s: float,
-    algorithm: str,
-    mode: str,
-    seed: int,
-    mission_id: int,
-) -> RunMeta:
-    return RunMeta(
-        tick_s=tick_s,
-        t_start_s=t_start_s,
-        t_end_s=t_end_s,
-        algorithm=algorithm,
-        mode=mode,
-        seed=seed,
-        mission_id=mission_id,
-        fleet=tuple((s.id, s.group.value, s.rated_power_w) for s in fleet),
-    )
 
 
 def _columns(load_ids: Sequence[int]) -> list[str]:

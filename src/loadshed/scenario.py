@@ -26,8 +26,7 @@ from .model import (
     ValidationReport,
     Variability,
     ZoneLimit,
-    fleet_by_id,
-    validate_fleet,
+    fleet_issues,
     weight_issues,
 )
 from .plant import (
@@ -85,7 +84,7 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
     are finite numbers in range, module ids are unique, and every id and the
     fleet size fit the datagrams.
     """
-    issues: list[ValidationIssue] = list(validate_fleet(sc.fleet, sc.zones))
+    issues, by_id = fleet_issues(sc.fleet, sc.zones)
 
     def bad(code: str, subject: str, message: str) -> None:
         issues.append(ValidationIssue(code, subject, message))
@@ -128,7 +127,6 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
     if len(sc.fleet) > MAX_TELEMETRY_LOADS:
         bad("wire-fleet-size", "fleet", f"{len(sc.fleet)} loads exceed the "
             f"{MAX_TELEMETRY_LOADS} one telemetry message can carry")
-    by_id = fleet_by_id(sc.fleet)
     for lid, profile in sc.profiles.items():
         subject = f"profile for load {lid}"
         spec = by_id.get(lid)

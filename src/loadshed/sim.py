@@ -10,13 +10,17 @@ both modes, so the drop schedule is a pure function of the seed.
 
 The controller side is a :class:`_ControlNode`: it keeps the freshest
 telemetry, owns the staleness failsafe (telemetry older than
-``stale_limit`` ticks: re-send the last batch, flag the tick degraded) and
-times each solve. Lockstep calls it inline, and the queues also apply
-latency and jitter. Networked mode serves it on a thread behind real UDP
-sockets, which supply the latency, so ``latency_ms`` and ``jitter_ms``
-apply to lockstep only; a tick whose telemetry is lost, or whose reply does
-not come in time, is degraded while the plant holds its last commands. A
-loss-free networked run reproduces the lockstep run exactly.
+``stale_limit`` ticks: re-send the last batch, flag the tick degraded),
+times each solve and alone turns intent into commands. It hands the
+controller the telemetry and diffs the controller's ``intent`` before and
+after: the batch is the statuses that changed, in fleet order, or empty
+when the intent is the same tuple object. Lockstep calls the node inline,
+and the queues also apply latency and jitter. Networked mode serves it on a
+thread behind real UDP sockets, which supply the latency, so
+``latency_ms`` and ``jitter_ms`` apply to lockstep only; a tick whose
+telemetry is lost, or whose reply does not come in time, is degraded while
+the plant holds its last commands. A loss-free networked run reproduces
+the lockstep run exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .link import DelayQueue, Reassembler
 from .metrics import measured_sum, operability, served_sums
 from .model import LoadSpec, ShedCommand, SystemSnapshot
 from .plant import Plant
-from .records import RunRecord, RunMeta, meta_from_fleet
+from .records import RunRecord, RunMeta
 from .scenario import ScenarioConfig
 
 log = logging.getLogger(__name__)
@@ -178,11 +182,15 @@ class _ControlNode:
         if (used.load_ids != self._ids or not used.loading_pu >= 0.0 or not math.isfinite(
                 sum(used.demands) + used.total_capacity_w + used.total_loss_w)):
             return self.last.held()
+        controller = self.controller
+        before = controller.intent
         t0 = time.perf_counter()
-        batch = self.controller.on_telemetry(used)
-        solve_time = self.controller.last_solve_time_s or (time.perf_counter() - t0)
-        plan = getattr(self.controller, "last_plan", None)
-        intent = self.controller.intent
+        controller.on_telemetry(used)
+        solve_time = controller.last_solve_time_s or (time.perf_counter() - t0)
+        plan, intent = controller.last_plan, controller.intent
+        batch = () if intent is before else tuple(
+            ShedCommand(lid, status)
+            for lid, status, old in zip(self._ids, intent, before) if status != old)
         last_intent, last_demands, intent_power = self._intent_power
         if intent is not last_intent or used.demands is not last_demands:
             intent_power = 0.0
@@ -304,8 +312,7 @@ def _run(sc: ScenarioConfig, algorithm: str | None, seed: int | None,
     q_tel = DelayQueue(queue_cfg, "telemetry")
     q_cmd = DelayQueue(queue_cfg, "commands")
 
-    meta = meta_from_fleet(
-        sc.fleet,
+    meta = RunMeta(
         tick_s=sc.window.tick_s,
         t_start_s=sc.window.t_start_s,
         t_end_s=sc.window.t_end_s,
@@ -313,6 +320,7 @@ def _run(sc: ScenarioConfig, algorithm: str | None, seed: int | None,
         mode=mode,
         seed=impair_cfg.seed,
         mission_id=sc.mission_id,
+        fleet=tuple((spec.id, spec.group.value, spec.rated_power_w) for spec in sc.fleet),
     )
     result = RunResult(meta, [], [], [], [], [], [], [])
 

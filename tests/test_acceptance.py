@@ -148,7 +148,7 @@ def test_07_group_behavior(advanced_run, baseline_run):
 
 def test_08_baseline_timer_semantics():
     """Stage thresholds and declaration order on random loading traces."""
-    from loadshed.baseline import baseline_reset, baseline_step
+    from loadshed.baseline import BaselineController
     from loadshed.model import Category
     from loadshed.scenario import default_fleet
 
@@ -167,34 +167,43 @@ def test_08_baseline_timer_semantics():
         trace = [rng.uniform(0.7, 1.4) for _ in range(n)]
         if rng.random() < 0.3:
             trace = [rng.uniform(1.05, 1.4) for _ in range(n)]  # sustained overload
-        state = baseline_reset()
+        ctrl = BaselineController(fleet, 0.1)
         timer = 0.0
         shed_by_cat = {cat: [] for cat in Category}
         overloaded_ever = False
-        commands_seen = 0
+        cuts_seen = 0
         for k, loading in enumerate(trace, start=1):
-            state, commands = baseline_step(state, snap(loading, 0.1 * k), fleet, 0.1)
+            before = ctrl.intent
+            ctrl.on_telemetry(snap(loading, 0.1 * k))
             timer = timer + 0.1 if loading > 1.0 else 0.0
             overloaded_ever = overloaded_ever or loading > 1.0
-            for c in commands:
-                commands_seen += 1
-                cat = next(s.group.category for s in fleet if s.id == c.load_id)
-                shed_by_cat[cat].append(c.load_id)
+            cut = [(s, new) for s, new, old in zip(fleet, ctrl.intent, before) if new != old]
+            assert len(cut) <= 1 and (ctrl.intent is before) == (not cut)
+            for s, status in cut:
+                cuts_seen += 1
+                assert status == 0.0
+                shed_by_cat[s.group.category].append(s.id)
                 assert timer > 0.25
-                if cat is Category.SEMI_VITAL:
+                if s.group.category is Category.SEMI_VITAL:
                     assert timer > 2.5
-                if cat is Category.VITAL:
+                if s.group.category is Category.VITAL:
                     assert timer > 5.0
+            assert ctrl.overload_timer_s == pytest.approx(timer)
         for cat in Category:
             got = shed_by_cat[cat]
             assert got == order[cat][: len(got)], "declaration order violated"
         if not overloaded_ever:
-            assert commands_seen == 0
+            assert cuts_seen == 0
     announce(8, "baseline timer semantics (200 random traces)")
 
 
 def test_09_codec():
     """1e4 round trips, 1e5 fuzz decodes, exact byte-layout fixtures."""
+
+    def decode(parts):
+        (data,) = parts  # every message here fits one datagram
+        return link.decode_datagram(data)
+
     rng = random.Random(90)
     for _ in range(10000):
         n = rng.randint(0, 50)
@@ -208,10 +217,10 @@ def test_09_codec():
             total_loss_w=rng.uniform(0, 1e6),
             loading_pu=rng.uniform(0, 2),
         )
-        assert link.decode_telemetry(link.encode_telemetry(snap, 1)) == snap
+        assert decode(link.encode_telemetry_parts(snap, 1)).snapshot == snap
         commands = tuple(ShedCommand(rng.randint(0, 65535), rng.random())
                          for _ in range(rng.randint(0, 40)))
-        assert link.decode_commands(link.encode_commands(commands, 2)) == commands
+        assert decode(link.encode_commands_parts(commands, 2)).commands == commands
 
     crashes = 0
     for _ in range(100000):
@@ -224,16 +233,16 @@ def test_09_codec():
             crashes += 1
     assert crashes == 0
 
-    empty = link.encode_telemetry(
+    (empty,) = link.encode_telemetry_parts(
         SystemSnapshot(0.0, 0, (), (), (), 0.0, 0.0, 0.0), seq=1
     )
     assert empty[:18] == bytes([0x4C, 0x53, 1, 1, 1, 0, 0, 0]) + b"\x00" * 10
     assert len(empty) == 52
-    one = link.encode_telemetry(
+    (one,) = link.encode_telemetry_parts(
         SystemSnapshot(0.0, 0, (7,), (1.0,), (0.0,), 0.0, 0.0, 0.0), seq=0
     )
     assert one[18:28] == b"\x07\x00" + b"\x00\x00\x00\x00\x00\x00\xf0\x3f"
-    cmd = link.encode_commands([ShedCommand(3, 0.5)], seq=0)
+    (cmd,) = link.encode_commands_parts([ShedCommand(3, 0.5)], seq=0)
     assert cmd[18:28] == b"\x03\x00" + b"\x00\x00\x00\x00\x00\x00\xe0\x3f"
     announce(9, "codec (10k round trips, 100k fuzz, byte fixtures)")
 

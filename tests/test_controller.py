@@ -35,6 +35,12 @@ def full_demand():
     return [1.0 if s.variability.kind == "binary" else 0.64 for s in FLEET]
 
 
+def batches(ctrl, *snaps):
+    """The batches a control node around ``ctrl`` sends, one per snapshot."""
+    node = _ControlNode(ctrl, stale_limit=5, fleet=ctrl.fleet)
+    return [node.exchange(k, [(k, snap)]).batch for k, snap in enumerate(snaps, start=1)]
+
+
 class TestControllerConfig:
     def test_defaults_are_valid(self):
         cfg = ControllerConfig()
@@ -60,7 +66,7 @@ class TestAdvancedController:
 
     def test_ample_capacity_restores_every_demand(self):
         ctrl = self.make()
-        commands = ctrl.on_telemetry(snapshot(full_demand(), 96 * MW))
+        (commands,) = batches(ctrl, snapshot(full_demand(), 96 * MW))
         # every load tracks its demand status exactly
         assert ctrl.intent == tuple(full_demand())
         # first tick emits commands only for loads below full permission
@@ -69,7 +75,7 @@ class TestAdvancedController:
 
     def test_trip_throttles_pmm_only(self):
         ctrl = self.make()
-        commands = ctrl.on_telemetry(snapshot(full_demand(), 60 * MW, t=310.0))
+        (commands,) = batches(ctrl, snapshot(full_demand(), 60 * MW, t=310.0))
         pmm = [s.group.value == "PMM" for s in FLEET]
         assert commands, "shortfall must produce commands"
         for s, is_pmm, status in zip(FLEET, pmm, ctrl.intent):
@@ -81,14 +87,14 @@ class TestAdvancedController:
     def test_no_commands_when_nothing_changes(self):
         ctrl = self.make()
         snap = snapshot(full_demand(), 96 * MW)
-        ctrl.on_telemetry(snap)
-        assert ctrl.on_telemetry(snap) == ()
+        first, second = batches(ctrl, snap, snap)
+        assert first and second == ()
 
     def test_unknown_mission_holds(self, caplog):
         ctrl = self.make()
         snap = snapshot(full_demand(), 60 * MW, mission_id=9)
         with caplog.at_level(logging.WARNING):
-            assert ctrl.on_telemetry(snap) == ()
+            assert batches(ctrl, snap) == [()]
         assert any("mission 9" in rec.message for rec in caplog.records)
 
     def test_never_commands_above_demand(self):
@@ -213,12 +219,14 @@ class TestPlanReuse:
 
     def test_identical_snapshots_solve_once(self, solves):
         ctrl = self.make()
+        node = _ControlNode(ctrl, stale_limit=5, fleet=FLEET)
         snap = snapshot(full_demand(), 60 * MW)
-        assert ctrl.on_telemetry(snap)
+        assert node.exchange(1, [(1, snap)]).batch
         assert ctrl.last_solve_time_s == solves[0].solve_time_s
         # the same snapshot, then an equal one built anew (as a decoded one is)
-        assert ctrl.on_telemetry(snap) == ()
-        assert ctrl.on_telemetry(replace(snap, demands=tuple(list(snap.demands)))) == ()
+        assert node.exchange(2, [(2, snap)]).batch == ()
+        equal = replace(snap, demands=tuple(list(snap.demands)))
+        assert node.exchange(3, [(3, equal)]).batch == ()
         assert len(solves) == 1 and ctrl.last_plan is solves[0]
         assert ctrl.last_solve_time_s == 0.0
 
@@ -268,25 +276,23 @@ class TestPlanReuse:
         assert reused.intent_power_w == solved.intent_power_w
 
 
-class TestBaselineControllerWrapper:
+class TestBaselineController:
     def test_no_overload_no_commands(self):
         ctrl = BaselineController(FLEET, tick_s=0.1)
         demands = full_demand()
         snap = snapshot(demands, 96 * MW)
         assert snap.loading_pu < 1.0
-        assert ctrl.on_telemetry(snap) == ()
+        assert batches(ctrl, snap) == [()]
 
     def test_sheds_track_intent(self):
         ctrl = BaselineController(FLEET, tick_s=0.1)
         overload = snapshot(full_demand(), 60 * MW)
         assert overload.loading_pu > 1.0
-        sheds = []
-        for k in range(10):
-            sheds += list(ctrl.on_telemetry(overload))
+        sheds = [cmd for batch in batches(ctrl, *[overload] * 10) for cmd in batch]
         assert sheds, "sustained overload must shed"
         intent = dict(zip((s.id for s in FLEET), ctrl.intent))
         for cmd in sheds:
-            assert intent[cmd.load_id] == 0.0
+            assert cmd.status == intent[cmd.load_id] == 0.0
 
 
 class TestMissionDatabase:

@@ -9,6 +9,7 @@ from loadshed.link import (
     BadMessageType,
     BadVersion,
     CountMismatch,
+    DatagramPart,
     DatagramTooLarge,
     DecodeError,
     DelayQueue,
@@ -17,15 +18,12 @@ from loadshed.link import (
     MAX_ID,
     MAX_PARTS,
     MAX_TELEMETRY_LOADS,
-    MultipartPart,
+    MSG_COMMANDS,
+    MSG_TELEMETRY,
     Reassembler,
     TruncatedDatagram,
-    decode_commands,
     decode_datagram,
-    decode_telemetry,
-    encode_commands,
     encode_commands_parts,
-    encode_telemetry,
     encode_telemetry_parts,
     impair,
     impairment_rng,
@@ -61,32 +59,44 @@ def random_snapshot(rng):
     )
 
 
+def telemetry_datagram(snap, seq):
+    """The one datagram of a telemetry message that fits one."""
+    (data,) = encode_telemetry_parts(snap, seq)
+    return data
+
+
+def command_datagram(commands, seq):
+    """The one datagram of a command batch that fits one."""
+    (data,) = encode_commands_parts(commands, seq)
+    return data
+
+
 class TestByteLayout:
     def test_empty_fleet_telemetry_header_and_trailer(self):
-        data = encode_telemetry(snapshot(), seq=1)
+        data = telemetry_datagram(snapshot(), seq=1)
         header = bytes([0x4C, 0x53, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00]) + b"\x00" * 8 + b"\x00\x00"
         assert data[:18] == header
         assert len(data) == 18 + 34  # header plus the 34-byte trailer
         assert data[18:] == b"\x00" * 34
-        decoded = decode_telemetry(data)
+        decoded = decode_datagram(data).snapshot
         assert decoded == snapshot()
         assert (decoded.load_ids, decoded.demands, decoded.measured_w) == ((), (), ())
 
     def test_telemetry_record_bytes(self):
         snap = SystemSnapshot(0.0, 0, (7,), (1.0,), (2.5e6,), 0.0, 0.0, 0.0)
-        data = encode_telemetry(snap, seq=0)
+        data = telemetry_datagram(snap, seq=0)
         record = data[18 : 18 + 18]
         assert record[:2] == b"\x07\x00"
         assert record[2:10] == b"\x00\x00\x00\x00\x00\x00\xf0\x3f"  # binary64(1.0)
         assert record[10:] == struct.pack("<d", 2.5e6)
 
     def test_command_record_bytes(self):
-        data = encode_commands([ShedCommand(3, 0.5)], seq=0)
+        data = command_datagram([ShedCommand(3, 0.5)], seq=0)
         assert data[18:20] == b"\x03\x00"
         assert data[20:] == b"\x00\x00\x00\x00\x00\x00\xe0\x3f"  # binary64(0.5)
 
     def test_zero_commands_is_header_only(self):
-        data = encode_commands([], seq=9)
+        data = command_datagram([], seq=9)
         assert len(data) == 18
         _, _, _, _, _, count = struct.unpack("<2sBBIQH", data)
         assert count == 0
@@ -96,21 +106,22 @@ class TestRoundTrip:
     def test_default_fleet_size_identity(self):
         rng = random.Random(1)
         snap = random_snapshot(rng)
-        assert decode_telemetry(encode_telemetry(snap, seq=77)) == snap
+        assert decode_datagram(telemetry_datagram(snap, seq=77)).snapshot == snap
 
     def test_many_random_messages(self):
         rng = random.Random(2)
         for _ in range(300):
             snap = random_snapshot(rng)
-            assert decode_telemetry(encode_telemetry(snap, seq=rng.randint(0, 2**32 - 1))) == snap
+            seq = rng.randint(0, 2**32 - 1)
+            assert decode_datagram(telemetry_datagram(snap, seq)).snapshot == snap
             commands = tuple(
                 ShedCommand(rng.randint(0, 65535), rng.random())
                 for _ in range(rng.randint(0, 120))
             )
-            assert decode_commands(encode_commands(commands, seq=1)) == commands
+            assert decode_datagram(command_datagram(commands, seq=1)).commands == commands
 
     def test_seq_and_timestamp_preserved(self):
-        view = decode_datagram(encode_telemetry(snapshot(3, time_s=12.3), seq=42))
+        view = decode_datagram(telemetry_datagram(snapshot(3, time_s=12.3), seq=42))
         assert view.seq == 42
         assert view.timestamp_ms == 12300
 
@@ -121,34 +132,35 @@ class TestDecodeErrors:
             decode_datagram(b"LS\x01")
 
     def test_bad_magic(self):
-        data = bytearray(encode_telemetry(snapshot(), 1))
+        data = bytearray(telemetry_datagram(snapshot(), 1))
         data[0] = 0x58
         with pytest.raises(BadMagic):
             decode_datagram(bytes(data))
 
     def test_bad_version(self):
-        data = bytearray(encode_telemetry(snapshot(), 1))
+        data = bytearray(telemetry_datagram(snapshot(), 1))
         data[2] = 2
         with pytest.raises(BadVersion):
             decode_datagram(bytes(data))
 
     def test_bad_message_type(self):
-        data = bytearray(encode_telemetry(snapshot(), 1))
+        data = bytearray(telemetry_datagram(snapshot(), 1))
         data[3] = 9
         with pytest.raises(BadMessageType):
             decode_datagram(bytes(data))
 
     def test_count_mismatch(self):
-        data = bytearray(encode_telemetry(snapshot(2), 1))
+        data = bytearray(telemetry_datagram(snapshot(2), 1))
         data[16] = 7  # count field low byte
         with pytest.raises(CountMismatch):
             decode_datagram(bytes(data))
 
-    def test_wrong_type_for_typed_decoder(self):
-        with pytest.raises(BadMessageType):
-            decode_telemetry(encode_commands([], 1))
-        with pytest.raises(BadMessageType):
-            decode_commands(encode_telemetry(snapshot(), 1))
+    def test_message_type_is_in_the_view(self):
+        commands = decode_datagram(command_datagram([], 1))
+        assert (commands.msg_type, commands.snapshot, commands.commands) == (MSG_COMMANDS, None, ())
+        telemetry = decode_datagram(telemetry_datagram(snapshot(), 1))
+        assert (telemetry.msg_type, telemetry.commands) == (MSG_TELEMETRY, None)
+        assert telemetry.snapshot == snapshot()
 
     def test_fuzz_never_crashes(self):
         rng = random.Random(3)
@@ -161,7 +173,7 @@ class TestDecodeErrors:
 
     def test_mutated_valid_datagrams_never_crash(self):
         rng = random.Random(4)
-        base = encode_telemetry(random_snapshot(rng), seq=5)
+        base = telemetry_datagram(random_snapshot(rng), seq=5)
         for _ in range(2000):
             data = bytearray(base)
             for _ in range(rng.randint(1, 6)):
@@ -178,10 +190,8 @@ class TestMultipart:
         parts = encode_telemetry_parts(snap, seq=9)
         assert len(parts) > 1
         assert all(len(p) <= MAX_DATAGRAM for p in parts)
-        with pytest.raises(DatagramTooLarge):
-            encode_telemetry(snap, seq=9)
-        with pytest.raises(MultipartPart):
-            decode_telemetry(parts[0])
+        first = decode_datagram(parts[0])
+        assert isinstance(first, DatagramPart) and (first.index, first.final) == (0, False)
         reasm = Reassembler()
         views = [reasm.feed(p) for p in parts]
         assert views[:-1] == [None] * (len(parts) - 1)
@@ -204,7 +214,7 @@ class TestMultipart:
 
     def test_single_part_passthrough(self):
         reasm = Reassembler()
-        view = reasm.feed(encode_commands([ShedCommand(1, 0.0)], seq=3))
+        view = reasm.feed(command_datagram([ShedCommand(1, 0.0)], seq=3))
         assert view.commands == (ShedCommand(1, 0.0),)
 
     def test_wire_limits(self):
@@ -283,4 +293,4 @@ class TestImpairment:
            st.integers(min_value=0, max_value=60))
     def test_round_trip_property(self, time_s, n_loads):
         snap = snapshot(n_loads, time_s=time_s)
-        assert decode_telemetry(encode_telemetry(snap, seq=0)) == snap
+        assert decode_datagram(telemetry_datagram(snap, seq=0)).snapshot == snap

@@ -6,8 +6,9 @@ from dataclasses import replace
 import pytest
 
 from _helpers import failure_scenario, small_scenario
-from loadshed.controller import make_controller
+from loadshed.controller import ALGORITHMS, make_controller
 from loadshed.link import replay_drop_schedule
+from loadshed.model import ShedCommand
 from loadshed.records import read_run_csv, write_run_csv
 from loadshed.sim import _ControlNode, _Recorder, build_plant, run_lockstep, run_networked
 
@@ -235,6 +236,31 @@ def test_intent_power_follows_demand_under_a_held_intent():
     for snap, d in zip(snaps, decisions):
         implied = math.fsum(min(s, x) * r for s, x, r in zip(d.intent, snap.demands, rated))
         assert d.intent_power_w == pytest.approx(implied, rel=1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_node_batch_is_the_fleet_order_diff_of_intents(bundled_scenario, algorithm):
+    """The node alone builds commands: each batch is the statuses that changed
+    since the last decision, in fleet order, and () when the controller kept
+    its intent tuple. 400 bundled ticks from 290 s span the trip at 310 s, so
+    both controllers change their intent."""
+    sc = replace(bundled_scenario, window=replace(bundled_scenario.window,
+                                                  t_start_s=290.0, t_end_s=330.0))
+    plant, recorder = build_plant(sc), _Recorder(sc)
+    controller = make_controller(sc.fleet, replace(sc.controller, algorithm=algorithm),
+                                 recorder.db, sc.window.tick_s)
+    node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet)
+    ids = [spec.id for spec in sc.fleet]
+    before, changes = node.last.intent, 0
+    for k in range(1, 401):
+        decision = node.exchange(k, [(k, plant.tick(sc.window.tick_s))])
+        diff = tuple(ShedCommand(lid, new)
+                     for lid, new, old in zip(ids, decision.intent, before) if new != old)
+        assert decision.batch == diff, f"tick {k}"
+        assert (decision.batch == ()) == (decision.intent is before), f"tick {k}"
+        changes += decision.intent is not before
+        before = decision.intent
+    assert changes > 0, "the window must change the intent for the check to mean anything"
 
 
 class TestNonFiniteTelemetry:
