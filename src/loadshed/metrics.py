@@ -88,28 +88,18 @@ def operability(num: float, den: float) -> float:
     return 1.0 if den <= 0.0 else num / den
 
 
-def weighted_service_sums(
+def instantaneous_operability(
     weights: MissionWeightSet,
     statuses: Mapping[int, float],
     demands: Mapping[int, float],
-) -> tuple[float, float]:
-    """Weighted served and demanded totals (numerator, denominator).
+) -> OperabilitySample:
+    """Weighted operability right now; 1.0 (flagged vacuous) when nothing is demanded.
 
     ``statuses`` and ``demands`` map load id to operating and demanded
     status; a load with a demand but no status counts as shed.
     """
     served = [statuses.get(lid, 0.0) for lid in demands]
     den, num = served_sums(weights.weights, demands.keys(), demands.values(), served)
-    return num, den
-
-
-def instantaneous_operability(
-    weights: MissionWeightSet,
-    statuses: Mapping[int, float],
-    demands: Mapping[int, float],
-) -> OperabilitySample:
-    """Weighted operability right now; 1.0 (flagged vacuous) when nothing is demanded."""
-    num, den = weighted_service_sums(weights, statuses, demands)
     return OperabilitySample(operability(num, den), vacuous=den <= 0.0)
 
 

@@ -8,18 +8,16 @@ linear (Dantzig) relaxation: the free loads filled greedily by density. A
 child that takes the top status of a load the relaxation took whole inherits
 its parent's bound, which is exact for it (the greedy forward move of
 Martello & Toth, *Knapsack Problems*, 1990, ch. 2). The root relaxation
-also records where its fill first falls short: before the item the budget
-cuts and before each zone's first cut. A sibling of the root's chain
-(lowering a load the root relaxation took whole, below ancestors that all
-followed it) resumes the fill there with the freed power instead of refilling
-from scratch (the forward move of Horowitz & Sahni, JACM 1974), so proving the
-first dive optimal costs about one fill, not one per level. Most such siblings
-need no fill at all: the watts a sibling frees can only go to items from its
-resume point on, whose density is at most that point's, so its bound is at
-most the root bound less the freed watts times the density it gives up over
-that point's (the critical-item bound, Martello & Toth ch. 2). ``solve``
-checks that O(1) ceiling first; it prunes only siblings the resumed fill
-would prune, so the search tree is unchanged. A leaf fills the continuous
+also records where its fill first falls short: at the item the budget cuts
+and at each zone's first cut. A sibling of the root's chain (lowering a load
+the root relaxation took whole, below ancestors that all followed it) can
+send the watts it frees only to items from that point on, whose density is
+at most that point's, so its bound is at most the root bound less the freed
+watts times the density it gives up over that point's (the critical-item
+bound, Martello & Toth ch. 2). ``solve`` prunes a sibling on that O(1)
+ceiling only where the sibling's own fill would prune it too; every other
+node that is not pruned computes its own fill. The search tree is that of
+plain branch and bound with inherited bounds. A leaf fills the continuous
 loads greedily by density. Zone limits are disjoint per load (each load sits
 in at most one zone), so the constraint family is laminar and the greedy fill
 is exact. The clock is read at every node, so once the first leaf is reached
@@ -128,21 +126,25 @@ class FleetModel:
         self.downward = [None if t is None else t[::-1] for t in tables]
         self.top = [None if t is None else max(t) for t in tables]
         self.zero_key = (0.0, 0.0, (0.0,) * self.n)  # the all-shed plan's key
-        # How far a resumed bound (``_Prepared.resumed_bound``) may round above
-        # the ceiling ``solve`` checks first. Take u = 2**-53, m relaxation
-        # items (at most n), P the sum of their powers (at most the sum of
-        # ratings: no status exceeds 1 by more than STATUS_TOL, which the
-        # margin below absorbs) and V = P × (largest |density|), which bounds
-        # any fill's sum of |take × density|:
-        # - the root fill adds up to m rounded products, the resumed fill up
-        #   to m + 2, every term and partial sum at most 3V: 12(m + 1)uV;
-        # - each fill subtracts each take from the budget and a zone's room,
-        #   and the resumed fill adds Δ to both first: 2(m + 1) roundings each.
-        #   A room of 2P or more cannot cut any later item; a smaller one
+        # How far a chain sibling's own fill may round above the ceiling
+        # ``solve`` prunes it on. Take u = 2**-53, m relaxation items (at most
+        # n), P the sum of their powers (at most the sum of ratings: no status
+        # exceeds 1 by more than STATUS_TOL, which the margin below absorbs)
+        # and V = P × (largest |density|), which bounds any fill's sum of
+        # |take × density|:
+        # - the root fill adds up to m rounded products; the sibling adds up
+        #   to m, its ancestors' weight × top and its own weight × status
+        #   included, every term and partial sum at most 3V: 12(m + 1)uV;
+        # - the root fill subtracts each take from the budget and a zone's
+        #   room; the sibling's path and fill subtract its ancestors' powers,
+        #   its own status × rated and each take: 2(m + 1) roundings each. A
+        #   room of 2P or more cannot cut any later item; a smaller one
         #   rounds by at most 2uP, which moves the fill's value by at most
         #   2uV: 8(m + 1)uV over both fills;
-        # - the ceiling's five operations, the cutoff less the slack, and the
-        #   resumed bound's w·s - top·r·density for -Δ·density: 20uV.
+        # - the ceiling's five operations and the cutoff less the slack: 18uV;
+        #   each density w/r rounds once, so the sibling's weight × status for
+        #   its fixed loads, where the root counts status × rated × density,
+        #   adds at most 2uV.
         # That totals 20(m + 2)uV; the slack takes 32(n + 2)uV for margin. It
         # scales with the loads, not with the bound, so it holds for any
         # finite weights.
@@ -204,11 +206,6 @@ class ModelInstance:
     zone_limits_w: Sequence[float]
 
 
-# a relaxation's state where its fill first falls short of an item: the item's
-# index, the bound so far, the budget left and each zone's room left
-_Snapshot = tuple[int, float, float, tuple[float, ...]]
-
-
 class _Prepared:
     """The search data of a model under one set of caps and zone limits (see
     the module docstring); it does not depend on the budget. Branch loads are
@@ -245,28 +242,25 @@ class _Prepared:
                 self.relax.append((len(self.steps), top * rated[i], density[i], zone_of[i]))
                 self.steps.append((i, model.weight[i], rated[i], zone_of[i], downward, top))
 
-    def relax_bound(self, start: int, level: int, rem: float, bound: float,
-                    zrem: list[float], snaps: dict[int, _Snapshot] | None = None,
-                    ) -> tuple[float, int]:
+    def relax_bound(self, level: int, rem: float, bound: float, zrem: list[float],
+                    cuts: dict[int, int] | None = None) -> tuple[float, int]:
         """Dantzig bound: ``bound`` plus the greedy fill by density of the
-        relaxation items from index ``start`` on that are free at ``level``,
-        into ``rem`` watts and the zone rooms ``zrem`` (a list it uses up);
-        and how many branch items from ``level`` on it takes whole at their
-        top status, one after another.
+        relaxation items free at ``level``, into ``rem`` watts and the zone
+        rooms ``zrem`` (a list it uses up); and how many branch items from
+        ``level`` on it takes whole at their top status, one after another.
 
-        ``snaps``, when given, receives the fill's state (item index, bound,
-        ``rem``, zone rooms) where the fill first falls short of an item:
-        under key -1 before the item the budget cuts, or where the fill ends;
-        under a zone's index before that zone's first cut, if it comes
-        earlier. :meth:`resumed_bound` continues from there.
+        ``cuts``, when given, receives the index of the item where the fill
+        first falls short: under key -1 the item the budget cuts, or where
+        the fill ends; under a zone's index that zone's first cut, if it
+        comes earlier. :meth:`resume_rates` reads them.
         """
         if rem <= 0.0:  # no room for any item, whose power is positive: nothing to scan
-            if snaps is not None:
-                snaps[-1] = (start, bound, rem, tuple(zrem))
+            if cuts is not None:
+                cuts[-1] = 0
             return bound, 0
         head = level
         relax = self.relax
-        for k in range(start, len(relax)):
+        for k in range(len(relax)):
             pos, max_power, density, zi = relax[k]
             if pos < level:
                 continue
@@ -276,10 +270,8 @@ class _Prepared:
                 if pos == head:
                     head += 1
             else:
-                if snaps is not None:
-                    cut = zi if room < rem else -1  # room < rem: the zone cuts it
-                    if cut not in snaps:
-                        snaps[cut] = (k, bound, rem, tuple(zrem))
+                if cuts is not None:
+                    cuts.setdefault(zi if room < rem else -1, k)  # room < rem: the zone cuts it
                 if room > 0.0:
                     take = room
                 else:
@@ -293,43 +285,25 @@ class _Prepared:
                 break
         else:
             stop = len(relax)
-        if snaps is not None and -1 not in snaps:
-            snaps[-1] = (stop, bound, rem, tuple(zrem))
+        if cuts is not None:
+            cuts.setdefault(-1, stop)
         return bound, head - level
 
-    def resume_rates(self, snaps: dict[int, _Snapshot]) -> list[float]:
+    def resume_rates(self, cuts: dict[int, int]) -> list[float]:
         """Per zone index, then for the budget (index -1), the most a watt
-        freed there can add to the relaxation that recorded ``snaps``: the
-        density of the item where :meth:`resumed_bound` resumes the fill,
-        which no later item exceeds, but at least 0 (the freed watt may go
-        unused); 0 where the fill ended uncut."""
+        freed there can add to the fill of a sibling on the chain of the
+        relaxation that recorded ``cuts``: the density of the item where that
+        fill first fell short for lack of the room (the zone's first cut, if
+        it comes before the budget's, else the budget's), which no later item
+        exceeds, but at least 0 (the freed watt may go unused); 0 where the
+        fill ended uncut."""
         relax = self.relax
 
-        def rate(snap: _Snapshot) -> float:
-            return max(0.0, relax[snap[0]][2]) if snap[0] < len(relax) else 0.0
+        def rate(k: int) -> float:
+            return max(0.0, relax[k][2]) if k < len(relax) else 0.0
 
-        budget = snaps[-1]
-        zones = [rate(snaps.get(zi, budget)) for zi in range(len(self.zone_limits))]
-        return zones + [rate(budget)]
-
-    def resumed_bound(self, snaps: dict[int, _Snapshot], level: int, status: float) -> float:
-        """The bound of the node that gives branch item ``level`` a
-        ``status`` below its top, where the relaxation that recorded
-        ``snaps`` took every free branch item up to ``level`` whole and the
-        node's ancestors gave each of them its top status. Lowering the item
-        frees Δ watts of budget and of its zone's room. That changes no take
-        before the first item the fill fell short of for lack of that room:
-        the budget's cut, or an earlier first cut of the item's own zone. So
-        the fill resumes there with Δ more room, from the bound less the
-        value the item gives up."""
-        i, weight, rated, zi, _, top = self.steps[level]
-        start, bound, rem, zrem = snaps.get(zi, snaps[-1])
-        freed = (top - status) * rated
-        zrem = list(zrem)
-        if zi >= 0:
-            zrem[zi] += freed
-        bound += weight * status - top * rated * self.model.density[i]
-        return self.relax_bound(start, level + 1, rem + freed, bound, zrem)[0]
+        budget = cuts[-1]
+        return [rate(cuts.get(zi, budget)) for zi in range(len(self.zone_limits))] + [rate(budget)]
 
 
 def _tie_tol(ref: float) -> float:
@@ -350,35 +324,35 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     The root relaxation is filled once and records where its fill first falls
     short (see :meth:`_Prepared.relax_bound`). While the search follows that
     relaxation, each child that takes the top status of an item it took whole
-    inherits its bound, and each sibling that lowers such an item resumes the
-    fill there (:meth:`_Prepared.resumed_bound`) instead of refilling it from
-    scratch. A resumed bound that does not prune, and every node off that
-    chain, computes ``relax_bound`` in full.
+    inherits its bound. Every other node that is not pruned computes
+    ``relax_bound`` in full.
 
-    Before it resumes a sibling's fill it checks a ceiling on that bound in
-    O(1). Lowering load L from its top status to s frees Δ = (top - s)·rated
-    watts of budget and of L's zone. Every item before L's resume point (its
-    zone's first cut, else the budget's) that shares L's zone or no zone was
-    taken whole, and no other zone's room grew, so the freed watts can only
-    go to items from the resume point on. Those have at most the density d⁺
-    of the item there (taken as at least 0; 0 where the fill ended uncut),
-    and they take at most Δ more watts in all. So the resumed bound is at
-    most R - Δ·(density_L - d⁺), R the root bound. A sibling whose ceiling
-    falls below the cutoff by more than ``FleetModel.ceiling_slack``, which
-    covers the rounding of both sides, is one the resumed bound prunes too:
-    the search tree, and so every plan, is the one the resumed fills alone
-    give. Where a density ties d⁺ the ceiling cannot decide, and the resumed
-    fill does.
+    A sibling that lowers such an item is first checked against a ceiling on
+    its bound, in O(1). Lowering load L from its top status to s frees
+    Δ = (top - s)·rated watts of budget and of L's zone. Every item before
+    L's cut point (its zone's first cut in the root fill, if that comes
+    before the budget's, else the budget's) that shares L's zone or no zone
+    was taken whole, and no other zone's room grew, so the sibling's fill
+    takes every item before that point as the root fill did, and the freed
+    watts can only go to items from that point on. Those have at most the
+    density d⁺ of the item there (taken as at least 0; 0 where the fill ended
+    uncut), and they take at most Δ more watts in all. So the sibling's bound
+    is at most R - Δ·(density_L - d⁺), R the root bound. A sibling whose
+    ceiling falls below the cutoff by more than ``FleetModel.ceiling_slack``,
+    which covers the rounding of both sides, is one its own fill would prune
+    too, so it is pruned without one: the search tree, and so every plan, is
+    the one the fills alone give. Where a density ties d⁺ the ceiling cannot
+    decide, and the sibling's own fill does.
 
     The search is a loop over a list of paused visits (generators), not a
     recursion, so its depth (a level per branch load) is bounded by memory,
     not by the interpreter's recursion limit.
 
-    The clock is read at every node, pruned siblings included (whichever
-    bound pruned them, so the ceiling leaves each solve's clock reads as they
-    were), but the deadline holds only from the first leaf on: the first
-    dive (the greedy plan, which nothing prunes) is always completed, so an
-    expired solve returns at least that plan, never the all-zero one,
+    The clock is read once at every node, siblings the ceiling prunes
+    included, so the ceiling leaves each solve's clock reads as the fills
+    alone make them. The deadline holds only from the first leaf on: the
+    first dive (the greedy plan, which nothing prunes) is always completed,
+    so an expired solve returns at least that plan, never the all-zero one,
     flagged ``optimal=False``.
     """
     t0 = time.perf_counter()
@@ -395,7 +369,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     n_branch = len(steps)
     density, slack = model.density, model.ceiling_slack
     zone_rem = list(prep.zone_limits)
-    root: dict[int, _Snapshot] = {}  # the root relaxation's resume points
+    root: dict[int, int] = {}  # where the root relaxation's fill first falls short
 
     def leaf(rem: float) -> None:
         """Fill the continuous loads, keep the plan if it ranks first, undo the fill."""
@@ -427,7 +401,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
         if time.perf_counter() > deadline:
             raise _DeadlineExpired
         chain = level == 0  # the root and its line: ``root`` describes their relaxation
-        bound, whole = prep.relax_bound(0, level, rem, obj_acc, list(zone_rem),
+        bound, whole = prep.relax_bound(level, rem, obj_acc, list(zone_rem),
                                         root if chain else None)
         if bound < cutoff:
             return
@@ -461,11 +435,10 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
                 power = status * rated
                 if whole and status == top or power > rem or zi >= 0 and power > zone_rem[zi]:
                     continue
-                # a chain sibling: its ceiling, else its resumed bound, may prune it
+                # a chain sibling whose ceiling its own fill could not pass: pruned
+                # without a fill, but with its clock read
                 if whole and chain and (
-                        bound - (top - status) * rated * (density[i] - rates[zi]) < cutoff - slack
-                        or prep.resumed_bound(root, level, status) < cutoff):
-                    # pruned: no fill, but its clock read
+                        bound - (top - status) * rated * (density[i] - rates[zi]) < cutoff - slack):
                     if time.perf_counter() > deadline:
                         raise _DeadlineExpired
                     continue

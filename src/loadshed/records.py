@@ -19,8 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import LoadGroup
-
 RUN_CSV_VERSION = "loadshed-run-csv v1"
 
 
@@ -208,7 +206,3 @@ def read_run_csv(path: str | Path) -> tuple[RunMeta, list[RunRecord]]:
                 )
             )
     return meta, rows
-
-
-def group_of(meta: RunMeta) -> dict[int, LoadGroup]:
-    return {lid: LoadGroup(group) for lid, group, _ in meta.fleet}

@@ -17,7 +17,7 @@ from loadshed import link
 from loadshed.link import replay_drop_schedule
 from loadshed.model import ShedCommand, SystemSnapshot
 from loadshed.optimizer import brute_force_solve, plan_violations, solve
-from loadshed.records import group_of, write_run_csv
+from loadshed.records import write_run_csv
 from loadshed.report import (GROUPINGS, integral_ops, solve_time_stats, summarize,
                              write_group_csv)
 from loadshed.sim import run_lockstep, run_networked
@@ -118,7 +118,7 @@ def test_06_restoration_and_monotone_baseline(advanced_run, baseline_run):
 def test_07_group_behavior(advanced_run, baseline_run):
     """PMM absorbs the shortfall; critical groups ride through untouched."""
     ids = advanced_run.meta.load_ids
-    groups = {lid: g.value for lid, g in group_of(advanced_run.meta).items()}
+    groups = {lid: group for lid, group, _ in advanced_run.meta.fleet}
     pmm_throttled = 0
     for r in advanced_run.rows:
         for i, lid in enumerate(ids):

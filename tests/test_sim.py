@@ -9,7 +9,9 @@ from _helpers import failure_scenario, small_scenario
 from loadshed.controller import ALGORITHMS, make_controller
 from loadshed.link import replay_drop_schedule
 from loadshed.model import ShedCommand
+from loadshed.plant import GeneratorTrip
 from loadshed.records import read_run_csv, write_run_csv
+from loadshed.scenario import default_scenario, validate_scenario
 from loadshed.sim import _ControlNode, _Recorder, build_plant, run_lockstep, run_networked
 
 
@@ -39,6 +41,20 @@ def test_pinned_run_csv(name, scenario, tmp_path):
     write_run_csv(tmp_path / "run.csv", result.meta, result.rows)
     digest = hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest()
     assert digest == PINNED_RUN_CSV_SHA256[name], f"{name} run.csv changed"
+
+
+def test_pinned_double_trip_run_csv(tmp_path):
+    # the bundled run with MPGM1 and MPGM2 tripping together: the one bundled
+    # contingency whose root-chain siblings get past the solver's ceiling. A
+    # 60 s deadline lets no wall-clock cut change a plan.
+    sc = replace(default_scenario(), events=(GeneratorTrip(310.0, 1), GeneratorTrip(310.0, 2)))
+    assert validate_scenario(sc).ok
+    result = run_lockstep(replace(sc, controller=replace(sc.controller, solve_deadline_s=60.0)))
+    assert result.nonoptimal_solves == 0
+    assert result.degraded_ticks == 0
+    write_run_csv(tmp_path / "run.csv", result.meta, result.rows)
+    digest = hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest()
+    assert digest == "bcb2a539c188c33a34c9fefd58cbf84d4ac44014b32a6b67e1595097ef957989"
 
 
 class TestLockstep:
