@@ -38,7 +38,6 @@ from .optimizer import (
     FleetModel,
     ModelInstance,
     ShedPlan,
-    brute_force_solve,
     plan_violations,
     solve,
 )

@@ -14,8 +14,6 @@ from collections.abc import Iterator, Sequence
 from contextlib import ExitStack
 from pathlib import Path
 
-import numpy as np
-
 from .metrics import MissionWindow, integral_operability
 from .model import LoadGroup
 from .records import (
@@ -132,11 +130,22 @@ def shed_summary(meta: RunMeta, rows: Sequence[RunRecord]) -> dict[str, dict[str
 
 
 def solve_time_stats(times: Sequence[float]) -> tuple[float, float]:
-    """(max, p99) of the per-tick solve times, in seconds."""
+    """(max, p99) of the per-tick solve times, in seconds.
+
+    p99 interpolates linearly between the closest ranks (Hyndman & Fan's
+    type 7, the usual default), stepping from the lower rank when the
+    fraction is below one half and back from the upper one otherwise, the
+    arithmetic that array libraries use, so summaries keep the same bits.
+    """
     if not times:
         return 0.0, 0.0
-    arr = np.asarray(times)
-    return float(arr.max()), float(np.percentile(arr, 99))
+    xs = sorted(times)
+    pos = (len(xs) - 1) * 0.99
+    lo = int(pos)
+    a, b = xs[lo], xs[min(lo + 1, len(xs) - 1)]
+    t = pos - lo
+    p99 = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return float(xs[-1]), float(p99)
 
 
 def run_metrics(meta: RunMeta, rows: Sequence[RunRecord],

@@ -11,16 +11,17 @@ both modes, so the drop schedule is a pure function of the seed.
 The controller side is a :class:`_ControlNode`: it keeps the freshest
 telemetry, owns the staleness failsafe (telemetry older than
 ``stale_limit`` ticks: re-send the last batch, flag the tick degraded),
-times each solve and alone turns intent into commands. It hands the
-controller the telemetry and diffs the controller's ``intent`` before and
-after: the batch is the statuses that changed, in fleet order, or empty
-when the intent is the same tuple object. Lockstep calls the node inline,
-and the queues also apply latency and jitter. Networked mode serves it on a
-thread behind real UDP sockets, which supply the latency, so
-``latency_ms`` and ``jitter_ms`` apply to lockstep only; a tick whose
-telemetry is lost, or whose reply does not come in time, is degraded while
-the plant holds its last commands. A loss-free networked run reproduces
-the lockstep run exactly.
+answers a controller that raises the same way (logging only the first
+fault, retrying every later tick), times each solve and alone turns intent
+into commands. It hands the controller the telemetry and diffs the
+controller's ``intent`` before and after: the batch is the statuses that
+changed, in fleet order, or empty when the intent is the same tuple
+object. Lockstep calls the node inline, and the queues also apply latency
+and jitter. Networked mode serves it on a thread behind real UDP sockets,
+which supply the latency, so ``latency_ms`` and ``jitter_ms`` apply to
+lockstep only; a tick whose telemetry is lost, or whose reply does not
+come in time, is degraded while the plant holds its last commands. A
+loss-free networked run reproduces the lockstep run exactly.
 """
 
 from __future__ import annotations
@@ -168,6 +169,7 @@ class _ControlNode:
         self._mailbox: tuple[int, SystemSnapshot] | None = None
         self.last = _Decision((), controller.intent)
         self._intent_power = (None, None, 0.0)  # (intent, demands) -> power of the last answer
+        self._fault_logged = False
 
     def exchange(self, k: int, arrived: list[tuple[int, SystemSnapshot]]) -> _Decision:
         """Take the telemetry that arrived by tick ``k`` and answer for tick ``k``."""
@@ -185,7 +187,15 @@ class _ControlNode:
         controller = self.controller
         before = controller.intent
         t0 = time.perf_counter()
-        controller.on_telemetry(used)
+        try:
+            controller.on_telemetry(used)
+        except Exception:
+            # a controller fault degrades the tick like stale telemetry; the next tick retries
+            if not self._fault_logged:
+                self._fault_logged = True
+                log.exception("controller failed on telemetry seq %d; holding the last batch",
+                              seq)
+            return self.last.held()
         solve_time = controller.last_solve_time_s or (time.perf_counter() - t0)
         plan, intent = controller.last_plan, controller.intent
         batch = () if intent is before else tuple(

@@ -10,13 +10,15 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from _helpers import assert_plans_agree, random_instance, small_scenario
+from _oracle import brute_force_solve
 from loadshed import link
 from loadshed.link import replay_drop_schedule
 from loadshed.model import ShedCommand, SystemSnapshot
-from loadshed.optimizer import brute_force_solve, plan_violations, solve
+from loadshed.optimizer import plan_violations, solve
 from loadshed.records import write_run_csv
 from loadshed.report import (GROUPINGS, integral_ops, solve_time_stats, summarize,
                              write_group_csv)
@@ -80,6 +82,26 @@ def test_03_solve_deadline(advanced_run, tmp_path):
     summary = summarize(advanced_run.meta, advanced_run.rows)
     assert "max" in summary and "p99" in summary
     announce(3, f"solve deadline (p99 {t_p99 * 1e3:.2f} ms, max {t_max * 1e3:.2f} ms)")
+
+
+def test_solve_time_p99_matches_numpy():
+    """solve_time_stats' plain-Python p99 equals numpy's default percentile
+    to the bit, on seeded, tied and tiny samples, at interpolation fractions
+    on both sides of one half."""
+    rng = random.Random(3)
+    samples = [[rng.expovariate(1e4) for _ in range(rng.randint(1, 3000))]
+               for _ in range(300)]
+    samples += [[5e-5] * 7, [1e-4] * 50 + [2e-4] * 50, [2e-4, 1e-4] * 40,
+                [3e-4], [1e-4, 3e-4], [3e-4, 1e-4]]
+    fractions = set()
+    for times in samples:
+        t_max, t_p99 = solve_time_stats(times)
+        assert t_max == max(times)
+        assert t_p99 == float(np.percentile(times, 99)), len(times)
+        pos = (len(times) - 1) * 0.99
+        fractions.add(pos - int(pos) >= 0.5)
+    assert fractions == {False, True}
+    assert solve_time_stats([]) == (0.0, 0.0)
 
 
 def test_04_scenario_replication(advanced_run, baseline_run, run_durations):

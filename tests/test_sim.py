@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import time
 from dataclasses import replace
@@ -6,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from _helpers import failure_scenario, small_scenario
-from loadshed.controller import ALGORITHMS, make_controller
+from loadshed.controller import ALGORITHMS, AdvancedController, make_controller
 from loadshed.link import replay_drop_schedule
 from loadshed.model import ShedCommand
 from loadshed.plant import GeneratorTrip
@@ -304,3 +305,42 @@ class TestNonFiniteTelemetry:
         held = node.exchange(2, [(2, corrupt(plant.tick(sc.window.tick_s)))])
         assert held.degraded
         assert held.batch == first.batch and held.intent == first.intent
+
+
+def test_controller_fault_degrades_ticks_in_both_modes(monkeypatch, caplog, tmp_path):
+    """A controller that raises on every tick from 12 s on: the node holds the
+    last batch, flags those ticks degraded, logs the first fault only and
+    retries every tick. The lockstep run completes, a loss-free networked run
+    writes the same rows, and it waits out no sync timeout."""
+    sc = small_scenario()
+    fault_t = 12.0
+    solve = AdvancedController.on_telemetry
+    raised = []
+
+    def faulty(self, snapshot):
+        if snapshot.time_s >= fault_t:
+            raised.append(snapshot.time_s)
+            raise RuntimeError("controller fault")
+        solve(self, snapshot)
+
+    monkeypatch.setattr(AdvancedController, "on_telemetry", faulty)
+    bodies = []
+    for run, kwargs in ((run_lockstep, {}),
+                        (run_networked, dict(plant_port=0, controller_port=0,
+                                             sync_timeout_s=1.0))):
+        caplog.clear()
+        raised.clear()
+        t0 = time.monotonic()
+        with caplog.at_level(logging.ERROR, logger="loadshed.sim"):
+            result = run(sc, algorithm="advanced", seed=0, **kwargs)
+        elapsed = time.monotonic() - t0
+        assert len(result.rows) == sc.window.n_ticks
+        assert [r.degraded for r in result.rows] == [r.time_s >= fault_t for r in result.rows]
+        assert raised == [r.time_s for r in result.rows if r.degraded]  # retried every tick
+        faults = [rec for rec in caplog.records if rec.exc_info]
+        assert len(faults) == 1 and "controller fault" in caplog.text
+        path = tmp_path / f"{result.meta.mode}.csv"
+        write_run_csv(path, result.meta, result.rows)
+        bodies.append(path.read_text().splitlines()[2:])  # past the version and meta lines
+    assert bodies[0] == bodies[1]
+    assert elapsed < 0.1 * sc.window.n_ticks * 1.0, f"networked run took {elapsed:.1f} s"
