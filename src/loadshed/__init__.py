@@ -15,12 +15,7 @@ from .controller import (
     make_controller,
 )
 from .link import ImpairmentConfig
-from .metrics import (
-    MissionWindow,
-    OperabilitySample,
-    instantaneous_operability,
-    integral_operability,
-)
+from .metrics import MissionWindow, integral_operability, operability, served_sums
 from .model import (
     Category,
     GenerationModule,
@@ -32,7 +27,6 @@ from .model import (
     ValidationReport,
     Variability,
     ZoneLimit,
-    validate_fleet,
 )
 from .optimizer import (
     FleetModel,
@@ -43,7 +37,13 @@ from .optimizer import (
 )
 from .plant import LoadProfile, Plant, sample_profile
 from .report import compare_runs, emit_plot_data, run_scenario
-from .scenario import ScenarioConfig, default_scenario, load_scenario, save_scenario
+from .scenario import (
+    ScenarioConfig,
+    default_scenario,
+    load_scenario,
+    save_scenario,
+    validate_scenario,
+)
 from .sim import RunResult, run_lockstep, run_networked
 
 __version__ = "0.1.0"

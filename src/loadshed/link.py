@@ -47,6 +47,7 @@ MSG_COMMANDS = 0x02
 MAX_DATAGRAM = 1400
 MAX_PARTS = 128  # the part index has 7 bits
 MAX_ID = 0xFFFF  # load and mission ids are u16
+MAX_PENDING = 8  # incomplete messages a Reassembler keeps; it drops the oldest beyond this
 
 _HEADER = struct.Struct("<2sBBIQH")
 _TELEMETRY_RECORD = struct.Struct("<Hdd")
@@ -250,9 +251,8 @@ class Reassembler:
     single-part datagram), or None while parts are still outstanding.
     """
 
-    def __init__(self, max_pending: int = 8):
+    def __init__(self):
         self._pending: OrderedDict[tuple[int, int], dict] = OrderedDict()
-        self._max_pending = max_pending
 
     def feed(self, data: bytes) -> DatagramView | None:
         decoded = decode_datagram(data)
@@ -266,7 +266,7 @@ class Reassembler:
         if decoded.final:
             entry["final"] = decoded.index
             entry["trailer"] = decoded.trailer
-        while len(self._pending) > self._max_pending:
+        while len(self._pending) > MAX_PENDING:
             self._pending.popitem(last=False)
         final = entry["final"]
         if final is None or any(i not in entry["parts"] for i in range(final + 1)):

@@ -1,15 +1,16 @@
 """Mission-weighted operability metrics.
 
 The instantaneous value is the weighted fraction of demanded load service
-actually delivered. The mission-period value is the ratio of the two
-time-integrals (weighted service over weighted demand), approximated by
-left-rectangle sums on the control grid. Numerator and denominator are
-integrated separately and divided once, so a time-varying demand profile is
-handled correctly.
+actually delivered: ``operability(num, den)``, where ``served_sums`` gives
+the weighted demand ``den`` and commanded service ``num``, and
+``measured_sum`` the measured service. Both take aligned per-load columns
+in fleet order, as telemetry carries them; the run recorder calls them each
+tick.
 
-``instantaneous_operability`` takes statuses and demands keyed by load id.
-``served_sums`` and ``measured_sum``, which the run recorder calls, take
-aligned per-load columns in fleet order, as telemetry carries them.
+The mission-period value is the ratio of the two time-integrals (weighted
+service over weighted demand), approximated by left-rectangle sums on the
+control grid. Numerator and denominator are integrated separately and
+divided once, so a time-varying demand profile is handled correctly.
 """
 
 from __future__ import annotations
@@ -17,20 +18,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .model import MissionWeightSet
-
 
 DEFAULT_TICK_S = 0.1  # the paper's 100 ms control period
 
 
 class IncompleteSeriesError(Exception):
     """The sample series does not cover the mission window at the tick spacing."""
-
-
-@dataclass(frozen=True)
-class OperabilitySample:
-    value: float
-    vacuous: bool = False  # true when nothing was demanded at this instant
 
 
 @dataclass(frozen=True)
@@ -86,21 +79,6 @@ def measured_sum(weights: Mapping[int, float], load_ids: Iterable[int],
 def operability(num: float, den: float) -> float:
     """Weighted service over weighted demand; 1.0 when nothing is demanded."""
     return 1.0 if den <= 0.0 else num / den
-
-
-def instantaneous_operability(
-    weights: MissionWeightSet,
-    statuses: Mapping[int, float],
-    demands: Mapping[int, float],
-) -> OperabilitySample:
-    """Weighted operability right now; 1.0 (flagged vacuous) when nothing is demanded.
-
-    ``statuses`` and ``demands`` map load id to operating and demanded
-    status; a load with a demand but no status counts as shed.
-    """
-    served = [statuses.get(lid, 0.0) for lid in demands]
-    den, num = served_sums(weights.weights, demands.keys(), demands.values(), served)
-    return OperabilitySample(operability(num, den), vacuous=den <= 0.0)
 
 
 def integral_operability(

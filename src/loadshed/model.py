@@ -68,14 +68,15 @@ class Variability:
     def stepped(levels: Sequence[float]) -> "Variability":
         return Variability("stepped", tuple(float(x) for x in levels))
 
-    def contains(self, status: float, tol: float = STATUS_TOL) -> bool:
+    def contains(self, status: float) -> bool:
+        """Whether ``status`` is feasible, to within ``STATUS_TOL``."""
         if self.kind == "continuous":
-            return -tol <= status <= 1.0 + tol
+            return -STATUS_TOL <= status <= 1.0 + STATUS_TOL
         if self.kind == "binary":
-            return abs(status) <= tol or abs(status - 1.0) <= tol
-        if abs(status) <= tol:
+            return abs(status) <= STATUS_TOL or abs(status - 1.0) <= STATUS_TOL
+        if abs(status) <= STATUS_TOL:
             return True
-        return any(abs(status - lvl) <= tol for lvl in self.levels)
+        return any(abs(status - lvl) <= STATUS_TOL for lvl in self.levels)
 
     def discrete_statuses(self, cap: float = 1.0) -> tuple[float, ...] | None:
         """Statuses available up to ``cap``, or None for a continuous load."""
@@ -184,18 +185,6 @@ class ValidationReport:
         if self.ok:
             return "configuration ok"
         return "\n".join(str(i) for i in self.issues)
-
-
-def validate_fleet(
-    fleet: Sequence[LoadSpec],
-    zones: Sequence[ZoneLimit] = (),
-    weights: MissionWeightSet | None = None,
-) -> ValidationReport:
-    """Check every fleet/zone/weight invariant; collects issues, never raises."""
-    issues, _ = fleet_issues(fleet, zones)
-    if weights is not None:
-        issues.extend(weight_issues(fleet, weights))
-    return ValidationReport(tuple(issues))
 
 
 def fleet_issues(

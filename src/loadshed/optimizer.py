@@ -462,9 +462,8 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
 def plan_violations(
     instance: ModelInstance,
     plan: ShedPlan,
-    tol_w: float = FEASIBILITY_TOL_W,
 ) -> list[str]:
-    """Every constraint the plan violates beyond ``tol_w`` watts of slack.
+    """Every constraint the plan violates beyond ``FEASIBILITY_TOL_W`` watts of slack.
     A zone is named by its index in ``zone_limits_w``; a failed load's cap
     is 0, so serving it shows as exceeding demand 0."""
     model = instance.model
@@ -482,11 +481,11 @@ def plan_violations(
             problems.append(f"load {lid}: status {s} exceeds demand {cap}")
         if not variability.contains(s):
             problems.append(f"load {lid}: status {s} outside its domain")
-    if served_total > instance.capacity_budget_w + tol_w:
+    if served_total > instance.capacity_budget_w + FEASIBILITY_TOL_W:
         problems.append(
             f"capacity: served {served_total} W exceeds budget {instance.capacity_budget_w} W"
         )
     for zi, (served, limit) in enumerate(zip(zone_served, instance.zone_limits_w)):
-        if served > limit + tol_w:
+        if served > limit + FEASIBILITY_TOL_W:
             problems.append(f"zone {zi}: served {served} W exceeds limit {limit} W")
     return problems

@@ -143,7 +143,6 @@ class Plant:
         # what the next snapshot reports, each rebuilt only when its inputs change
         self._measured: tuple[float, ...] | None = None
         self._total = 0.0
-        self._books: tuple[float, float, float] | None = None  # capacity, loss, loading
 
     def _play_profiles(self, t: float) -> bool:
         """Apply the breakpoints due by ``t`` to the demand levels; whether any
@@ -184,7 +183,7 @@ class Plant:
         ):
             ev = self._events[self._next_event]
             self._next_event += 1
-            self._capacity = self._books = None
+            self._capacity = None
             if isinstance(ev, GeneratorTrip):
                 self._online[ev.module_id] = False
             elif isinstance(ev, GeneratorRestore):
@@ -241,20 +240,16 @@ class Plant:
                 total += p
             self._total = total
             self._measured = tuple(self.measured_w)
-            self._books = None
-        if self._books is None:
-            capacity = self._capacity
-            if capacity is None:
-                capacity = self._capacity = sum(
-                    m.rated_power_w for m in self._modules if self._online[m.id])
-            total = self._total
-            loss = self.loss_fraction * total
-            if capacity > 0:
-                loading = (total + loss) / capacity
-            else:
-                loading = 0.0 if total + loss <= 0 else math.inf
-            self._books = (capacity, loss, loading)
-        capacity, loss, loading = self._books
+        capacity = self._capacity
+        if capacity is None:
+            capacity = self._capacity = sum(
+                m.rated_power_w for m in self._modules if self._online[m.id])
+        total = self._total
+        loss = self.loss_fraction * total
+        if capacity > 0:
+            loading = (total + loss) / capacity
+        else:
+            loading = 0.0 if total + loss <= 0 else math.inf
         return SystemSnapshot(
             time_s=self.clock_s,
             mission_id=self.mission_id,

@@ -24,7 +24,7 @@ from .records import (
     write_run_csv,
     write_timing_csv,
 )
-from .scenario import ScenarioConfig, default_scenario, load_scenario, validate_scenario
+from .scenario import ScenarioConfig, validate_scenario
 from .sim import run_lockstep, run_networked
 
 GROUPINGS = ("TOTAL",) + tuple(g.value for g in LoadGroup)
@@ -85,20 +85,6 @@ def _group_series(
                 served[k] += m
                 total_served += m
         yield r.time_s, [(total_demand, total_served), *zip(demand, served)]
-
-
-def _grouping_index(grouping: str) -> int:
-    if grouping not in GROUPINGS:
-        raise ValueError(f"unknown grouping {grouping!r}; choose from {GROUPINGS}")
-    return GROUPINGS.index(grouping)
-
-
-def group_power_series(
-    meta: RunMeta, rows: Sequence[RunRecord], grouping: str
-) -> list[tuple[float, float, float]]:
-    """(time, demanded watts, served watts) for one load grouping."""
-    k = _grouping_index(grouping)
-    return [(t, *sums[k]) for t, sums in _group_series(meta, rows)]
 
 
 def shed_summary(meta: RunMeta, rows: Sequence[RunRecord]) -> dict[str, dict[str, float]]:
@@ -212,7 +198,7 @@ class ScenarioValidationError(Exception):
 
 
 def run_scenario(
-    scenario: ScenarioConfig | str | Path | None,
+    scenario: ScenarioConfig,
     out_dir: str | Path,
     mode: str = "lockstep",
     seed: int | None = None,
@@ -221,15 +207,10 @@ def run_scenario(
 ) -> Path:
     """Validate and run a scenario, then write its artifacts.
 
-    ``scenario`` is a loaded scenario, the path of a scenario file, or None
-    for the bundled default. ``realtime`` paces a networked run at the
-    control period. Raises :class:`ScenarioValidationError` for an invalid
-    scenario and ``ValueError`` for an unknown mode.
+    ``realtime`` paces a networked run at the control period. Raises
+    :class:`ScenarioValidationError` for an invalid scenario and
+    ``ValueError`` for an unknown mode.
     """
-    if scenario is None:
-        scenario = default_scenario()
-    elif not isinstance(scenario, ScenarioConfig):
-        scenario = load_scenario(scenario)
     checked = validate_scenario(scenario)
     if not checked.ok:
         raise ScenarioValidationError(checked)
@@ -245,7 +226,10 @@ def run_scenario(
 def write_group_csv(meta: RunMeta, rows: Sequence[RunRecord], groupings: Sequence[str],
                     out_dir: str | Path) -> list[Path]:
     """Write ``<grouping>.csv`` for each grouping, in one pass over the rows."""
-    indices = [_grouping_index(grouping) for grouping in groupings]
+    for grouping in groupings:
+        if grouping not in GROUPINGS:
+            raise ValueError(f"unknown grouping {grouping!r}; choose from {GROUPINGS}")
+    indices = [GROUPINGS.index(grouping) for grouping in groupings]
     paths = [Path(out_dir) / f"{grouping}.csv" for grouping in groupings]
     with ExitStack() as stack:
         writes = [stack.enter_context(path.open("w", newline="")).write for path in paths]

@@ -65,10 +65,6 @@ class RunResult:
     intent_power_w: list[float | None]  # power implied by the commands, at build demand
     nonoptimal_solves: int = 0
 
-    @property
-    def degraded_ticks(self) -> int:
-        return sum(r.degraded for r in self.rows)
-
 
 def build_plant(sc: ScenarioConfig) -> Plant:
     return Plant(
@@ -90,10 +86,9 @@ class _Recorder:
         self.db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
         self._ids = tuple(spec.id for spec in sc.fleet)
         self._rated_w = tuple(spec.rated_power_w for spec in sc.fleet)
-        # the last row's sums after the objects they were taken from: (weights,
-        # demands, commanded, den, num, op) and (weights, demands, measured, num, op)
+        # the last row's served sums after the objects they were taken from:
+        # (weights, demands, commanded, den, num, op)
         self._served: tuple | None = None
-        self._measured: tuple | None = None
 
     def row(
         self,
@@ -114,15 +109,10 @@ class _Recorder:
                 den, num = served_sums(weights, self._ids, demands, commanded)
             s = self._served = (weights, demands, commanded, den, num, operability(num, den))
         _, _, _, den, num_cmd, op_cmd = s
-        m = self._measured
-        if m is None or m[0] is not weights or m[1] is not demands or m[2] is not measured:
-            num_meas = 0.0
-            if weights is not None:
-                num_meas = measured_sum(weights, self._ids, demands,
-                                        map(truediv, measured, self._rated_w))
-            m = self._measured = (weights, demands, measured, num_meas,
-                                  operability(num_meas, den))
-        _, _, _, num_meas, op_meas = m
+        num_meas = 0.0
+        if weights is not None:
+            num_meas = measured_sum(weights, self._ids, demands,
+                                    map(truediv, measured, self._rated_w))
         return RunRecord(
             time_s=snapshot.time_s,
             capacity_w=snapshot.total_capacity_w,
@@ -132,7 +122,7 @@ class _Recorder:
             wsum_commanded=num_cmd,
             wsum_measured=num_meas,
             op_commanded=op_cmd,
-            op_measured=op_meas,
+            op_measured=operability(num_meas, den),
             degraded=degraded,
             demands=demands,
             commanded=commanded,
@@ -182,7 +172,7 @@ class _ControlNode:
         # answer as stale: other loads, non-finite values (NaN and inf survive the sum), or
         # loading NaN (the baseline reads it as overload) or negative; +inf is zero capacity
         if (used.load_ids != self._ids or not used.loading_pu >= 0.0 or not math.isfinite(
-                sum(used.demands) + used.total_capacity_w + used.total_loss_w)):
+                used.time_s + sum(used.demands) + used.total_capacity_w + used.total_loss_w)):
             return self.last.held()
         controller = self.controller
         before = controller.intent

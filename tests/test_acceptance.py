@@ -68,7 +68,7 @@ def test_02_feasibility_suite():
     for seed in range(200000, 210000):
         inst = random_instance(seed, max_discrete=12, min_discrete=2)
         plan = solve(inst)
-        violations += len(plan_violations(inst, plan, tol_w=1e-6))
+        violations += len(plan_violations(inst, plan))
     assert violations == 0
     announce(2, "feasibility suite (10000 solves, zero violations)")
 

@@ -4,33 +4,34 @@ from hypothesis import given, strategies as st
 from loadshed.metrics import (
     IncompleteSeriesError,
     MissionWindow,
-    instantaneous_operability,
     integral_operability,
+    operability,
+    served_sums,
 )
-from loadshed.model import MissionWeightSet
 
 
-def mk(weights, statuses, demands):
-    """Weights, statuses and demands of loads 0, 1, ..., keyed by load id."""
-    ws = MissionWeightSet(1, dict(enumerate(weights)))
-    return ws, dict(enumerate(statuses)), dict(enumerate(demands))
+def instant(weights, statuses, demands):
+    """(operability, weighted demand) of loads 0, 1, ..., as the run recorder
+    computes them from aligned columns."""
+    den, num = served_sums(dict(enumerate(weights)), range(len(weights)), demands, statuses)
+    return operability(num, den), den
 
 
 class TestInstantaneous:
     def test_all_loads_at_demand(self):
-        sample = instantaneous_operability(*mk([5, 2.5], [1, 1], [1, 1]))
-        assert sample.value == 1.0 and not sample.vacuous
+        value, den = instant([5, 2.5], [1, 1], [1, 1])
+        assert value == 1.0 and den > 0
 
     def test_symmetric_halves(self):
-        assert instantaneous_operability(*mk([5, 5], [1, 0], [1, 1])).value == 0.5
+        assert instant([5, 5], [1, 0], [1, 1])[0] == 0.5
 
     def test_hand_evaluated_mix(self):
-        sample = instantaneous_operability(*mk([8, 5, 2.5], [1, 0.5, 0], [1, 1, 1]))
-        assert sample.value == pytest.approx(10.5 / 15.5, abs=1e-12)
+        value, _ = instant([8, 5, 2.5], [1, 0.5, 0], [1, 1, 1])
+        assert value == pytest.approx(10.5 / 15.5, abs=1e-12)
 
     def test_zero_demand_is_vacuously_one(self):
-        sample = instantaneous_operability(*mk([5, 5], [0, 0], [0, 0]))
-        assert sample.value == 1.0 and sample.vacuous
+        value, den = instant([5, 5], [0, 0], [0, 0])
+        assert value == 1.0 and den <= 0
 
     @given(
         st.lists(
@@ -48,9 +49,9 @@ class TestInstantaneous:
         weights = [w for w, _, _ in loads]
         statuses = [s for _, s, _ in loads]
         demands = [d for _, _, d in loads]
-        a = instantaneous_operability(*mk(weights, statuses, demands))
-        b = instantaneous_operability(*mk([c * w for w in weights], statuses, demands))
-        assert a.value == pytest.approx(b.value, abs=1e-12)
+        a, _ = instant(weights, statuses, demands)
+        b, _ = instant([c * w for w in weights], statuses, demands)
+        assert a == pytest.approx(b, abs=1e-12)
 
     @given(
         st.lists(
@@ -68,11 +69,9 @@ class TestInstantaneous:
         weights = [w for w, _, _ in loads] + [7.0]
         statuses = [min(s, d) for _, s, d in loads] + [extra_status]
         demands = [d for _, _, d in loads] + [0.0]
-        with_extra = instantaneous_operability(*mk(weights, statuses, demands))
-        without = instantaneous_operability(
-            *mk(weights[:-1], statuses[:-1], demands[:-1])
-        )
-        assert with_extra.value == without.value
+        with_extra = instant(weights, statuses, demands)
+        without = instant(weights[:-1], statuses[:-1], demands[:-1])
+        assert with_extra == without
 
     @given(
         st.lists(
@@ -89,12 +88,12 @@ class TestInstantaneous:
         weights = [w for w, _, _ in loads]
         statuses = [min(s, d) for _, s, d in loads]
         demands = [d for _, _, d in loads]
-        sample = instantaneous_operability(*mk(weights, statuses, demands))
+        value, _ = instant(weights, statuses, demands)
         met = all(s == d for s, d in zip(statuses, demands))
         if met:
-            assert sample.value == pytest.approx(1.0, abs=1e-12)
+            assert value == pytest.approx(1.0, abs=1e-12)
         else:
-            assert sample.value < 1.0
+            assert value < 1.0
 
 
 class TestIntegral:
@@ -148,6 +147,5 @@ class TestMissionWindow:
 
 
 def test_service_sums_skip_zero_demand_even_if_status_nonzero():
-    ws, statuses, demands = mk([5.0, 5.0], [1.0, 0.7], [1.0, 0.0])
-    sample = instantaneous_operability(ws, statuses, demands)
-    assert sample.value == 1.0 and not sample.vacuous
+    value, den = instant([5.0, 5.0], [1.0, 0.7], [1.0, 0.0])
+    assert value == 1.0 and den == 5.0

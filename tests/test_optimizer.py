@@ -534,6 +534,16 @@ class TestPlanViolations:
         plan = ShedPlan(statuses, 0.0, 0.0, 0.0, True)
         assert plan_violations(self.instance(), plan) == expected
 
+    @pytest.mark.parametrize("over_w, flagged", [(0.5e-6, False), (2e-6, True)])
+    def test_slack_is_one_microwatt(self, over_w, flagged):
+        # 7 MW served, 4 MW of it in Z1, against a budget or a limit over_w below that
+        plan = ShedPlan({1: 1.0, 2: 0.0, 3: 0.25, 4: 1.0}, 0.0, 0.0, 0.0, True)
+        inst = self.instance()
+        over_budget = plan_violations(replace(inst, capacity_budget_w=7 * MW - over_w), plan)
+        over_zone = plan_violations(replace(inst, zone_limits_w=[4 * MW - over_w]), plan)
+        assert [p.split(":")[0] for p in over_budget] == (["capacity"] if flagged else [])
+        assert [p.split(":")[0] for p in over_zone] == (["zone 0"] if flagged else [])
+
 
 class TestDeepSearch:
     """The search keeps one level per branch load without recursing, so a

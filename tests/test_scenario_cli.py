@@ -20,8 +20,9 @@ from loadshed.records import read_run_csv
 from loadshed.report import (
     GROUPINGS,
     IncompatibleRunsError,
+    _group_series,
     compare_runs,
-    group_power_series,
+    write_group_csv,
 )
 from loadshed.scenario import (
     ScenarioFormatError,
@@ -199,6 +200,12 @@ class TestScenarioConfig:
                    for r in result.rows)
 
 
+def group_rows(meta, rows, grouping):
+    """(time, demanded W, served W) per row for one grouping, as the group CSVs hold them."""
+    k = GROUPINGS.index(grouping)
+    return [(t, *sums[k]) for t, sums in _group_series(meta, rows)]
+
+
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
     base_dir = tmp_path_factory.mktemp("runs")
@@ -228,9 +235,9 @@ class TestReport:
 
     def test_group_partition_sums_to_total(self, small_runs):
         meta, rows = read_run_csv(small_runs["advanced"] / "run.csv")
-        total = group_power_series(meta, rows, "TOTAL")
+        total = group_rows(meta, rows, "TOTAL")
         by_group = [
-            group_power_series(meta, rows, g.value)
+            group_rows(meta, rows, g.value)
             for g in LoadGroup
             if any(grp == g.value for _, grp, _ in meta.fleet)
         ]
@@ -238,13 +245,14 @@ class TestReport:
             assert demand == pytest.approx(sum(series[k][1] for series in by_group))
             assert served == pytest.approx(sum(series[k][2] for series in by_group))
 
-    def test_unknown_grouping_rejected(self, small_runs):
+    def test_unknown_grouping_rejected(self, small_runs, tmp_path):
         meta, rows = read_run_csv(small_runs["advanced"] / "run.csv")
         with pytest.raises(ValueError):
-            group_power_series(meta, rows, "REACTOR")
+            write_group_csv(meta, rows, ("REACTOR",), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bundled_pmm_series_shows_shortfall_reduction(self, advanced_run):
-        series = group_power_series(advanced_run.meta, advanced_run.rows, "PMM")
+        series = group_rows(advanced_run.meta, advanced_run.rows, "PMM")
         in_window = [(d, s) for t, d, s in series if 312.0 <= t <= 394.0]
         assert all(s < d - 1e6 for d, s in in_window), "PMM not visibly reduced"
         # pre-trip the series tracks demand, modulo one tick of command
@@ -258,7 +266,7 @@ class TestReport:
         # in the advanced run; the baseline cuts IPNC during its semi-vital
         # stage, so equality holds only until the trip there
         for result, horizon in ((advanced_run, 600.0), (baseline_run, 310.0)):
-            series = group_power_series(result.meta, result.rows, "IPNC")
+            series = group_rows(result.meta, result.rows, "IPNC")
             for t, demand, served in series:
                 if t <= horizon:
                     assert served == pytest.approx(demand, rel=1e-9)
@@ -312,7 +320,7 @@ class TestRunScenario:
 
         sc_path = tmp_path / "scenario.json"
         save_scenario(small_scenario(), sc_path)
-        out = run_scenario(sc_path, tmp_path / "out", seed=7, algorithm="advanced")
+        out = run_scenario(load_scenario(sc_path), tmp_path / "out", seed=7, algorithm="advanced")
         assert (out / "run.csv").exists() and (out / "summary.txt").exists()
 
     def test_invalid_scenario_raises_with_report(self, tmp_path):
@@ -323,14 +331,14 @@ class TestRunScenario:
         sc_path = tmp_path / "bad.json"
         save_scenario(bad, sc_path)
         with pytest.raises(ScenarioValidationError) as exc:
-            run_scenario(sc_path, tmp_path / "out")
+            run_scenario(load_scenario(sc_path), tmp_path / "out")
         assert not exc.value.report.ok
 
     def test_unknown_mode_rejected(self, tmp_path):
         from loadshed.report import run_scenario
 
         with pytest.raises(ValueError):
-            run_scenario(None, tmp_path / "out", mode="telepathy")
+            run_scenario(default_scenario(), tmp_path / "out", mode="telepathy")
 
 
 class TestCli:
@@ -379,7 +387,7 @@ class TestCli:
     def test_runs_and_compares_without_numpy(self, tmp_path):
         """The runtime needs only the standard library: with every ``import
         numpy`` made to fail, both bundled runs and their comparison still
-        complete and write every artifact."""
+        complete and write every artifact, and ``plot-data`` and ``validate`` run."""
         script = """if True:
             import json, sys
             sys.modules["numpy"] = None  # any import of numpy now raises ImportError
@@ -388,6 +396,9 @@ class TestCli:
             codes = [main(["run", "--algorithm", algo, "--seed", "42", "--out", f"{out}/{algo}"])
                      for algo in ("advanced", "baseline")]
             codes.append(main(["compare", f"{out}/baseline/run.csv", f"{out}/advanced/run.csv"]))
+            codes.append(main(["plot-data", f"{out}/advanced/run.csv", "--group", "PMM",
+                               "--out", f"{out}/plot"]))
+            codes.append(main(["validate"]))
             live = [name for name, mod in sys.modules.items()
                     if name.split(".")[0] == "numpy" and mod is not None]
             print(json.dumps({"codes": codes, "numpy_modules": live}))
@@ -399,13 +410,15 @@ class TestCli:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         verdict = json.loads(proc.stdout.splitlines()[-1])
-        assert verdict == {"codes": [0, 0, 0], "numpy_modules": []}
+        assert verdict == {"codes": [0, 0, 0, 0, 0], "numpy_modules": []}
         for algo in ("advanced", "baseline"):
             out = tmp_path / algo
             names = ["run.csv", "timing.csv", "summary.txt"]
             names += [f"groups/{grouping}.csv" for grouping in GROUPINGS]
             for name in names:
                 assert (out / name).is_file(), f"{algo}: no {name}"
+        plotted = (tmp_path / "plot" / "PMM.csv").read_bytes()
+        assert plotted == (tmp_path / "advanced" / "groups" / "PMM.csv").read_bytes()
 
     def test_networked_cli_run(self, tmp_path):
         sc_path = tmp_path / "scenario.json"
