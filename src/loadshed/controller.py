@@ -6,10 +6,12 @@ the same tuple object while no status changes. The control node diffs the
 intent into command batches; no controller builds commands. The advanced
 controller looks up the weight set and zone limits in force in a mission
 schedule built once, and solves the shedding optimization within its per-tick
-deadline. A tick whose problem equals the one behind the last plan, when that
-plan was proven optimal, keeps the plan without solving: ``solve`` is a pure
-function of the problem. The control period is the run's tick, which the
-engine passes in.
+deadline. It keeps its last computed plan without solving while a certificate
+shows that plan is still the optimum: the plan was proven optimal, the tick has
+the same caps and zone limits, its budget is no higher than the one the plan
+was solved at, and the search at the tick's budget still reaches the plan's
+leaf with the same continuous fill (see ``AdvancedController.on_telemetry``).
+The control period is the run's tick, which the engine passes in.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 from .baseline import BaselineController
 from .metrics import DEFAULT_TICK_S
 from .model import LoadSpec, MissionWeightSet, SystemSnapshot, ZoneLimit
-from .optimizer import FleetModel, ModelInstance, ShedPlan, solve
+from .optimizer import FleetModel, ShedPlan, _Prepared, solve
 from .plant import PlantEvent, ZoneLimitChange
 
 log = logging.getLogger(__name__)
@@ -103,8 +105,8 @@ class AdvancedController:
     """Per-tick re-solve of the mission-weighted shedding optimization.
 
     ``last_solve_time_s`` is the solve time of this tick's plan, or 0.0 when
-    the tick solved nothing: it held, or it kept an optimal plan whose problem
-    (model, caps, budget and zone limits) had not changed.
+    the tick solved nothing: it held, or it kept its last plan, which the
+    certificate in :meth:`on_telemetry` showed to be this tick's optimum.
     """
 
     def __init__(self, fleet: Sequence[LoadSpec], database: MissionDatabase,
@@ -115,12 +117,32 @@ class AdvancedController:
         self.intent: tuple[float, ...] = (1.0,) * len(self.fleet)
         self.last_plan: ShedPlan | None = None
         self.last_solve_time_s = 0.0
-        self._solved: ModelInstance | None = None  # the problem behind last_plan
+        # the search data and budget last_plan was solved at, kept while the
+        # plan was proven optimal and no continuous load weighs negative
+        self._kept: _Prepared | None = None
+        self._kept_budget_w = 0.0
         # one static model per weight set (zone membership is fixed); the
         # database holds the sets as long as we do, so identity is a stable key
         self._models: dict[int, FleetModel] = {}
 
     def on_telemetry(self, snapshot: SystemSnapshot) -> None:
+        """Solve this tick's problem, unless the last computed plan is
+        certifiably its optimum.
+
+        The plan is kept, with no solve, when all of these hold: ``solve``
+        proved it optimal at budget B_hi; no continuous load of the model
+        weighs negative; ``FleetModel.prepared`` returns the very search data
+        it was solved on (equal caps and zone limits give the same object);
+        this tick's budget B is at most B_hi; and ``_Prepared.replays`` shows
+        the search at B reaches the plan's leaf with the same continuous fill,
+        bit for bit. Every check and fill step of the search is monotone in
+        the budget, so each leaf reachable at B is reachable at B_hi, with the
+        same branch statuses and a fill at least as large, so with
+        non-negative continuous weights a ``plan_key`` at least as high. The
+        kept plan has the strictly highest key at B_hi and the same key at B,
+        so ``solve`` at B would return it, tie-break included. B_hi stays the
+        budget of the last solve: a kept tick moves nothing.
+        """
         self.last_solve_time_s = 0.0
         segment = self.database.segment_at(snapshot.mission_id, snapshot.time_s)
         if segment is None:
@@ -133,10 +155,16 @@ class AdvancedController:
             model = self._models[id(weights)] = FleetModel.of_fleet(
                 self.fleet, weights, self.database.zones)
         instance = model.instance(snapshot, segment.limits_w)
-        if self.last_plan is not None and self.last_plan.optimal and instance == self._solved:
-            return  # the same plan, which the intent already holds
+        budget_w = instance.capacity_budget_w
+        prep = model.prepared(instance.caps, instance.zone_limits_w)
+        # at B_hi itself the plan replays by construction, so the walk is skipped
+        if prep is self._kept and budget_w <= self._kept_budget_w and (
+                budget_w == self._kept_budget_w or prep.replays(self.intent, budget_w)):
+            return  # the kept plan, which the intent already holds, is this tick's optimum
         plan = solve(instance, self.config.solve_deadline_s)
-        self.last_plan, self._solved = plan, instance
+        self.last_plan = plan
+        self._kept = prep if plan.optimal and model.fill_monotone else None
+        self._kept_budget_w = budget_w
         self.last_solve_time_s = plan.solve_time_s
         statuses = tuple(plan.statuses.values())  # the model lists the fleet in order
         if statuses != self.intent:  # else every tick since the last change shares one tuple

@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+from .model import STATUS_TOL
+
 
 DEFAULT_TICK_S = 0.1  # the paper's 100 ms control period
 
@@ -53,11 +55,14 @@ def served_sums(weights: Mapping[int, float], load_ids: Iterable[int],
 
     ``load_ids``, ``demands`` and ``served`` are aligned columns, one entry
     per load. A served status counts up to its load's demand status. Loads
-    with zero demand status add to neither sum.
+    whose demand status is within ``STATUS_TOL`` of zero, which every status
+    domain reads as 0, add to neither sum: a measured status over such a
+    demand would make the ratio unbounded.
     """
     den = num = 0.0
+    tol = STATUS_TOL
     for lid, ds, s in zip(load_ids, demands, served):
-        if ds == 0.0:
+        if -tol <= ds <= tol:
             continue
         w = weights[lid]
         den += w * ds
@@ -67,11 +72,12 @@ def served_sums(weights: Mapping[int, float], load_ids: Iterable[int],
 
 def measured_sum(weights: Mapping[int, float], load_ids: Iterable[int],
                  demands: Iterable[float], measured_pu: Iterable[float]) -> float:
-    """Weighted measured status over the loads with nonzero demand status,
-    added in the order given, like :func:`served_sums`."""
+    """Weighted measured status over the loads that :func:`served_sums`
+    counts, added in the order given, like it."""
     total = 0.0
+    tol = STATUS_TOL
     for lid, ds, m in zip(load_ids, demands, measured_pu):
-        if ds != 0.0:
+        if not -tol <= ds <= tol:
             total += weights[lid] * m
     return total
 

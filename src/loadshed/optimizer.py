@@ -95,7 +95,9 @@ class FleetModel:
     id, ``order`` descending weight density with ties by ascending id.
     ``downward`` is each discrete load's status table highest first (None for
     a continuous load) and ``top`` its highest status. ``zone_of`` is each
-    load's zone index, -1 outside every limit.
+    load's zone index, -1 outside every limit. ``fill_monotone`` is whether
+    no continuous load weighs negative (or NaN), so that a leaf's plan key
+    never falls as its continuous fill grows (see :meth:`_Prepared.replays`).
     """
 
     def __init__(self, loads: Sequence[tuple[int, float, float, Variability, str | None]],
@@ -114,6 +116,7 @@ class FleetModel:
         tables = [v.discrete_statuses() for v in self.variability]
         self.downward = [None if t is None else t[::-1] for t in tables]
         self.top = [None if t is None else max(t) for t in tables]
+        self.fill_monotone = all(w >= 0 for w, t in zip(self.weight, tables) if t is None)
         self.zero_key = (0.0, 0.0, (0.0,) * self.n)  # the all-shed plan's key
         # How far a chain sibling's own fill may round above the ceiling
         # ``solve`` prunes it on. Take u = 2**-53, m relaxation items (at most
@@ -294,6 +297,43 @@ class _Prepared:
         budget = cuts[-1]
         return [rate(cuts.get(zi, budget)) for zi in range(len(self.zone_limits))] + [rate(budget)]
 
+    def replays(self, statuses: Sequence[float], budget_w: float) -> bool:
+        """Whether ``solve`` at ``budget_w`` reaches the leaf of ``statuses``
+        (in model order) and fills its continuous loads to exactly those
+        statuses.
+
+        It walks the branch loads in level order with the search's own checks
+        and subtractions, then runs the leaf's continuous fill and compares
+        each status bit for bit. The search puts back each zone room it
+        lowered as the value it was, not as a sum, so a node's rooms, like its
+        budget, depend on its path alone, and this walk meets them. Every check and fill step is monotone in the
+        budget: a leaf reachable at B is reachable at any budget above B, with
+        the same branch statuses and a fill at least as large on every load.
+        So where no continuous load weighs negative, a plan ``solve`` proved
+        optimal at B_hi, and which replays at B <= B_hi, is also the optimum
+        at B: each leaf reachable at B ranks, at B_hi, no lower than at B and
+        no higher than that plan, which ranks the same at both budgets. With a
+        negative continuous weight a smaller fill can rank higher, and the
+        certificate does not hold.
+        """
+        rem, zone_rem = budget_w, list(self.zone_limits)
+        for i, _, rated, zi, _, _ in self.steps:
+            power = statuses[i] * rated
+            if power > rem or zi >= 0 and power > zone_rem[zi]:
+                return False
+            rem -= power
+            if zi >= 0:
+                zone_rem[zi] -= power
+        for i, zi, rated, power in self.cont:
+            room = rem if zi < 0 else min(rem, zone_rem[zi])
+            take = min(power, max(room, 0.0))
+            if (take / rated if take > 0.0 else 0.0) != statuses[i]:
+                return False
+            rem -= take
+            if zi >= 0:
+                zone_rem[zi] -= take
+        return True
+
 
 def _tie_tol(ref: float) -> float:
     return OBJ_REL_TOL * (1.0 + abs(ref))
@@ -370,7 +410,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
             take = min(power, max(room, 0.0))
             if take > 0.0:
                 statuses[i] = take / rated
-                filled.append((i, zi, take))
+                filled.append((i, zi, zone_rem[zi] if zi >= 0 else 0.0))
                 rem -= take
                 if zi >= 0:
                     zone_rem[zi] -= take
@@ -379,10 +419,10 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
             best_key = key
             best_statuses = list(statuses)
             cutoff = key[0] - _tie_tol(key[0])
-        for i, zi, take in filled:
+        for i, zi, room in reversed(filled):  # each room as it was, not a re-added sum
             statuses[i] = 0.0
             if zi >= 0:
-                zone_rem[zi] += take
+                zone_rem[zi] = room
 
     def visit(level: int, rem: float, obj_acc: float):
         """Bound a node, search the line of first children that inherit its
@@ -399,6 +439,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
         # giving one its top status inherits the bound: exact there (up to
         # rounding), and it passed the incumbent, which no leaf has changed since.
         line = [(level, rem, obj_acc, whole)]
+        rooms = []  # the zone room each zoned load on the line took its top status from
         while whole and level < n_branch:
             i, weight, rated, zi, _, top = steps[level]
             power = top * rated
@@ -408,6 +449,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
                 raise _DeadlineExpired
             statuses[i] = top
             if zi >= 0:
+                rooms.append(zone_rem[zi])
                 zone_rem[zi] -= power
             level, rem, obj_acc, whole = level + 1, rem - power, obj_acc + weight * top, whole - 1
             line.append((level, rem, obj_acc, whole))
@@ -419,7 +461,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
             if statuses[i]:  # the top status, taken on the way down
                 statuses[i] = 0.0
                 if zi >= 0:
-                    zone_rem[zi] += top * rated
+                    zone_rem[zi] = rooms.pop()
             for status in downward:
                 power = status * rated
                 if whole and status == top or power > rem or zi >= 0 and power > zone_rem[zi]:
@@ -433,10 +475,11 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
                     continue
                 statuses[i] = status
                 if zi >= 0:
-                    zone_rem[zi] -= power
+                    room = zone_rem[zi]
+                    zone_rem[zi] = room - power
                 yield visit(level + 1, rem - power, obj_acc + weight * status)
                 if zi >= 0:
-                    zone_rem[zi] += power
+                    zone_rem[zi] = room
                 statuses[i] = 0.0
 
     # the visits from the root down to the current one, each paused where it

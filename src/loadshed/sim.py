@@ -151,9 +151,11 @@ class _Decision(NamedTuple):
 class _ControlNode:
     """The controller side of the loop, whatever carries its messages."""
 
-    def __init__(self, controller: Controller, stale_limit: int, fleet: Sequence[LoadSpec]):
+    def __init__(self, controller: Controller, stale_limit: int, fleet: Sequence[LoadSpec],
+                 mission_id: int):
         self.controller = controller
         self.stale_limit = stale_limit
+        self.mission_id = mission_id
         self._ids = tuple(spec.id for spec in fleet)
         self._rated_w = tuple(spec.rated_power_w for spec in fleet)
         self._mailbox: tuple[int, SystemSnapshot] | None = None
@@ -169,9 +171,11 @@ class _ControlNode:
         if self._mailbox is None or k - self._mailbox[0] > self.stale_limit:
             return self.last.held()  # failsafe: hold (re-send) the last batch
         seq, used = self._mailbox
-        # answer as stale: other loads, non-finite values (NaN and inf survive the sum), or
-        # loading NaN (the baseline reads it as overload) or negative; +inf is zero capacity
-        if (used.load_ids != self._ids or not used.loading_pu >= 0.0 or not math.isfinite(
+        # answer as stale: another mission, other loads, non-finite values (NaN and inf
+        # survive the sum), or loading NaN (the baseline reads it as overload) or
+        # negative; +inf is zero capacity
+        if (used.mission_id != self.mission_id or used.load_ids != self._ids
+                or not used.loading_pu >= 0.0 or not math.isfinite(
                 used.time_s + sum(used.demands) + used.total_capacity_w + used.total_loss_w)):
             return self.last.held()
         controller = self.controller
@@ -308,7 +312,7 @@ def _run(sc: ScenarioConfig, algorithm: str | None, seed: int | None,
     plant = build_plant(sc)
     recorder = _Recorder(sc)
     node = _ControlNode(make_controller(sc.fleet, cfg, recorder.db, sc.window.tick_s),
-                        cfg.stale_limit, sc.fleet)
+                        cfg.stale_limit, sc.fleet, sc.mission_id)
     q_tel = DelayQueue(queue_cfg, "telemetry")
     q_cmd = DelayQueue(queue_cfg, "commands")
 

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from loadshed.optimizer import solve
 from loadshed.scenario import default_scenario
 from loadshed.sim import run_lockstep
 
@@ -34,3 +35,16 @@ def baseline_run(bundled_scenario, run_durations):
     result = run_lockstep(bundled_scenario, algorithm="baseline", seed=42)
     run_durations["baseline"] = time.perf_counter() - t0
     return result
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every plan the controllers' ``solve`` computes, in order."""
+    plans = []
+
+    def counting(instance, deadline_s=0.05):
+        plans.append(solve(instance, deadline_s))
+        return plans[-1]
+
+    monkeypatch.setattr("loadshed.controller.solve", counting)
+    return plans

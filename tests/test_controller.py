@@ -14,7 +14,7 @@ from loadshed.controller import (
 )
 from loadshed.model import MissionWeightSet, SystemSnapshot, ZoneLimit
 from loadshed.optimizer import ConfigurationError, FleetModel, solve
-from loadshed.plant import LoadFailure, ZoneLimitChange
+from loadshed.plant import GeneratorTrip, LoadFailure, ZoneLimitChange
 from loadshed.scenario import default_fleet, default_scenario, default_weights, validate_scenario
 from loadshed.sim import _ControlNode, run_lockstep
 
@@ -37,7 +37,7 @@ def full_demand():
 
 def batches(ctrl, *snaps):
     """The batches a control node around ``ctrl`` sends, one per snapshot."""
-    node = _ControlNode(ctrl, stale_limit=5, fleet=ctrl.fleet)
+    node = _ControlNode(ctrl, stale_limit=5, fleet=ctrl.fleet, mission_id=1)
     return [node.exchange(k, [(k, snap)]).batch for k, snap in enumerate(snaps, start=1)]
 
 
@@ -93,8 +93,11 @@ class TestAdvancedController:
     def test_unknown_mission_holds(self, caplog):
         ctrl = self.make()
         snap = snapshot(full_demand(), 60 * MW, mission_id=9)
+        before = ctrl.intent
+        # called directly: a control node degrades another mission's telemetry
         with caplog.at_level(logging.WARNING):
-            assert batches(ctrl, snap) == [()]
+            ctrl.on_telemetry(snap)
+        assert ctrl.intent is before and ctrl.last_plan is None
         assert any("mission 9" in rec.message for rec in caplog.records)
 
     def test_never_commands_above_demand(self):
@@ -197,20 +200,11 @@ class TestCachedModel:
 
 
 class TestPlanReuse:
-    """A tick whose problem (model, caps, budget, zone limits) equals the one
-    behind the last plan, when that plan was proven optimal, keeps the plan
-    and solves nothing."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        plans = []
-
-        def counting(instance, deadline_s=0.05):
-            plans.append(solve(instance, deadline_s))
-            return plans[-1]
-
-        monkeypatch.setattr("loadshed.controller.solve", counting)
-        return plans
+    """A tick keeps the last computed plan and solves nothing when that plan
+    was proven optimal, the tick's caps and zone limits (and so its search
+    data) are the plan's, its budget is no higher than the plan's, and the
+    search at that budget still reaches the plan with the same continuous
+    fill. Any other tick solves again."""
 
     @staticmethod
     def make(db=None, fleet=FLEET, deadline_s=0.05):
@@ -219,7 +213,7 @@ class TestPlanReuse:
 
     def test_identical_snapshots_solve_once(self, solves):
         ctrl = self.make()
-        node = _ControlNode(ctrl, stale_limit=5, fleet=FLEET)
+        node = _ControlNode(ctrl, stale_limit=5, fleet=FLEET, mission_id=1)
         snap = snapshot(full_demand(), 60 * MW)
         assert node.exchange(1, [(1, snap)]).batch
         assert ctrl.last_solve_time_s == solves[0].solve_time_s
@@ -247,6 +241,49 @@ class TestPlanReuse:
             ctrl.on_telemetry(s)
         assert len(solves) == 2
 
+    def test_a_budget_one_ulp_below_is_kept(self, solves):
+        # every demand is served with room to spare (at 60 MW the continuous
+        # fill takes the whole budget, and one ulp less cuts it)
+        ctrl = self.make()
+        snap = snapshot(full_demand(), 96 * MW, loss_fraction=0.0)
+        nudged = snapshot(full_demand(), math.nextafter(96 * MW, 0.0), loss_fraction=0.0)
+        assert nudged.budget_w == math.nextafter(snap.budget_w, 0.0)
+        ctrl.on_telemetry(snap)
+        intent = ctrl.intent
+        assert solves[0].served_power_w < nudged.budget_w
+        ctrl.on_telemetry(nudged)
+        assert len(solves) == 1 and ctrl.last_plan is solves[0]
+        assert ctrl.last_solve_time_s == 0.0 and ctrl.intent is intent
+        # the kept plan's budget stays the bound: back up to it is kept too
+        ctrl.on_telemetry(snap)
+        assert len(solves) == 1
+
+    def test_a_budget_that_cuts_a_continuous_fill_is_solved_again(self, solves):
+        ctrl = self.make()
+        pmm = [s.variability.kind == "continuous" for s in FLEET]
+        ctrl.on_telemetry(snapshot(full_demand(), 60 * MW, loss_fraction=0.0))
+        high = ctrl.intent
+        assert any(0.0 < x < 0.64 for x, c in zip(high, pmm) if c), "the fill must be cut"
+        ctrl.on_telemetry(snapshot(full_demand(), 59 * MW, loss_fraction=0.0))
+        assert len(solves) == 2 and ctrl.last_solve_time_s > 0.0
+        low = ctrl.intent
+        assert [x for x, c in zip(low, pmm) if not c] == [x for x, c in zip(high, pmm) if not c]
+        assert sum(x for x, c in zip(low, pmm) if c) < sum(x for x, c in zip(high, pmm) if c)
+
+    @pytest.mark.parametrize("trips, pinned", [((2,), 1049), ((1, 2), 391)],
+                             ids=["bundled", "double-trip"])
+    def test_solve_count_of_a_bundled_run(self, solves, bundled_scenario, trips, pinned):
+        # the bundled advanced run and its MPGM1 + MPGM2 trip: 6,000 ticks whose
+        # budget moves on almost every tick; a 60 s deadline cuts no solve, so
+        # the count is the same on any host (2,528 and 1,870 solves when only an
+        # unchanged problem kept the plan)
+        sc = replace(bundled_scenario,
+                     events=tuple(GeneratorTrip(310.0, m) for m in trips),
+                     controller=replace(bundled_scenario.controller, solve_deadline_s=60.0))
+        result = run_lockstep(sc, algorithm="advanced", seed=42)
+        assert result.nonoptimal_solves == 0
+        assert len(solves) == pinned
+
     def test_a_zone_limit_change_is_solved_again(self, solves):
         fleet = tuple(replace(s, zone="Z1") if s.group.value == "PMM" else s for s in FLEET)
         members = tuple(s.id for s in fleet if s.zone == "Z1")
@@ -265,7 +302,7 @@ class TestPlanReuse:
         assert len(solves) == 2
 
     def test_a_reuse_tick_records_its_own_decision_time(self, solves):
-        node = _ControlNode(self.make(), stale_limit=3, fleet=FLEET)
+        node = _ControlNode(self.make(), stale_limit=3, fleet=FLEET, mission_id=1)
         snap = snapshot(full_demand(), 60 * MW)
         solved = node.exchange(1, [(1, snap)])
         reused = node.exchange(2, [(2, snap)])

@@ -7,6 +7,7 @@ import pytest
 from _helpers import MW, assert_plans_agree, model_instance, random_instance
 from _oracle import InstanceTooLargeError, brute_force_solve
 from loadshed import optimizer
+from loadshed.controller import AdvancedController, ControllerConfig, MissionDatabase
 from loadshed.model import (
     STATUS_TOL,
     LoadGroup,
@@ -251,6 +252,12 @@ def chain_instance(seed: int) -> ModelInstance:
     return model_instance(tuple(rows), rng.uniform(0.3, 1.2) * total, tuple(limits))
 
 
+def signed_instance(seed: int) -> ModelInstance:
+    # weights validation refuses but a direct caller may pass: fills meet
+    # items of negative density, and a freed watt may earn less than 0
+    return reweighted(chain_instance(seed), lambda k, w: -w if k % 3 == 1 else w)
+
+
 def chain_ceilings(inst: ModelInstance):
     """Each sibling of the root relaxation's chain: the ceiling ``solve``
     checks it against, the slack it allows that check, and the sibling's
@@ -301,9 +308,7 @@ class TestResumeCeiling:
         lambda seed: random_instance(seed, max_discrete=14),
         tied_zoned_instance,
         chain_instance,
-        # weights validation refuses but a direct caller may pass: fills meet
-        # items of negative density, and a freed watt may earn less than 0
-        lambda seed: reweighted(chain_instance(seed), lambda k, w: -w if k % 3 == 1 else w),
+        signed_instance,
     ], ids=["random", "tied-zoned", "chain", "signed"])
     def test_bounds_every_sibling_bound(self, family):
         checked = 0
@@ -448,6 +453,162 @@ class TestPreparedMemo:
             fresh_inst = random_instance(seed + 700, max_discrete=10)
             fresh = solve(replace(fresh_inst, capacity_budget_w=share * total), None)
             assert (shared.statuses, shared.objective) == (fresh.statuses, fresh.objective)
+
+
+def stepped_zoned_instance(seed: int) -> ModelInstance:
+    """Stepped and continuous loads, most of them in one of 1-3 zones whose
+    limits bind, some stepped loads capped below their top level, and a
+    budget from tight to ample."""
+    rng = random.Random(f"stepped-zoned/{seed}")
+    zones = [f"Z{z + 1}" for z in range(rng.randint(1, 3))]
+    rows = []
+    for lid in range(1, rng.randint(6, 12) + 1):
+        zone = rng.choice(zones + zones + [None])
+        weight, rated = rng.uniform(0.5, 10.0), rng.uniform(0.5, 4.0) * MW
+        if rng.random() < 0.35:
+            rows.append(cont_row(lid, weight, rated, rng.uniform(0.3, 1.0), zone))
+        else:
+            levels = sorted(rng.sample((0.2, 0.4, 0.5, 0.6, 0.8), rng.randint(1, 3))) + [1.0]
+            demand = rng.choice((1.0, rng.uniform(0.3, 1.0)))
+            rows.append((lid, weight, rated, demand, Variability.stepped(levels), zone))
+    limits = []
+    for z in zones:
+        members = tuple(row[0] for row in rows if row[5] == z)
+        zone_w = sum(d * r for _, _, r, d, _, zone in rows if zone == z)
+        if members:
+            limits.append(ZoneLimit(z, rng.uniform(0.3, 0.9) * zone_w, members))
+    total = sum(d * r for _, _, r, d, _, _ in rows)
+    return model_instance(tuple(rows), rng.uniform(0.3, 1.1) * total, tuple(limits))
+
+
+class TestBudgetCertificate:
+    """The advanced controller keeps its last plan, with no solve, while the
+    plan was proven optimal, the caps and zone limits are unchanged, the
+    budget is no higher than the plan's, no continuous load weighs negative
+    and ``_Prepared.replays`` reaches the plan again at the tick's budget. A
+    kept plan must be the plan an unbounded fresh ``solve`` gives."""
+
+    FAMILIES = [
+        lambda seed: random_instance(seed, max_discrete=14),
+        tied_zoned_instance,
+        chain_instance,
+        stepped_zoned_instance,
+    ]
+    IDS = ["random", "tied-zoned", "chain", "stepped-zoned"]
+
+    @staticmethod
+    def controller(inst: ModelInstance):
+        """An advanced controller over ``inst``'s loads, weights and zones, and
+        a function from a budget to the snapshot that gives it ``inst`` there."""
+        m = inst.model
+        zone_names = [None if z < 0 else str(z) for z in m.zone_of]
+        fleet = [LoadSpec(lid, f"L{lid}", LoadGroup.ACLC_VITAL, r, v, z)
+                 for lid, r, v, z in zip(m.ids, m.rated, m.variability, zone_names)]
+        zones = [ZoneLimit(str(zi), limit, tuple(lid for lid, z in zip(m.ids, m.zone_of)
+                                                 if z == zi) or (m.ids[0],))
+                 for zi, limit in enumerate(inst.zone_limits_w)]
+        db = MissionDatabase([MissionWeightSet(1, dict(zip(m.ids, m.weight)))], zones)
+        ctrl = AdvancedController(fleet, db, ControllerConfig(solve_deadline_s=60.0))
+        measured = tuple(c * r for c, r in zip(inst.caps, m.rated))
+
+        def snapshot(budget_w):
+            return SystemSnapshot(0.0, 1, m.ids, tuple(inst.caps), measured, budget_w, 0.0, 0.5)
+
+        return ctrl, snapshot
+
+    @staticmethod
+    def budgets(budget_w: float, plan: ShedPlan) -> list[float]:
+        """Below the plan's budget: one ulp, half its slack, exactly its served
+        power and one ulp under that."""
+        served = plan.served_power_w
+        return [math.nextafter(budget_w, -math.inf), budget_w - (budget_w - served) / 2,
+                served, math.nextafter(served, -math.inf)]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=IDS)
+    def test_every_plan_replays_at_its_own_budget(self, family):
+        for seed in range(300):
+            inst = family(seed)
+            plan = solve(inst, None)
+            prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
+            statuses = [plan.statuses[lid] for lid in inst.model.ids]
+            assert prep.replays(statuses, inst.capacity_budget_w), f"seed {seed}"
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=IDS)
+    def test_a_kept_plan_is_the_fresh_optimum(self, family, solves):
+        kept = 0
+        for seed in range(300):
+            inst = family(seed)
+            ctrl, snapshot = self.controller(inst)
+            ctrl.on_telemetry(snapshot(inst.capacity_budget_w))
+            assert ctrl.last_plan.optimal
+            for budget_w in self.budgets(inst.capacity_budget_w, ctrl.last_plan):
+                before = len(solves)
+                ctrl.on_telemetry(snapshot(budget_w))
+                fresh = solve(replace(inst, capacity_budget_w=budget_w), None)
+                assert ctrl.intent == tuple(fresh.statuses[lid] for lid in inst.model.ids), (
+                    f"seed {seed}, budget {budget_w!r}")
+                kept += len(solves) == before
+        assert kept >= 300, f"only {kept} kept ticks"
+
+    def test_a_negative_continuous_weight_keeps_no_plan(self, solves):
+        negative = 0
+        for seed in range(300):
+            inst = signed_instance(seed)
+            m = inst.model
+            if m.fill_monotone:
+                continue
+            negative += 1
+            ctrl, snapshot = self.controller(inst)
+            ctrl.on_telemetry(snapshot(inst.capacity_budget_w))
+            budgets = self.budgets(inst.capacity_budget_w, ctrl.last_plan)
+            before = len(solves)
+            for budget_w in [inst.capacity_budget_w] + budgets:
+                ctrl.on_telemetry(snapshot(budget_w))
+            assert len(solves) == before + 1 + len(budgets), f"seed {seed}"
+        assert negative >= 50, f"only {negative} instances weigh a continuous load negative"
+
+    def test_a_higher_budget_is_solved_again(self, solves):
+        # at 3 MW load 2 (5 MW) does not fit; at 10 MW the kept plan still
+        # replays, but load 2 now fits and ranks first
+        inst = model_instance((binary_row(1, 10.0, 1 * MW), binary_row(2, 5.0, 5 * MW),
+                               cont_row(3, 1.0, 1 * MW)), 3 * MW)
+        prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
+        assert prep.replays((1.0, 0.0, 1.0), 10 * MW)
+        ctrl, snapshot = self.controller(inst)
+        ctrl.on_telemetry(snapshot(3 * MW))
+        assert ctrl.intent == (1.0, 0.0, 1.0)
+        ctrl.on_telemetry(snapshot(10 * MW))
+        assert len(solves) == 2 and ctrl.intent == (1.0, 1.0, 1.0)
+
+    def test_replays_refuses_a_path_over_a_limit(self):
+        zones = (ZoneLimit("Z1", 4 * MW, (1, 2)),)
+        inst = model_instance((binary_row(1, 5.0, 3 * MW, zone="Z1"),
+                               binary_row(2, 4.0, 2 * MW, zone="Z1"),
+                               cont_row(3, 1.0, 2 * MW)), 6 * MW, zones)
+        prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
+        assert prep.replays((1.0, 0.0, 1.0), 6 * MW)
+        assert not prep.replays((1.0, 1.0, 0.5), 6 * MW)  # 5 MW in the 4 MW zone
+        assert not prep.replays((1.0, 0.0, 1.0), 4 * MW)  # the fill is cut to 0.5
+        assert not prep.replays((1.0, 0.0, 0.0), 2 * MW)  # load 1 alone is over budget
+
+    def test_a_lower_budget_can_switch_on_a_negative_weight(self, solves):
+        # at 21 MW load 2 stays off (objective 9 against 8.75); that plan still
+        # replays at 16 MW, where load 3 can only half fill if load 2 is on,
+        # which then ranks first (9.25 against 9)
+        inst = model_instance((binary_row(1, 10.0, 1 * MW), binary_row(2, -0.25, 10 * MW),
+                               cont_row(3, -1.0, 10 * MW)), 21 * MW)
+        high = solve(inst, None)
+        assert (high.statuses, high.objective) == ({1: 1.0, 2: 0.0, 3: 1.0}, 9.0)
+        low = solve(replace(inst, capacity_budget_w=16 * MW), None)
+        assert (low.statuses, low.objective) == ({1: 1.0, 2: 1.0, 3: 0.5}, 9.25)
+        prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
+        assert prep.replays((1.0, 0.0, 1.0), 16 * MW)
+        assert not inst.model.fill_monotone
+        ctrl, snapshot = self.controller(inst)
+        ctrl.on_telemetry(snapshot(21 * MW))
+        ctrl.on_telemetry(snapshot(16 * MW))
+        assert len(solves) == 2
+        assert ctrl.intent == (1.0, 1.0, 0.5)
 
 
 class TestProperties:

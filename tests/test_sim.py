@@ -266,7 +266,7 @@ def test_intent_power_follows_demand_under_a_held_intent():
     sc = small_scenario()
     controller = make_controller(sc.fleet, replace(sc.controller, algorithm="baseline"),
                                  tick_s=sc.window.tick_s)
-    node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet)
+    node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet, sc.mission_id)
     plant = build_plant(sc)
     snaps = [plant.tick(sc.window.tick_s) for _ in range(30)]  # before the trip
     decisions = [node.exchange(k, [(k, snap)]) for k, snap in enumerate(snaps, start=1)]
@@ -289,7 +289,7 @@ def test_node_batch_is_the_fleet_order_diff_of_intents(bundled_scenario, algorit
     plant, recorder = build_plant(sc), _Recorder(sc)
     controller = make_controller(sc.fleet, replace(sc.controller, algorithm=algorithm),
                                  recorder.db, sc.window.tick_s)
-    node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet)
+    node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet, sc.mission_id)
     ids = [spec.id for spec in sc.fleet]
     before, changes = node.last.intent, 0
     for k in range(1, 401):
@@ -314,13 +314,14 @@ class TestNonFiniteTelemetry:
         lambda snap: replace(snap, loading_pu=-0.5),
         lambda snap: replace(snap, time_s=math.nan),
         lambda snap: replace(snap, time_s=math.inf),
+        lambda snap: replace(snap, mission_id=snap.mission_id + 1),
     ], ids=["nan-demand", "inf-capacity", "inf-loss", "other-loads", "no-records",
-            "nan-loading", "negative-loading", "nan-time", "inf-time"])
+            "nan-loading", "negative-loading", "nan-time", "inf-time", "foreign-mission"])
     def test_tick_is_degraded_and_holds_the_last_batch(self, corrupt):
         sc = small_scenario()
         plant, recorder = build_plant(sc), _Recorder(sc)
         controller = make_controller(sc.fleet, sc.controller, recorder.db, sc.window.tick_s)
-        node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet)
+        node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet, sc.mission_id)
         first = node.exchange(1, [(1, plant.tick(sc.window.tick_s))])
 
         def refuse(snapshot):

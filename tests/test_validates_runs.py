@@ -186,3 +186,32 @@ def test_a_scenario_that_validates_runs(sc):
         assert len(result.rows) == sc.window.n_ticks
         assert [x for row in result.rows for x in nonfinite_fields(row)] == []
     assert limit_breaches(sc, result) == []
+
+
+def test_a_vanishing_demand_keeps_rows_finite():
+    # a case the property found: load 5's demand falls from 1 to a subnormal
+    # status while its measured power still lags near 1 MW; counted as demand,
+    # it made measured operability overflow to inf. A demand status within
+    # STATUS_TOL of 0 counts as none, as every status domain reads it.
+    fleet = tuple(LoadSpec(lid, f"L{lid}", LoadGroup.ACLC_VITAL, 1 * MW,
+                           Variability("binary" if lid < 3 else "continuous"))
+                  for lid in range(1, 6))
+    profiles = {lid: LoadProfile(((0.0, 0.0),)) for lid in range(1, 5)}
+    profiles[5] = LoadProfile(((0.0, 1.0), (0.1, 2.225073858507e-311)))
+    sc = ScenarioConfig(
+        name="vanishing-demand",
+        window=MissionWindow(0.0, 0.5, TICK_S),
+        fleet=fleet,
+        generation=(GenerationModule(1, "G1", 1 * MW),),
+        zones=(),
+        weight_sets=(MissionWeightSet(1, {lid: 1.0 for lid in range(1, 6)}),),
+        profiles=profiles,
+        events=(),
+        plant=PlantConfig(tau_s=1.0, loss_fraction=0.0),
+        impairment=ImpairmentConfig(),
+        controller=ControllerConfig(stale_limit=1),
+    )
+    assert validate_scenario(sc).ok
+    for algorithm in ("baseline", "advanced"):
+        result = run_lockstep(sc, algorithm=algorithm)
+        assert [x for row in result.rows for x in nonfinite_fields(row)] == []
