@@ -6,11 +6,13 @@ the same tuple object while no status changes. The control node diffs the
 intent into command batches; no controller builds commands. The advanced
 controller looks up the weight set and zone limits in force in a mission
 schedule built once, and solves the shedding optimization within its per-tick
-deadline. It keeps its last computed plan without solving while a certificate
-shows that plan is still the optimum: the plan was proven optimal, the tick has
-the same caps and zone limits, its budget is no higher than the one the plan
-was solved at, and the search at the tick's budget still reaches the plan's
-leaf with the same continuous fill (see ``AdvancedController.on_telemetry``).
+deadline. While a certificate shows it is still the optimum, it keeps the branch
+statuses of its last computed plan without solving and only refills the plan's
+continuous loads at the tick's budget: the plan was proven optimal, the tick has
+the same caps and zone limits, the plan's branch loads still fit the budget,
+and either the budget is no higher than the one the plan was solved at and the
+fill comes out unchanged, or the budget lies within a radius in which the
+refilled plan provably beats every other (see ``AdvancedController.on_telemetry``).
 The control period is the run's tick, which the engine passes in.
 """
 
@@ -26,7 +28,7 @@ from typing import NamedTuple
 from .baseline import BaselineController
 from .metrics import DEFAULT_TICK_S
 from .model import LoadSpec, MissionWeightSet, SystemSnapshot, ZoneLimit
-from .optimizer import FleetModel, ShedPlan, _Prepared, solve
+from .optimizer import FleetModel, ShedPlan, _Leaf, _Prepared, solve
 from .plant import PlantEvent, ZoneLimitChange
 
 log = logging.getLogger(__name__)
@@ -104,9 +106,12 @@ class MissionDatabase:
 class AdvancedController:
     """Per-tick re-solve of the mission-weighted shedding optimization.
 
-    ``last_solve_time_s`` is the solve time of this tick's plan, or 0.0 when
-    the tick solved nothing: it held, or it kept its last plan, which the
-    certificate in :meth:`on_telemetry` showed to be this tick's optimum.
+    ``last_plan`` is the last plan ``solve`` computed, and ``intent`` the
+    statuses this tick commands: the last plan's, or its branch statuses with
+    the continuous loads refilled at this tick's budget on a tick the
+    certificate in :meth:`on_telemetry` kept. ``last_solve_time_s`` is the
+    solve time of this tick's plan, or 0.0 when the tick solved nothing: it
+    held, or the certificate kept the plan.
     """
 
     def __init__(self, fleet: Sequence[LoadSpec], database: MissionDatabase,
@@ -117,31 +122,32 @@ class AdvancedController:
         self.intent: tuple[float, ...] = (1.0,) * len(self.fleet)
         self.last_plan: ShedPlan | None = None
         self.last_solve_time_s = 0.0
-        # the search data and budget last_plan was solved at, kept while the
-        # plan was proven optimal and no continuous load weighs negative
+        # the search data last_plan was solved on and its leaf, kept while the
+        # plan was proven optimal and no load weighs negative, and the
+        # continuous fill (in the leaf's order) that intent holds
         self._kept: _Prepared | None = None
-        self._kept_budget_w = 0.0
+        self._leaf: _Leaf | None = None
+        self._fill: list[float] = []
         # one static model per weight set (zone membership is fixed); the
         # database holds the sets as long as we do, so identity is a stable key
         self._models: dict[int, FleetModel] = {}
 
     def on_telemetry(self, snapshot: SystemSnapshot) -> None:
-        """Solve this tick's problem, unless the last computed plan is
-        certifiably its optimum.
+        """Solve this tick's problem, unless the last computed plan's branch
+        statuses, refilled at this tick's budget, are certifiably its optimum.
 
-        The plan is kept, with no solve, when all of these hold: ``solve``
-        proved it optimal at budget B_hi; no continuous load of the model
-        weighs negative; ``FleetModel.prepared`` returns the very search data
-        it was solved on (equal caps and zone limits give the same object);
-        this tick's budget B is at most B_hi; and ``_Prepared.replays`` shows
-        the search at B reaches the plan's leaf with the same continuous fill,
-        bit for bit. Every check and fill step of the search is monotone in
-        the budget, so each leaf reachable at B is reachable at B_hi, with the
-        same branch statuses and a fill at least as large, so with
-        non-negative continuous weights a ``plan_key`` at least as high. The
-        kept plan has the strictly highest key at B_hi and the same key at B,
-        so ``solve`` at B would return it, tie-break included. B_hi stays the
-        budget of the last solve: a kept tick moves nothing.
+        The plan's leaf is kept (see ``_Leaf``), with no solve, when all of
+        these hold: ``solve`` proved the plan optimal at budget B0; no load of
+        the model weighs negative; ``FleetModel.prepared`` returns the very
+        search data it was solved on (equal caps and zone limits give the same
+        object); ``_Prepared.refill`` fits the plan's branch powers into this
+        tick's budget B and refills its continuous loads as ``solve``'s leaf
+        would; and either B <= B0 and that fill is the plan's own, bit for bit,
+        or |B - B0|·d_max is below the leaf's margin. Either way ``solve`` at B
+        would return the refilled leaf, tie-break included (``_Leaf`` gives
+        both arguments). B0 stays the budget of the last solve: a kept tick
+        moves nothing but ``intent``, and copies the statuses only when the
+        fill differs from the one ``intent`` holds.
         """
         self.last_solve_time_s = 0.0
         segment = self.database.segment_at(snapshot.mission_id, snapshot.time_s)
@@ -157,18 +163,35 @@ class AdvancedController:
         instance = model.instance(snapshot, segment.limits_w)
         budget_w = instance.capacity_budget_w
         prep = model.prepared(instance.caps, instance.zone_limits_w)
-        # at B_hi itself the plan replays by construction, so the walk is skipped
-        if prep is self._kept and budget_w <= self._kept_budget_w and (
-                budget_w == self._kept_budget_w or prep.replays(self.intent, budget_w)):
-            return  # the kept plan, which the intent already holds, is this tick's optimum
+        if prep is self._kept:
+            leaf = self._leaf
+            # at B0 itself the leaf refills to its own fill, so the walk is skipped
+            fill = leaf.fill if budget_w == leaf.budget_w else prep.refill(leaf, budget_w)
+            if fill is not None and (
+                    budget_w <= leaf.budget_w and fill == leaf.fill
+                    or abs(budget_w - leaf.budget_w) * prep.d_max < leaf.margin):
+                if fill != self._fill:  # else the intent already holds this leaf
+                    self._fill = fill
+                    if fill == leaf.fill:
+                        self.intent = leaf.statuses
+                    else:
+                        statuses = list(leaf.statuses)
+                        for (i, _, _, _), status in zip(prep.cont, fill):
+                            statuses[i] = status
+                        self.intent = tuple(statuses)
+                return
         plan = solve(instance, self.config.solve_deadline_s)
         self.last_plan = plan
-        self._kept = prep if plan.optimal and model.fill_monotone else None
-        self._kept_budget_w = budget_w
         self.last_solve_time_s = plan.solve_time_s
         statuses = tuple(plan.statuses.values())  # the model lists the fleet in order
         if statuses != self.intent:  # else every tick since the last change shares one tuple
             self.intent = statuses
+        if plan.optimal and model.fill_monotone:
+            self._kept = prep
+            self._leaf = prep.leaf(self.intent, budget_w, plan.objective)
+            self._fill = self._leaf.fill
+        else:
+            self._kept = None
 
 
 Controller = AdvancedController | BaselineController

@@ -51,6 +51,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     STATUS_TOL,
@@ -96,8 +97,10 @@ class FleetModel:
     ``downward`` is each discrete load's status table highest first (None for
     a continuous load) and ``top`` its highest status. ``zone_of`` is each
     load's zone index, -1 outside every limit. ``fill_monotone`` is whether
-    no continuous load weighs negative (or NaN), so that a leaf's plan key
-    never falls as its continuous fill grows (see :meth:`_Prepared.replays`).
+    no load weighs negative (or NaN), as validation requires: then a leaf's
+    plan key never falls as its continuous fill grows, and each bound of the
+    search is a true relaxation bound, which rises with the budget at no more
+    than the densest item's rate (see :class:`_Leaf`).
     """
 
     def __init__(self, loads: Sequence[tuple[int, float, float, Variability, str | None]],
@@ -116,7 +119,7 @@ class FleetModel:
         tables = [v.discrete_statuses() for v in self.variability]
         self.downward = [None if t is None else t[::-1] for t in tables]
         self.top = [None if t is None else max(t) for t in tables]
-        self.fill_monotone = all(w >= 0 for w, t in zip(self.weight, tables) if t is None)
+        self.fill_monotone = all(w >= 0 for w in self.weight)
         self.zero_key = (0.0, 0.0, (0.0,) * self.n)  # the all-shed plan's key
         # How far a chain sibling's own fill may round above the ceiling
         # ``solve`` prunes it on. Take u = 2**-53, m relaxation items (at most
@@ -201,7 +204,15 @@ class ModelInstance:
 class _Prepared:
     """The search data of a model under one set of caps and zone limits (see
     the module docstring); it does not depend on the budget. Branch loads are
-    those with a real discrete choice under their cap."""
+    those with a real discrete choice under their cap. ``d_max`` is the
+    densest relaxation item's density, at least 0: no relaxation bound rises
+    faster than that with the budget.
+
+    A plan ``solve`` proved optimal at one budget is kept as a :class:`_Leaf`
+    (:meth:`leaf`, once per solve), and :meth:`refill` walks it at another
+    budget: its branch statuses stay, and only its continuous loads are filled
+    again. ``_Leaf`` says when the refilled leaf is ``solve``'s answer there.
+    """
 
     def __init__(self, model: FleetModel, caps: Sequence[float],
                  zone_limits_w: Sequence[float]):
@@ -233,6 +244,7 @@ class _Prepared:
             if len(downward) > 1:
                 self.relax.append((len(self.steps), top * rated[i], density[i], zone_of[i]))
                 self.steps.append((i, model.weight[i], rated[i], zone_of[i], downward, top))
+        self.d_max = max(0.0, self.relax[0][2]) if self.relax else 0.0
 
     def relax_bound(self, level: int, rem: float, bound: float, zrem: list[float],
                     cuts: dict[int, int] | None = None) -> tuple[float, int]:
@@ -297,42 +309,105 @@ class _Prepared:
         budget = cuts[-1]
         return [rate(cuts.get(zi, budget)) for zi in range(len(self.zone_limits))] + [rate(budget)]
 
-    def replays(self, statuses: Sequence[float], budget_w: float) -> bool:
-        """Whether ``solve`` at ``budget_w`` reaches the leaf of ``statuses``
-        (in model order) and fills its continuous loads to exactly those
-        statuses.
-
-        It walks the branch loads in level order with the search's own checks
-        and subtractions, then runs the leaf's continuous fill and compares
-        each status bit for bit. The search puts back each zone room it
-        lowered as the value it was, not as a sum, so a node's rooms, like its
-        budget, depend on its path alone, and this walk meets them. Every check and fill step is monotone in the
-        budget: a leaf reachable at B is reachable at any budget above B, with
-        the same branch statuses and a fill at least as large on every load.
-        So where no continuous load weighs negative, a plan ``solve`` proved
-        optimal at B_hi, and which replays at B <= B_hi, is also the optimum
-        at B: each leaf reachable at B ranks, at B_hi, no lower than at B and
-        no higher than that plan, which ranks the same at both budgets. With a
-        negative continuous weight a smaller fill can rank higher, and the
-        certificate does not hold.
-        """
-        rem, zone_rem = budget_w, list(self.zone_limits)
-        for i, _, rated, zi, _, _ in self.steps:
-            power = statuses[i] * rated
-            if power > rem or zi >= 0 and power > zone_rem[zi]:
-                return False
-            rem -= power
+    def leaf(self, statuses: tuple[float, ...], budget_w: float, objective: float) -> _Leaf:
+        """The :class:`_Leaf` of a plan ``solve`` proved optimal at ``budget_w``
+        with these statuses (in model order) and objective."""
+        steps = self.steps
+        powers = tuple(statuses[i] * rated for i, _, rated, _, _, _ in steps)
+        rooms = list(self.zone_limits)
+        for (_, _, _, zi, _, _), power in zip(steps, powers):
             if zi >= 0:
-                zone_rem[zi] -= power
-        for i, zi, rated, power in self.cont:
+                rooms[zi] -= power  # as the search lowers each room on its way down
+        fill = [statuses[i] for i, _, _, _ in self.cont]
+        margin = -math.inf
+        if all(statuses[i] == top for i, _, _, _, _, top in steps):
+            cuts: dict[int, int] = {}
+            root, whole = self.relax_bound(0, budget_w, 0.0, list(self.zone_limits), cuts)
+            if whole == len(steps):
+                rates, density = self.resume_rates(cuts), self.model.density
+                ceiling = max((root - (top - s) * rated * (density[i] - rates[zi])
+                               for i, _, rated, zi, downward, top in steps
+                               for s in downward[1:]), default=-math.inf)
+                margin = objective - ceiling - self.model.ceiling_slack
+        return _Leaf(statuses, budget_w, powers, rooms, fill, margin)
+
+    def refill(self, leaf: _Leaf, budget_w: float) -> list[float] | None:
+        """The continuous statuses, in ``cont`` order, that ``solve``'s leaf
+        gives ``leaf``'s branch statuses at ``budget_w``; None where a branch
+        power does not fit, so that the search would not reach the leaf.
+
+        It subtracts the branch powers from the budget in level order with the
+        search's own check and arithmetic, then fills the continuous loads as
+        ``solve``'s leaf does. Zone rooms need no check: they do not depend on
+        the budget, and the search met them on its way to the leaf. The search
+        puts back each room it lowered as the value it was, not as a sum, so a
+        node's rooms depend on its path alone, and ``leaf.rooms`` are the
+        leaf's at any budget.
+        """
+        rem = budget_w
+        for power in leaf.powers:
+            if power > rem:
+                return None
+            rem -= power
+        zone_rem = list(leaf.rooms)
+        fill = []
+        for _, zi, rated, power in self.cont:
             room = rem if zi < 0 else min(rem, zone_rem[zi])
             take = min(power, max(room, 0.0))
-            if (take / rated if take > 0.0 else 0.0) != statuses[i]:
-                return False
-            rem -= take
-            if zi >= 0:
-                zone_rem[zi] -= take
-        return True
+            if take > 0.0:
+                fill.append(take / rated)
+                rem -= take
+                if zi >= 0:
+                    zone_rem[zi] -= take
+            else:
+                fill.append(0.0)
+        return fill
+
+
+class _Leaf(NamedTuple):
+    """A plan ``solve`` proved optimal at ``budget_w`` (B0), kept to be
+    refilled at other budgets: its statuses, its branch powers in level order
+    and the zone rooms after them, neither of which depends on the budget, its
+    continuous statuses in ``_Prepared.cont`` order, and the margin by which it
+    beats every other leaf at B0.
+
+    Where no load weighs negative (``FleetModel.fill_monotone``) and
+    :meth:`_Prepared.refill` reaches the leaf at budget B, either rule makes
+    the refilled leaf (the same branch statuses, the fill ``solve``'s leaf
+    gives them at B) the plan ``solve`` returns at B:
+
+    - B <= B0 and the fill is ``fill`` bit for bit. Every check and fill step
+      of the search is monotone in the budget, so each leaf reachable at B is
+      reachable at B0 with the same branch statuses and a fill at least as
+      large, so with a ``plan_key`` at least as high there. The plan has the
+      strictly highest key at B0 and the same key at B.
+    - |B - B0|·d_max < ``margin``, d_max being ``_Prepared.d_max``. The margin
+      is finite only where every branch load sits at its top status and the
+      root relaxation at B0 takes them all whole. Then every other leaf lies
+      under a sibling of the root's chain, whose bound at B0 is at most its
+      ceiling (see ``solve``) and, a greedy relaxation, rises with the budget
+      by at most d_max per watt. The refilled leaf's fill is monotone in the
+      budget and loses at most a watt per watt, each worth at most d_max. The
+      margin is the plan's objective less the highest ceiling, over every
+      branch level and lower status, less ``FleetModel.ceiling_slack``; so
+      inside that radius every other leaf's objective is strictly below the
+      refilled leaf's, and the first dive reaches it.
+
+    The slack covers the rounding of that argument, with u = 2**-53 and P and V
+    as in ``FleetModel``: the ceilings' 20(m + 2)uV, as in ``solve``; 2uV for
+    each of the two objectives, sums of rounded products; each of the two
+    fills, walked in floating point, strays from the exact one by at most
+    2(n + 1)uP watts, worth 2(n + 1)uV; and forming the margin and the radius
+    test rounds by at most 13uV. That totals at most (24n + 61)uV, under the
+    slack's 32(n + 2)uV.
+    """
+
+    statuses: tuple[float, ...]
+    budget_w: float
+    powers: tuple[float, ...]
+    rooms: list[float]
+    fill: list[float]
+    margin: float
 
 
 def _tie_tol(ref: float) -> float:

@@ -88,8 +88,18 @@ def _group_series(
 
 
 def shed_summary(meta: RunMeta, rows: Sequence[RunRecord]) -> dict[str, dict[str, float]]:
-    """Per-group service: demanded/served energy and loads ever cut to zero."""
+    """Per-group service: demanded/served energy and loads ever cut to zero.
+
+    Rows mostly repeat the demands and commanded statuses of the row before,
+    so each run of rows with equal ones is summed once, times its length.
+    """
     scale = meta.tick_s / 3.6e9  # watt-ticks to MWh
+    runs: list[list] = []  # [length, demands, commanded] per run of equal rows
+    for r in rows:
+        if runs and r.demands == runs[-1][1] and r.commanded == runs[-1][2]:
+            runs[-1][0] += 1
+        else:
+            runs.append([1, r.demands, r.commanded])
     out: dict[str, dict[str, float]] = {}
     for g in LoadGroup:
         members = [(i, lid, rated) for i, (lid, group, rated) in enumerate(meta.fleet)
@@ -98,14 +108,16 @@ def shed_summary(meta: RunMeta, rows: Sequence[RunRecord]) -> dict[str, dict[str
             continue
         demand_mwh = served_mwh = 0.0
         cut: set[int] = set()
-        for r in rows:
-            demands, commanded = r.demands, r.commanded
+        for length, demands, commanded in runs:
+            demand_w = served_w = 0.0
             for i, lid, rated in members:
                 d, c = demands[i], commanded[i]
-                demand_mwh += d * rated
-                served_mwh += (d if d < c else c) * rated  # min(c, d)
+                demand_w += d * rated
+                served_w += (d if d < c else c) * rated  # min(c, d)
                 if d > 0.0 and c == 0.0:
                     cut.add(lid)
+            demand_mwh += demand_w * length
+            served_mwh += served_w * length
         out[g.value] = {
             "demand_mwh": demand_mwh * scale,
             "served_mwh": served_mwh * scale,

@@ -112,6 +112,55 @@ def assert_plans_agree(instance: ModelInstance, a, b, tol: float = 1e-9) -> None
             assert sa == sb, f"load {lid}: {sa} vs {sb}"
 
 
+def milp_objective(instance: ModelInstance) -> float:
+    """The optimal objective of ``instance`` by HiGHS (``scipy.optimize.milp``),
+    an oracle with no code in common with ``solve``: one binary column per
+    (discrete load, status under its cap), one row per discrete load choosing
+    exactly one of them, a column per continuous load bounded by its cap, then
+    the budget row and one row per zone. Powers are in MW. It checks the
+    objective only; the tie-break is the brute-force oracle's job."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    m = instance.model
+    gain, power, integral, zone_of, choices = [], [], [], [], []
+    for i, (variability, cap) in enumerate(zip(m.variability, instance.caps)):
+        table = variability.discrete_statuses(cap)
+        statuses = [cap] if table is None else table
+        if table is not None:
+            choices.append(range(len(gain), len(gain) + len(table)))
+        for s in statuses:
+            gain.append(m.weight[i] * s)
+            power.append(m.rated[i] * s / 1e6)
+            integral.append(table is not None)
+            zone_of.append(m.zone_of[i])
+    n = len(gain)
+    rows, lower, ub = [power], [-np.inf], [instance.capacity_budget_w / 1e6]
+    for zi, limit in enumerate(instance.zone_limits_w):
+        rows.append([p if z == zi else 0.0 for p, z in zip(power, zone_of)])
+        lower.append(-np.inf)
+        ub.append(max(0.0, limit) / 1e6)
+    for cols in choices:
+        rows.append([1.0 if k in cols else 0.0 for k in range(n)])
+        lower.append(1.0)
+        ub.append(1.0)
+    cost, constraints = -np.array(gain), LinearConstraint(np.array(rows), lower, ub)
+    res = milp(cost, integrality=np.array(integral, dtype=int),
+               bounds=Bounds(0.0, 1.0), constraints=constraints,
+               options={"mip_rel_gap": 0.0})
+    assert res.success, res.message
+    # HiGHS lets a binary stray 1e-6 from 0 or 1: fix each discrete load's
+    # chosen status exactly, then fill the continuous columns by an LP
+    low, high = np.zeros(n), np.ones(n)
+    for cols in choices:
+        chosen = max(cols, key=lambda k: res.x[k])
+        high[cols.start:cols.stop] = 0.0
+        low[chosen] = high[chosen] = 1.0
+    res = milp(cost, bounds=Bounds(low, high), constraints=constraints)
+    assert res.success, res.message
+    return -res.fun
+
+
 def small_fleet() -> tuple[LoadSpec, ...]:
     fleet = [
         LoadSpec(1, "V-1", LoadGroup.ACLC_VITAL, 1.0 * MW, Variability.binary()),

@@ -20,8 +20,8 @@ from loadshed.link import replay_drop_schedule
 from loadshed.model import ShedCommand, SystemSnapshot
 from loadshed.optimizer import plan_violations, solve
 from loadshed.records import write_run_csv
-from loadshed.report import (GROUPINGS, integral_ops, solve_time_stats, summarize,
-                             write_group_csv)
+from loadshed.report import (GROUPINGS, integral_ops, shed_summary, solve_time_stats,
+                             summarize, write_group_csv)
 from loadshed.sim import run_lockstep, run_networked
 
 WINDOW_START, TRIP_T, RELIEF_T, WINDOW_END = 0.0, 310.0, 395.0, 600.0
@@ -82,6 +82,44 @@ def test_03_solve_deadline(advanced_run, tmp_path):
     summary = summarize(advanced_run.meta, advanced_run.rows)
     assert "max" in summary and "p99" in summary
     announce(3, f"solve deadline (p99 {t_p99 * 1e3:.2f} ms, max {t_max * 1e3:.2f} ms)")
+
+
+# summary.txt's per-group lines for the bundled lockstep runs (impairment seed 42)
+BUNDLED_SHED_LINES = {
+    "advanced": """\
+  ACLC_Vital    served     2.67 /     2.67 MWh  ratio 1.0000  loads cut 0
+  ACLC_NonVital served     1.75 /     1.75 MWh  ratio 1.0000  loads cut 0
+  MWClass       served     0.45 /     0.45 MWh  ratio 1.0000  loads cut 0
+  IPNC          served     0.50 /     0.50 MWh  ratio 1.0000  loads cut 0
+  PMM           served     3.51 /     3.93 MWh  ratio 0.8943  loads cut 2
+""",
+    "baseline": """\
+  ACLC_Vital    served     1.64 /     2.67 MWh  ratio 0.6147  loads cut 13
+  ACLC_NonVital served     0.79 /     1.75 MWh  ratio 0.4490  loads cut 12
+  MWClass       served     0.45 /     0.45 MWh  ratio 1.0000  loads cut 0
+  IPNC          served     0.26 /     0.50 MWh  ratio 0.5211  loads cut 6
+  PMM           served     3.93 /     3.93 MWh  ratio 1.0000  loads cut 0
+""",
+}
+
+
+@pytest.mark.parametrize("algorithm", ["advanced", "baseline"])
+def test_shed_summary_of_the_bundled_runs(algorithm, advanced_run, baseline_run):
+    """Per-group service sums each run of equal rows once: the figures agree
+    with a walk of every row to 1e-12, and summary.txt's group lines are
+    pinned."""
+    result = advanced_run if algorithm == "advanced" else baseline_run
+    meta, rows = result.meta, result.rows
+    sheds = shed_summary(meta, rows)
+    for name, stats in sheds.items():
+        members = [(i, rated) for i, (_, group, rated) in enumerate(meta.fleet) if group == name]
+        demand = sum(r.demands[i] * rated for r in rows for i, rated in members)
+        served = sum(min(r.demands[i], r.commanded[i]) * rated for r in rows for i, rated in members)
+        scale = meta.tick_s / 3.6e9
+        assert stats["demand_mwh"] == pytest.approx(demand * scale, rel=1e-12)
+        assert stats["served_mwh"] == pytest.approx(served * scale, rel=1e-12)
+    summary = summarize(meta, rows)
+    assert summary.endswith("per-group service (commanded basis):\n" + BUNDLED_SHED_LINES[algorithm])
 
 
 def test_solve_time_p99_matches_numpy():

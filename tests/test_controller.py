@@ -161,19 +161,20 @@ class TestCachedModel:
             # a fresh model each tick shares no model or search data with the controller
             model = FleetModel.of_fleet(sc.fleet, weights, zones)
             fresh = solve(model.instance(snap, [zl.limit_w for zl in zones]), None)
-            plan = ctrl.last_plan
-            assert plan.optimal
-            assert (plan.statuses, plan.objective, plan.served_power_w) == (
+            assert ctrl.last_plan.optimal
+            # the intent, which a kept tick may have refilled, is the fresh plan
+            intent = dict(zip(snap.load_ids, ctrl.intent))
+            objective, served, _ = model.plan_key(ctrl.intent)
+            assert (intent, objective, served) == (
                 fresh.statuses, fresh.objective, fresh.served_power_w), f"t={t}"
             for lid, d in zip(snap.load_ids, snap.demands):
                 if lid in failed and d > 0.0:
                     up.add(lid)
                 elif lid in up:
                     down.add(lid)
-            intent = dict(zip(snap.load_ids, ctrl.intent))
             for lid in down:
-                assert plan.statuses[lid] == 0.0 and intent[lid] == 0.0, f"t={t}"
-            shed += any(plan.statuses[lid] < d for lid, d in zip(snap.load_ids, snap.demands))
+                assert intent[lid] == 0.0, f"t={t}"
+            shed += any(intent[lid] < d for lid, d in zip(snap.load_ids, snap.demands))
         assert shed > 0, "the window must shed for the check to mean anything"
         assert down == failed, "every failed load must drop to 0 demand in the window"
 
@@ -200,11 +201,12 @@ class TestCachedModel:
 
 
 class TestPlanReuse:
-    """A tick keeps the last computed plan and solves nothing when that plan
-    was proven optimal, the tick's caps and zone limits (and so its search
-    data) are the plan's, its budget is no higher than the plan's, and the
-    search at that budget still reaches the plan with the same continuous
-    fill. Any other tick solves again."""
+    """A tick keeps the last computed plan's branch statuses and solves
+    nothing when that plan was proven optimal, the tick's caps and zone limits
+    (and so its search data) are the plan's, the plan's branch loads fit the
+    tick's budget, and either that budget is no higher than the plan's and the
+    continuous fill comes out the same, or it lies within the plan's margin.
+    Any other tick solves again."""
 
     @staticmethod
     def make(db=None, fleet=FLEET, deadline_s=0.05):
@@ -232,14 +234,19 @@ class TestPlanReuse:
         ctrl.on_telemetry(snap)
         assert len(solves) == 2
 
-    def test_a_budget_one_ulp_away_is_solved_again(self, solves):
+    def test_a_budget_one_ulp_above_is_kept(self, solves):
+        # at 60 MW every branch load is on and the continuous fill takes the
+        # rest, so one ulp more lies well inside the leaf's margin: the branch
+        # statuses are kept and only the continuous loads are filled again
         ctrl = self.make()
         snap = snapshot(full_demand(), 60 * MW, loss_fraction=0.0)
         nudged = snapshot(full_demand(), math.nextafter(60 * MW, math.inf), loss_fraction=0.0)
         assert nudged.budget_w == math.nextafter(snap.budget_w, math.inf)
         for s in (snap, nudged, nudged):
             ctrl.on_telemetry(s)
-        assert len(solves) == 2
+        assert len(solves) == 1 and ctrl.last_plan is solves[0]
+        fresh = solve(FleetModel.of_fleet(FLEET, WEIGHTS, ()).instance(nudged, ()), None)
+        assert ctrl.intent == tuple(fresh.statuses.values())
 
     def test_a_budget_one_ulp_below_is_kept(self, solves):
         # every demand is served with room to spare (at 60 MW the continuous
@@ -270,13 +277,14 @@ class TestPlanReuse:
         assert [x for x, c in zip(low, pmm) if not c] == [x for x, c in zip(high, pmm) if not c]
         assert sum(x for x, c in zip(low, pmm) if c) < sum(x for x, c in zip(high, pmm) if c)
 
-    @pytest.mark.parametrize("trips, pinned", [((2,), 1049), ((1, 2), 391)],
+    @pytest.mark.parametrize("trips, pinned", [((2,), 67), ((1, 2), 191)],
                              ids=["bundled", "double-trip"])
     def test_solve_count_of_a_bundled_run(self, solves, bundled_scenario, trips, pinned):
         # the bundled advanced run and its MPGM1 + MPGM2 trip: 6,000 ticks whose
         # budget moves on almost every tick; a 60 s deadline cuts no solve, so
         # the count is the same on any host (2,528 and 1,870 solves when only an
-        # unchanged problem kept the plan)
+        # unchanged problem kept the plan, 1,049 and 391 while only a falling
+        # budget with an unchanged fill did)
         sc = replace(bundled_scenario,
                      events=tuple(GeneratorTrip(310.0, m) for m in trips),
                      controller=replace(bundled_scenario.controller, solve_deadline_s=60.0))

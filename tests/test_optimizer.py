@@ -482,11 +482,13 @@ def stepped_zoned_instance(seed: int) -> ModelInstance:
 
 
 class TestBudgetCertificate:
-    """The advanced controller keeps its last plan, with no solve, while the
-    plan was proven optimal, the caps and zone limits are unchanged, the
-    budget is no higher than the plan's, no continuous load weighs negative
-    and ``_Prepared.replays`` reaches the plan again at the tick's budget. A
-    kept plan must be the plan an unbounded fresh ``solve`` gives."""
+    """The advanced controller keeps its last plan's branch statuses, with no
+    solve, while the plan was proven optimal, the caps and zone limits are
+    unchanged, no load weighs negative and ``_Prepared.refill`` fits the
+    plan's branch loads into the tick's budget; then either the budget is no
+    higher than the plan's and the continuous fill comes out the same, or the
+    budget lies within the radius of the plan's margin. A kept tick's intent
+    must be the plan an unbounded fresh ``solve`` gives."""
 
     FAMILIES = [
         lambda seed: random_instance(seed, max_discrete=14),
@@ -517,12 +519,30 @@ class TestBudgetCertificate:
         return ctrl, snapshot
 
     @staticmethod
-    def budgets(budget_w: float, plan: ShedPlan) -> list[float]:
-        """Below the plan's budget: one ulp, half its slack, exactly its served
-        power and one ulp under that."""
+    def radius(inst: ModelInstance, plan: ShedPlan) -> float:
+        """How far from ``inst``'s budget the margin of ``plan``, solved
+        there, keeps its leaf: the margin over the densest item's density."""
+        prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
+        statuses = tuple(plan.statuses[lid] for lid in inst.model.ids)
+        margin = prep.leaf(statuses, inst.capacity_budget_w, plan.objective).margin
+        if margin <= 0.0:
+            return 0.0
+        return margin / prep.d_max if prep.d_max > 0.0 else math.inf
+
+    @staticmethod
+    def budgets(budget_w: float, plan: ShedPlan, radius: float) -> list[float]:
+        """Around the plan's budget B0, in this order: one ulp below and above;
+        half the radius below and above (a tenth of B0 where the radius is 0 or
+        infinite); half the plan's slack below, exactly its served power and
+        one ulp under that; B0 again; then 1.5 times the radius above and
+        below, outside it. None is negative."""
         served = plan.served_power_w
-        return [math.nextafter(budget_w, -math.inf), budget_w - (budget_w - served) / 2,
-                served, math.nextafter(served, -math.inf)]
+        r = radius if 0.0 < radius < math.inf else 0.1 * budget_w
+        return [max(0.0, b) for b in (
+            math.nextafter(budget_w, -math.inf), math.nextafter(budget_w, math.inf),
+            budget_w - r / 2, budget_w + r / 2, budget_w - (budget_w - served) / 2,
+            served, math.nextafter(served, -math.inf), budget_w,
+            budget_w + 1.5 * r, budget_w - 1.5 * r)]
 
     @pytest.mark.parametrize("family", FAMILIES, ids=IDS)
     def test_every_plan_replays_at_its_own_budget(self, family):
@@ -530,25 +550,35 @@ class TestBudgetCertificate:
             inst = family(seed)
             plan = solve(inst, None)
             prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
-            statuses = [plan.statuses[lid] for lid in inst.model.ids]
-            assert prep.replays(statuses, inst.capacity_budget_w), f"seed {seed}"
+            statuses = tuple(plan.statuses[lid] for lid in inst.model.ids)
+            leaf = prep.leaf(statuses, inst.capacity_budget_w, plan.objective)
+            assert prep.refill(leaf, inst.capacity_budget_w) == leaf.fill, f"seed {seed}"
 
-    @pytest.mark.parametrize("family", FAMILIES, ids=IDS)
-    def test_a_kept_plan_is_the_fresh_optimum(self, family, solves):
-        kept = 0
+    # ticks above the solved budget that only the margin keeps: on tied-zoned
+    # instances a branch density ties the cut item's, which leaves no margin
+    @pytest.mark.parametrize("family, margin_kept", zip(FAMILIES, (10, 0, 40, 50)), ids=IDS)
+    def test_a_kept_plan_is_the_fresh_optimum(self, family, margin_kept, solves):
+        kept = above = 0
         for seed in range(300):
             inst = family(seed)
             ctrl, snapshot = self.controller(inst)
             ctrl.on_telemetry(snapshot(inst.capacity_budget_w))
-            assert ctrl.last_plan.optimal
-            for budget_w in self.budgets(inst.capacity_budget_w, ctrl.last_plan):
+            plan = ctrl.last_plan
+            assert plan.optimal
+            solved_at = inst.capacity_budget_w
+            for budget_w in self.budgets(solved_at, plan, self.radius(inst, plan)):
                 before = len(solves)
                 ctrl.on_telemetry(snapshot(budget_w))
                 fresh = solve(replace(inst, capacity_budget_w=budget_w), None)
                 assert ctrl.intent == tuple(fresh.statuses[lid] for lid in inst.model.ids), (
                     f"seed {seed}, budget {budget_w!r}")
-                kept += len(solves) == before
+                if len(solves) > before:
+                    solved_at = budget_w
+                else:
+                    kept += 1
+                    above += budget_w > solved_at  # only the margin keeps a plan there
         assert kept >= 300, f"only {kept} kept ticks"
+        assert above >= margin_kept, f"only {above} kept ticks above the solved budget"
 
     def test_a_negative_continuous_weight_keeps_no_plan(self, solves):
         negative = 0
@@ -560,20 +590,24 @@ class TestBudgetCertificate:
             negative += 1
             ctrl, snapshot = self.controller(inst)
             ctrl.on_telemetry(snapshot(inst.capacity_budget_w))
-            budgets = self.budgets(inst.capacity_budget_w, ctrl.last_plan)
+            budgets = self.budgets(inst.capacity_budget_w, ctrl.last_plan,
+                                   self.radius(inst, ctrl.last_plan))
             before = len(solves)
             for budget_w in [inst.capacity_budget_w] + budgets:
                 ctrl.on_telemetry(snapshot(budget_w))
             assert len(solves) == before + 1 + len(budgets), f"seed {seed}"
-        assert negative >= 50, f"only {negative} instances weigh a continuous load negative"
+        assert negative >= 50, f"only {negative} instances weigh a load negative"
 
     def test_a_higher_budget_is_solved_again(self, solves):
         # at 3 MW load 2 (5 MW) does not fit; at 10 MW the kept plan still
-        # replays, but load 2 now fits and ranks first
+        # refills to itself, but load 2 now fits and ranks first. Load 2 is
+        # off, so the plan has no margin.
         inst = model_instance((binary_row(1, 10.0, 1 * MW), binary_row(2, 5.0, 5 * MW),
                                cont_row(3, 1.0, 1 * MW)), 3 * MW)
         prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
-        assert prep.replays((1.0, 0.0, 1.0), 10 * MW)
+        leaf = prep.leaf((1.0, 0.0, 1.0), 3 * MW, 11.0)
+        assert prep.refill(leaf, 10 * MW) == leaf.fill == [1.0]
+        assert leaf.margin == -math.inf
         ctrl, snapshot = self.controller(inst)
         ctrl.on_telemetry(snapshot(3 * MW))
         assert ctrl.intent == (1.0, 0.0, 1.0)
@@ -586,10 +620,11 @@ class TestBudgetCertificate:
                                binary_row(2, 4.0, 2 * MW, zone="Z1"),
                                cont_row(3, 1.0, 2 * MW)), 6 * MW, zones)
         prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
-        assert prep.replays((1.0, 0.0, 1.0), 6 * MW)
-        assert not prep.replays((1.0, 1.0, 0.5), 6 * MW)  # 5 MW in the 4 MW zone
-        assert not prep.replays((1.0, 0.0, 1.0), 4 * MW)  # the fill is cut to 0.5
-        assert not prep.replays((1.0, 0.0, 0.0), 2 * MW)  # load 1 alone is over budget
+        leaf = prep.leaf((1.0, 0.0, 1.0), 6 * MW, 6.0)
+        assert leaf.rooms == [1 * MW]  # load 1 leaves 1 MW of the 4 MW zone, at any budget
+        assert prep.refill(leaf, 6 * MW) == [1.0]
+        assert prep.refill(leaf, 4 * MW) == [0.5]  # the fill is cut to 0.5
+        assert prep.refill(leaf, 2 * MW) is None  # load 1 alone is over budget
 
     def test_a_lower_budget_can_switch_on_a_negative_weight(self, solves):
         # at 21 MW load 2 stays off (objective 9 against 8.75); that plan still
@@ -602,7 +637,8 @@ class TestBudgetCertificate:
         low = solve(replace(inst, capacity_budget_w=16 * MW), None)
         assert (low.statuses, low.objective) == ({1: 1.0, 2: 1.0, 3: 0.5}, 9.25)
         prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
-        assert prep.replays((1.0, 0.0, 1.0), 16 * MW)
+        leaf = prep.leaf((1.0, 0.0, 1.0), 21 * MW, 9.0)
+        assert prep.refill(leaf, 16 * MW) == leaf.fill
         assert not inst.model.fill_monotone
         ctrl, snapshot = self.controller(inst)
         ctrl.on_telemetry(snapshot(21 * MW))
@@ -610,6 +646,50 @@ class TestBudgetCertificate:
         assert len(solves) == 2
         assert ctrl.intent == (1.0, 1.0, 0.5)
 
+
+    def test_a_fall_past_the_radius_is_solved_again(self, solves):
+        # at 2 MW load 1 (density 1 per MW) is on and load 2 (density 5 per
+        # MW) fills its zone's 1 MW: objective 6. Lowering load 1 frees 1 MW
+        # that only the budget wanted, so the margin is 1 and the radius 0.2 MW.
+        # At 1.9 MW the refilled leaf (1, 0.45) still ranks first; at 1.7 MW
+        # load 2 alone (objective 5) beats it (4.5), and the tick is solved.
+        zones = (ZoneLimit("Z1", 1 * MW, (2,)),)
+        inst = model_instance((binary_row(1, 1.0, 1 * MW), cont_row(2, 10.0, 2 * MW, zone="Z1")),
+                              2 * MW, zones)
+        plan = solve(inst, None)
+        assert self.radius(inst, plan) == pytest.approx(0.2 * MW)
+        ctrl, snapshot = self.controller(inst)
+        ctrl.on_telemetry(snapshot(2 * MW))
+        solved = ctrl.intent
+        assert solved == (1.0, 0.5)
+        ctrl.on_telemetry(snapshot(1.9 * MW))
+        assert len(solves) == 1 and ctrl.intent == pytest.approx((1.0, 0.45))
+        assert ctrl.last_plan is solves[0] and ctrl.last_solve_time_s == 0.0
+        ctrl.on_telemetry(snapshot(2.1 * MW))  # a rise: the zone keeps the fill as solved
+        assert len(solves) == 1 and ctrl.intent is solved
+        ctrl.on_telemetry(snapshot(1.7 * MW))
+        assert len(solves) == 2 and ctrl.intent == (0.0, 0.5)
+
+    @pytest.mark.parametrize("budget_w, toward", [(1929808.3321605793, math.inf),
+                                                 (1929808.3321605772, -math.inf)])
+    def test_a_density_tie_leaves_no_margin(self, budget_w, toward, solves):
+        # load 4 (binary) and load 3 (continuous) both earn 2 per MW, so the
+        # plan that lowers load 4 and fills load 3 instead ties this one. The
+        # objective clears that sibling's ceiling only by rounding (under
+        # 2e-15), and one ulp away the rounding ranks the other plan first:
+        # the slack must leave the margin below 0
+        inst = model_instance((cont_row(1, 1.95, 1_500_000.0), cont_row(2, 1.5, 300_000.0),
+                               cont_row(3, 4.0, 2_000_000.0), binary_row(4, 2.2, 1_100_000.0)),
+                              budget_w)
+        plan = solve(inst, None)
+        nudged = math.nextafter(budget_w, toward)
+        fresh = solve(replace(inst, capacity_budget_w=nudged), None)
+        assert (plan.statuses[4], fresh.statuses[4]) == (1.0, 0.0)
+        ctrl, snapshot = self.controller(inst)
+        ctrl.on_telemetry(snapshot(budget_w))
+        ctrl.on_telemetry(snapshot(nudged))
+        assert ctrl.intent == tuple(fresh.statuses.values())
+        assert len(solves) == 2 and self.radius(inst, plan) == 0.0
 
 class TestProperties:
     @pytest.mark.parametrize("seed", range(15))

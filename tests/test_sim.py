@@ -2,16 +2,19 @@ import hashlib
 import importlib.util
 import logging
 import math
+import random
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from _helpers import failure_scenario, small_scenario
-from loadshed.controller import ALGORITHMS, AdvancedController, make_controller
+from _helpers import failure_scenario, milp_objective, small_scenario
+from loadshed.controller import (ALGORITHMS, AdvancedController, MissionDatabase,
+                                 make_controller)
 from loadshed.link import replay_drop_schedule
 from loadshed.model import ShedCommand
+from loadshed.optimizer import OBJ_REL_TOL, FleetModel
 from loadshed.plant import GeneratorTrip
 from loadshed.records import read_run_csv, write_run_csv
 from loadshed.scenario import default_scenario, load_scenario, save_scenario, validate_scenario
@@ -79,6 +82,67 @@ def test_pinned_fleet_scale_run_csv(seed, pinned, tmp_path):
     assert result.nonoptimal_solves == 0
     write_run_csv(tmp_path / "run.csv", result.meta, result.rows)
     assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == pinned
+
+
+def fleet_scenario(seed: int, tmp_path: Path, copies: int | None = None):
+    """The benchmark's fleet-scale scenario as its worker loads it, with
+    ``copies`` copies of the bundled fleet in place of the generator's
+    ``COPIES`` (bench/fleet.py itself is only read), and a 60 s deadline, so
+    that no wall-clock cut changes a plan."""
+    spec = importlib.util.spec_from_file_location("bench_fleet", BENCH / "fleet.py")
+    fleet = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fleet)
+    if copies is not None:
+        fleet.COPIES = copies
+    save_scenario(fleet.generate(seed), tmp_path / "scenario.json")
+    sc = load_scenario(tmp_path / "scenario.json")
+    return replace(sc, controller=replace(sc.controller, solve_deadline_s=60.0))
+
+
+def test_pinned_672_load_run_csv(solves, tmp_path):
+    # fleet-scale seed 1 at 16 copies of the bundled fleet: 672 loads, 300
+    # ticks (140 computed solves while only a falling budget kept a plan)
+    result = run_lockstep(fleet_scenario(1, tmp_path, copies=16), algorithm="advanced", seed=42)
+    assert result.nonoptimal_solves == 0
+    write_run_csv(tmp_path / "run.csv", result.meta, result.rows)
+    digest = hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest()
+    assert digest == "2fe4d3067ba61fa0811bc11ab612fbe33e1115fec290bc50e8a000840a027110"
+    assert len(solves) == 14
+
+
+@pytest.mark.parametrize("name", ["bundled", "double-trip", "fleet-scale"])
+def test_sampled_ticks_match_the_milp_oracle(name, monkeypatch, tmp_path):
+    # a seeded sample of the ticks that solved, that kept the solved plan and
+    # that refilled its continuous loads at a new budget: each intent's
+    # objective is the optimum HiGHS finds for the tick's problem
+    if name == "fleet-scale":
+        sc = fleet_scenario(1, tmp_path)
+    else:
+        trips = (1, 2) if name == "double-trip" else (2,)
+        sc = replace(default_scenario(), events=tuple(GeneratorTrip(310.0, m) for m in trips))
+        sc = replace(sc, controller=replace(sc.controller, solve_deadline_s=60.0))
+    ticks = {"solved": [], "kept": [], "refilled": []}  # (snapshot, intent) of each kind
+    on_telemetry = AdvancedController.on_telemetry
+
+    def spy(self, snap):
+        on_telemetry(self, snap)
+        kind = ("solved" if self.last_solve_time_s > 0.0 else
+                "kept" if self.intent == tuple(self.last_plan.statuses.values()) else "refilled")
+        ticks[kind].append((snap, self.intent))
+
+    monkeypatch.setattr(AdvancedController, "on_telemetry", spy)
+    run_lockstep(sc, algorithm="advanced", seed=42)
+    rng = random.Random(f"milp/{name}")
+    database = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
+    sample = [tick for kind, k in (("solved", 6), ("kept", 6), ("refilled", 30))
+              for tick in rng.sample(ticks[kind], min(k, len(ticks[kind])))]
+    assert len(sample) >= 12
+    for snap, intent in sample:
+        segment = database.segment_at(snap.mission_id, snap.time_s)
+        model = FleetModel.of_fleet(sc.fleet, segment.weights, database.zones)
+        objective = model.plan_key(intent)[0]
+        oracle = milp_objective(model.instance(snap, segment.limits_w))
+        assert abs(objective - oracle) <= OBJ_REL_TOL * (1.0 + abs(oracle)), f"t={snap.time_s}"
 
 
 class TestLockstep:
