@@ -8,11 +8,7 @@ controller looks up the weight set and zone limits in force in a mission
 schedule built once, and solves the shedding optimization within its per-tick
 deadline. While a certificate shows it is still the optimum, it keeps the branch
 statuses of its last computed plan without solving and only refills the plan's
-continuous loads at the tick's budget: the plan was proven optimal, the tick has
-the same caps and zone limits, the plan's branch loads still fit the budget,
-and either the budget is no higher than the one the plan was solved at and the
-fill comes out unchanged, or the budget lies within a radius in which the
-refilled plan provably beats every other (see ``AdvancedController.on_telemetry``).
+continuous loads at the tick's budget (see ``_Leaf`` in the optimizer).
 The control period is the run's tick, which the engine passes in.
 """
 
@@ -123,8 +119,8 @@ class AdvancedController:
         self.last_plan: ShedPlan | None = None
         self.last_solve_time_s = 0.0
         # the search data last_plan was solved on and its leaf, kept while the
-        # plan was proven optimal and no load weighs negative, and the
-        # continuous fill (in the leaf's order) that intent holds
+        # plan was proven optimal, and the continuous fill (in the leaf's
+        # order) that intent holds
         self._kept: _Prepared | None = None
         self._leaf: _Leaf | None = None
         self._fill: list[float] = []
@@ -136,18 +132,13 @@ class AdvancedController:
         """Solve this tick's problem, unless the last computed plan's branch
         statuses, refilled at this tick's budget, are certifiably its optimum.
 
-        The plan's leaf is kept (see ``_Leaf``), with no solve, when all of
-        these hold: ``solve`` proved the plan optimal at budget B0; no load of
-        the model weighs negative; ``FleetModel.prepared`` returns the very
-        search data it was solved on (equal caps and zone limits give the same
-        object); ``_Prepared.refill`` fits the plan's branch powers into this
-        tick's budget B and refills its continuous loads as ``solve``'s leaf
-        would; and either B <= B0 and that fill is the plan's own, bit for bit,
-        or |B - B0|·d_max is below the leaf's margin. Either way ``solve`` at B
-        would return the refilled leaf, tie-break included (``_Leaf`` gives
-        both arguments). B0 stays the budget of the last solve: a kept tick
-        moves nothing but ``intent``, and copies the statuses only when the
-        fill differs from the one ``intent`` holds.
+        The plan's leaf is kept, with no solve, while ``solve`` proved the plan
+        optimal, ``FleetModel.prepared`` returns the very search data it was
+        solved on (equal caps and zone limits give the same object), and
+        ``_Prepared.refill`` returns a fill: the certificate ``_Leaf`` states.
+        The leaf's budget stays that of the last solve: a kept tick moves
+        nothing but ``intent``, and copies the statuses only when the fill
+        differs from the one ``intent`` holds.
         """
         self.last_solve_time_s = 0.0
         segment = self.database.segment_at(snapshot.mission_id, snapshot.time_s)
@@ -165,11 +156,8 @@ class AdvancedController:
         prep = model.prepared(instance.caps, instance.zone_limits_w)
         if prep is self._kept:
             leaf = self._leaf
-            # at B0 itself the leaf refills to its own fill, so the walk is skipped
-            fill = leaf.fill if budget_w == leaf.budget_w else prep.refill(leaf, budget_w)
-            if fill is not None and (
-                    budget_w <= leaf.budget_w and fill == leaf.fill
-                    or abs(budget_w - leaf.budget_w) * prep.d_max < leaf.margin):
+            fill = prep.refill(leaf, budget_w)
+            if fill is not None:
                 if fill != self._fill:  # else the intent already holds this leaf
                     self._fill = fill
                     if fill == leaf.fill:
@@ -186,7 +174,7 @@ class AdvancedController:
         statuses = tuple(plan.statuses.values())  # the model lists the fleet in order
         if statuses != self.intent:  # else every tick since the last change shares one tuple
             self.intent = statuses
-        if plan.optimal and model.fill_monotone:
+        if plan.optimal:
             self._kept = prep
             self._leaf = prep.leaf(self.intent, budget_w, plan.objective)
             self._fill = self._leaf.fill

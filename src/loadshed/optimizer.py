@@ -97,10 +97,10 @@ class FleetModel:
     ``downward`` is each discrete load's status table highest first (None for
     a continuous load) and ``top`` its highest status. ``zone_of`` is each
     load's zone index, -1 outside every limit. ``fill_monotone`` is whether
-    no load weighs negative (or NaN), as validation requires: then a leaf's
-    plan key never falls as its continuous fill grows, and each bound of the
-    search is a true relaxation bound, which rises with the budget at no more
-    than the densest item's rate (see :class:`_Leaf`).
+    no load weighs negative (or NaN), as validation requires and ``solve``
+    enforces: then each bound of the search is a true relaxation bound, which
+    rises with the budget at no more than the densest item's rate (see
+    :class:`_Leaf`).
     """
 
     def __init__(self, loads: Sequence[tuple[int, float, float, Variability, str | None]],
@@ -208,10 +208,11 @@ class _Prepared:
     densest relaxation item's density, at least 0: no relaxation bound rises
     faster than that with the budget.
 
-    A plan ``solve`` proved optimal at one budget is kept as a :class:`_Leaf`
-    (:meth:`leaf`, once per solve), and :meth:`refill` walks it at another
-    budget: its branch statuses stay, and only its continuous loads are filled
-    again. ``_Leaf`` says when the refilled leaf is ``solve``'s answer there.
+    :meth:`fill` is the continuous fill of every leaf, in the search and out
+    of it. A plan ``solve`` proved optimal at one budget is kept as a
+    :class:`_Leaf` (:meth:`leaf`, once per solve), and :meth:`refill` returns
+    its continuous fill at another budget where ``_Leaf``'s certificate shows
+    that the refilled leaf is ``solve``'s answer there.
     """
 
     def __init__(self, model: FleetModel, caps: Sequence[float],
@@ -309,6 +310,23 @@ class _Prepared:
         budget = cuts[-1]
         return [rate(cuts.get(zi, budget)) for zi in range(len(self.zone_limits))] + [rate(budget)]
 
+    def fill(self, rem: float, rooms: Sequence[float]) -> list[float]:
+        """The continuous statuses, in ``cont`` order, of the greedy fill by
+        density into ``rem`` watts and a copy of the zone rooms ``rooms``."""
+        rooms = list(rooms)
+        fill = []
+        for _, zi, rated, power in self.cont:
+            room = rem if zi < 0 else min(rem, rooms[zi])
+            take = min(power, max(room, 0.0))
+            if take > 0.0:
+                fill.append(take / rated)
+                rem -= take
+                if zi >= 0:
+                    rooms[zi] -= take
+            else:
+                fill.append(0.0)
+        return fill
+
     def leaf(self, statuses: tuple[float, ...], budget_w: float, objective: float) -> _Leaf:
         """The :class:`_Leaf` of a plan ``solve`` proved optimal at ``budget_w``
         with these statuses (in model order) and objective."""
@@ -332,36 +350,30 @@ class _Prepared:
         return _Leaf(statuses, budget_w, powers, rooms, fill, margin)
 
     def refill(self, leaf: _Leaf, budget_w: float) -> list[float] | None:
-        """The continuous statuses, in ``cont`` order, that ``solve``'s leaf
-        gives ``leaf``'s branch statuses at ``budget_w``; None where a branch
-        power does not fit, so that the search would not reach the leaf.
+        """The continuous statuses, in ``cont`` order, that make ``leaf``'s
+        branch statuses, so refilled, the plan ``solve`` returns at
+        ``budget_w``, where ``_Leaf``'s certificate shows it; else None.
 
-        It subtracts the branch powers from the budget in level order with the
-        search's own check and arithmetic, then fills the continuous loads as
+        At the leaf's own budget they are its own fill. Elsewhere the budget
+        must lie within the radius of the leaf's margin, and the branch powers
+        must fit it: they are subtracted in level order with the search's own
+        check and arithmetic, then :meth:`fill` fills the continuous loads as
         ``solve``'s leaf does. Zone rooms need no check: they do not depend on
         the budget, and the search met them on its way to the leaf. The search
         puts back each room it lowered as the value it was, not as a sum, so a
         node's rooms depend on its path alone, and ``leaf.rooms`` are the
         leaf's at any budget.
         """
+        if budget_w == leaf.budget_w:
+            return leaf.fill
+        if not abs(budget_w - leaf.budget_w) * self.d_max < leaf.margin:
+            return None
         rem = budget_w
         for power in leaf.powers:
             if power > rem:
                 return None
             rem -= power
-        zone_rem = list(leaf.rooms)
-        fill = []
-        for _, zi, rated, power in self.cont:
-            room = rem if zi < 0 else min(rem, zone_rem[zi])
-            take = min(power, max(room, 0.0))
-            if take > 0.0:
-                fill.append(take / rated)
-                rem -= take
-                if zi >= 0:
-                    zone_rem[zi] -= take
-            else:
-                fill.append(0.0)
-        return fill
+        return self.fill(rem, leaf.rooms)
 
 
 class _Leaf(NamedTuple):
@@ -371,27 +383,28 @@ class _Leaf(NamedTuple):
     continuous statuses in ``_Prepared.cont`` order, and the margin by which it
     beats every other leaf at B0.
 
-    Where no load weighs negative (``FleetModel.fill_monotone``) and
-    :meth:`_Prepared.refill` reaches the leaf at budget B, either rule makes
-    the refilled leaf (the same branch statuses, the fill ``solve``'s leaf
-    gives them at B) the plan ``solve`` returns at B:
+    ``solve`` refuses a model where a load weighs negative
+    (``FleetModel.fill_monotone``), so the search's bounds are true relaxation
+    bounds. :meth:`_Prepared.refill` certifies the refilled leaf (the same
+    branch statuses, with the fill ``solve``'s leaf gives them at budget B) as
+    the plan ``solve`` returns at B in one of two cases (sensitivity analysis
+    for branch and bound: Schrage & Wolsey, *Operations Research* 33(5),
+    1985):
 
-    - B <= B0 and the fill is ``fill`` bit for bit. Every check and fill step
-      of the search is monotone in the budget, so each leaf reachable at B is
-      reachable at B0 with the same branch statuses and a fill at least as
-      large, so with a ``plan_key`` at least as high there. The plan has the
-      strictly highest key at B0 and the same key at B.
-    - |B - B0|·d_max < ``margin``, d_max being ``_Prepared.d_max``. The margin
-      is finite only where every branch load sits at its top status and the
-      root relaxation at B0 takes them all whole. Then every other leaf lies
-      under a sibling of the root's chain, whose bound at B0 is at most its
-      ceiling (see ``solve``) and, a greedy relaxation, rises with the budget
-      by at most d_max per watt. The refilled leaf's fill is monotone in the
-      budget and loses at most a watt per watt, each worth at most d_max. The
-      margin is the plan's objective less the highest ceiling, over every
-      branch level and lower status, less ``FleetModel.ceiling_slack``; so
-      inside that radius every other leaf's objective is strictly below the
-      refilled leaf's, and the first dive reaches it.
+    - B = B0. The caps and zone limits are the plan's, so the problem is the
+      one ``solve`` proved the plan optimal on, and its fill is ``fill``.
+    - |B - B0|·d_max < ``margin``, d_max being ``_Prepared.d_max``, and the
+      branch powers fit B. The margin is finite only where every branch load
+      sits at its top status and the root relaxation at B0 takes them all
+      whole. Then every other leaf lies under a sibling of the root's chain,
+      whose bound at B0 is at most its ceiling (see ``solve``) and, a greedy
+      relaxation, rises with the budget by at most d_max per watt. The
+      refilled leaf's fill is monotone in the budget and loses at most a watt
+      per watt, each worth at most d_max. The margin is the plan's objective
+      less the highest ceiling, over every branch level and lower status, less
+      ``FleetModel.ceiling_slack``; so inside that radius every other leaf's
+      objective is strictly below the refilled leaf's, and the first dive
+      reaches it.
 
     The slack covers the rounding of that argument, with u = 2**-53 and P and V
     as in ``FleetModel``: the ceilings' 20(m + 2)uV, as in ``solve``; 2uV for
@@ -460,8 +473,10 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     flagged ``optimal=False``.
     """
     t0 = time.perf_counter()
-    prep = instance.model.prepared(instance.caps, instance.zone_limits_w)
-    model = prep.model
+    model = instance.model
+    if not model.fill_monotone:
+        raise ConfigurationError("a load weighs negative or NaN: the search's bounds fail")
+    prep = model.prepared(instance.caps, instance.zone_limits_w)
 
     statuses = [0.0] * model.n
     best_statuses = list(statuses)
@@ -469,7 +484,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     cutoff = best_key[0] - _tie_tol(best_key[0])  # a bound below it is pruned
     stop_at = math.inf if deadline_s is None else t0 + deadline_s
     deadline = math.inf  # becomes stop_at at the first leaf
-    steps = prep.steps
+    steps, cont = prep.steps, prep.cont
     n_branch = len(steps)
     density, slack = model.density, model.ceiling_slack
     zone_rem = list(prep.zone_limits)
@@ -479,25 +494,15 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
         """Fill the continuous loads, keep the plan if it ranks first, undo the fill."""
         nonlocal best_key, best_statuses, cutoff, deadline
         deadline = stop_at
-        filled = []
-        for i, zi, rated, power in prep.cont:
-            room = rem if zi < 0 else min(rem, zone_rem[zi])
-            take = min(power, max(room, 0.0))
-            if take > 0.0:
-                statuses[i] = take / rated
-                filled.append((i, zi, zone_rem[zi] if zi >= 0 else 0.0))
-                rem -= take
-                if zi >= 0:
-                    zone_rem[zi] -= take
+        for (i, _, _, _), status in zip(cont, prep.fill(rem, zone_rem)):
+            statuses[i] = status
         key = model.plan_key(statuses)
         if key > best_key:
             best_key = key
             best_statuses = list(statuses)
             cutoff = key[0] - _tie_tol(key[0])
-        for i, zi, room in reversed(filled):  # each room as it was, not a re-added sum
+        for i, _, _, _ in cont:
             statuses[i] = 0.0
-            if zi >= 0:
-                zone_rem[zi] = room
 
     def visit(level: int, rem: float, obj_acc: float):
         """Bound a node, search the line of first children that inherit its

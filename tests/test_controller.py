@@ -203,10 +203,9 @@ class TestCachedModel:
 class TestPlanReuse:
     """A tick keeps the last computed plan's branch statuses and solves
     nothing when that plan was proven optimal, the tick's caps and zone limits
-    (and so its search data) are the plan's, the plan's branch loads fit the
-    tick's budget, and either that budget is no higher than the plan's and the
-    continuous fill comes out the same, or it lies within the plan's margin.
-    Any other tick solves again."""
+    (and so its search data) are the plan's, and either the tick's budget is
+    the plan's or it lies within the plan's margin and the plan's branch loads
+    fit it. Any other tick solves again."""
 
     @staticmethod
     def make(db=None, fleet=FLEET, deadline_s=0.05):
@@ -261,7 +260,7 @@ class TestPlanReuse:
         ctrl.on_telemetry(nudged)
         assert len(solves) == 1 and ctrl.last_plan is solves[0]
         assert ctrl.last_solve_time_s == 0.0 and ctrl.intent is intent
-        # the kept plan's budget stays the bound: back up to it is kept too
+        # the leaf's budget stays the solved one: back at it, the exact repeat keeps it
         ctrl.on_telemetry(snap)
         assert len(solves) == 1
 
@@ -277,14 +276,21 @@ class TestPlanReuse:
         assert [x for x, c in zip(low, pmm) if not c] == [x for x, c in zip(high, pmm) if not c]
         assert sum(x for x, c in zip(low, pmm) if c) < sum(x for x, c in zip(high, pmm) if c)
 
-    @pytest.mark.parametrize("trips, pinned", [((2,), 67), ((1, 2), 191)],
-                             ids=["bundled", "double-trip"])
+    # every subset of the modules MPGM1, MPGM2, APGM1 and APGM2 (1 to 4) but
+    # the two triple trips with both main modules, whose deadline-cut solves
+    # take minutes
+    @pytest.mark.parametrize("trips, pinned", [
+        ((2,), 67), ((1, 2), 191), ((1,), 67), ((3,), 66), ((4,), 66),
+        ((1, 3), 68), ((1, 4), 68), ((2, 3), 68), ((2, 4), 68), ((3, 4), 67),
+        ((1, 3, 4), 130), ((2, 3, 4), 130), ((1, 2, 3, 4), 66),
+    ], ids=["bundled", "double-trip", "trip-1", "trip-3", "trip-4", "trip-1-3", "trip-1-4",
+            "trip-2-3", "trip-2-4", "trip-3-4", "trip-1-3-4", "trip-2-3-4", "trip-1-2-3-4"])
     def test_solve_count_of_a_bundled_run(self, solves, bundled_scenario, trips, pinned):
-        # the bundled advanced run and its MPGM1 + MPGM2 trip: 6,000 ticks whose
-        # budget moves on almost every tick; a 60 s deadline cuts no solve, so
-        # the count is the same on any host (2,528 and 1,870 solves when only an
-        # unchanged problem kept the plan, 1,049 and 391 while only a falling
-        # budget with an unchanged fill did)
+        # the bundled advanced run with its generator trips at 310 s (MPGM2
+        # alone is the bundled one): 6,000 ticks whose budget moves on almost
+        # every tick; a 60 s deadline cuts no solve, so the count is the same
+        # on any host (the bundled run and the double trip computed 2,528 and
+        # 1,870 solves when only an unchanged problem kept the plan)
         sc = replace(bundled_scenario,
                      events=tuple(GeneratorTrip(310.0, m) for m in trips),
                      controller=replace(bundled_scenario.controller, solve_deadline_s=60.0))
