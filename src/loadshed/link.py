@@ -25,8 +25,8 @@ header (with ``count`` still the total record count); each part carries one
 extra byte after the header: bits 0-6 are the part index, bit 7 marks the
 final part, so a message splits into at most 128 parts. The trailer travels
 with the final part only. Part and single-part datagrams are distinguished
-by their exact length. Load and mission ids travel as u16; ``MAX_ID`` and
-``MAX_TELEMETRY_LOADS`` are what a scenario must fit.
+by their exact length. Load and mission ids travel as u16; ``MAX_ID``,
+``MAX_TELEMETRY_LOADS`` and ``MAX_TIMESTAMP_MS`` are what a scenario must fit.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ MSG_COMMANDS = 0x02
 MAX_DATAGRAM = 1400
 MAX_PARTS = 128  # the part index has 7 bits
 MAX_ID = 0xFFFF  # load and mission ids are u16
+MAX_TIMESTAMP_MS = 0xFFFF_FFFF_FFFF_FFFF  # telemetry carries round(time_s * 1000) as u64
 MAX_PENDING = 8  # incomplete messages a Reassembler keeps; it drops the oldest beyond this
 
 _HEADER = struct.Struct("<2sBBIQH")

@@ -186,6 +186,10 @@ def read_run_csv(path: str | Path) -> tuple[RunMeta, list[RunRecord]]:
         n = len(meta.load_ids)
         rows = []
         for raw in reader:
+            if len(raw) != len(header):
+                line = reader.line_num + 3  # after the version, meta and fleet lines
+                raise RunCsvError(f"{path}: line {line} has {len(raw)} fields, "
+                                  f"the header {len(header)}")
             fixed = raw[:10]
             per_load = raw[10:]
             rows.append(

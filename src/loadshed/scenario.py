@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .controller import ControllerConfig
-from .link import MAX_ID, MAX_TELEMETRY_LOADS, ImpairmentConfig
+from .link import MAX_ID, MAX_TELEMETRY_LOADS, MAX_TIMESTAMP_MS, ImpairmentConfig
 from .metrics import MissionWindow
 from .model import (
     GenerationModule,
@@ -81,8 +81,8 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
     inside the tick (the control period), every weight set of the mission
     covers the fleet, none starts at a NaN time and one is valid from the
     window start, the plant constants, link impairment and module ratings
-    are finite numbers in range, module ids are unique, and every id and the
-    fleet size fit the datagrams.
+    are finite numbers in range, module ids are unique, and every id, the
+    fleet size and the last tick's time fit the datagrams.
     """
     issues, by_id = fleet_issues(sc.fleet, sc.zones)
 
@@ -127,6 +127,10 @@ def validate_scenario(sc: ScenarioConfig) -> ValidationReport:
     if len(sc.fleet) > MAX_TELEMETRY_LOADS:
         bad("wire-fleet-size", "fleet", f"{len(sc.fleet)} loads exceed the "
             f"{MAX_TELEMETRY_LOADS} one telemetry message can carry")
+    last_tick_s = sc.window.t_start_s + sc.window.n_ticks * sc.window.tick_s  # as the plant adds
+    if not last_tick_s * 1000.0 <= MAX_TIMESTAMP_MS:  # exact: a float and an int compare exactly
+        bad("wire-time", "window", f"the last tick's time {last_tick_s} s exceeds the "
+            f"{MAX_TIMESTAMP_MS} ms a telemetry timestamp can carry")
     for lid, profile in sc.profiles.items():
         subject = f"profile for load {lid}"
         spec = by_id.get(lid)

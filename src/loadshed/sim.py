@@ -3,10 +3,10 @@
 Each tick the loop applies the commands that have arrived, advances the
 plant, submits its telemetry to a seeded delay queue, hands what that queue
 delivers to the controller side, submits the answer to a seeded command
-queue and records a row. Commands computed from tick ``t`` telemetry take
-effect during tick ``t+1``, one control period of latency, as in the
-physical setup this emulates. The queues draw link loss at the plant end in
-both modes, so the drop schedule is a pure function of the seed.
+queue and records the row and the telemetry seq used. Commands from tick
+``t``'s telemetry act during tick ``t+1``, one control period of latency,
+as in the physical setup. Both modes draw link loss at the plant end, so
+the drop schedule is a pure function of the seed: ``link.replay_drop_schedule``.
 
 The controller side is a :class:`_ControlNode`: it keeps the freshest
 telemetry, owns the staleness failsafe (telemetry older than
@@ -20,8 +20,8 @@ object. Lockstep calls the node inline, and the queues also apply latency
 and jitter. Networked mode serves it on a thread behind real UDP sockets,
 which supply the latency, so ``latency_ms`` and ``jitter_ms`` apply to
 lockstep only; a tick whose telemetry is lost, or whose reply does not
-come in time, is degraded while the plant holds its last commands. A
-loss-free networked run reproduces the lockstep run exactly.
+come within ``SYNC_TIMEOUT_S``, is degraded while the plant holds its last
+commands. A loss-free networked run reproduces the lockstep run exactly.
 """
 
 from __future__ import annotations
@@ -51,19 +51,38 @@ log = logging.getLogger(__name__)
 
 DEFAULT_PLANT_PORT = 47001
 DEFAULT_CONTROLLER_PORT = 47002
+SYNC_TIMEOUT_S = 1.0  # how long the plant waits for the reply to telemetry that got through
 
 
 @dataclass
 class RunResult:
+    """What the loop decides once per tick: the row, and the seq of the
+    telemetry its intent used (None on a degraded tick). Budget and intent
+    power are read back from that seq's row; both read None where it does."""
+
     meta: RunMeta
     rows: list[RunRecord]
-    batches: list[tuple[ShedCommand, ...]]  # command batch per tick (fresh or re-sent)
-    telemetry_dropped: list[bool]
-    command_dropped: list[bool]
-    used_seq: list[int | None]  # telemetry seq each tick's commands were based on
-    budget_w: list[float | None]  # capacity budget of the snapshot actually used
-    intent_power_w: list[float | None]  # power implied by the commands, at build demand
+    used_seq: list[int | None]
     nonoptimal_solves: int = 0
+
+    @functools.cached_property
+    def budget_w(self) -> list[float | None]:
+        rows = self.rows
+        return [None if seq is None else max(0.0, rows[seq - 1].capacity_w - rows[seq - 1].loss_w)
+                for seq in self.used_seq]
+
+    @functools.cached_property
+    def intent_power_w(self) -> list[float | None]:
+        rated_w = [rated for _, _, rated in self.meta.fleet]
+        out: list[float | None] = []
+        for row, seq in zip(self.rows, self.used_seq):
+            power = None
+            if seq is not None:
+                power = 0.0
+                for s, d, rated in zip(row.commanded, self.rows[seq - 1].demands, rated_w):
+                    power += (d if d < s else s) * rated  # min(s, d), added in fleet order
+            out.append(power)
+        return out
 
 
 def build_plant(sc: ScenarioConfig) -> Plant:
@@ -138,8 +157,6 @@ class _Decision(NamedTuple):
     intent: tuple[float, ...]  # the controller's statuses after this decision, in fleet order
     degraded: bool = False
     seq: int | None = None  # telemetry seq the batch was based on
-    budget_w: float | None = None
-    intent_power_w: float | None = None
     solve_time_s: float = 0.0
     optimal: bool = True
 
@@ -157,10 +174,8 @@ class _ControlNode:
         self.stale_limit = stale_limit
         self.mission_id = mission_id
         self._ids = tuple(spec.id for spec in fleet)
-        self._rated_w = tuple(spec.rated_power_w for spec in fleet)
         self._mailbox: tuple[int, SystemSnapshot] | None = None
         self.last = _Decision((), controller.intent)
-        self._intent_power = (None, None, 0.0)  # (intent, demands) -> power of the last answer
         self._fault_logged = False
 
     def exchange(self, k: int, arrived: list[tuple[int, SystemSnapshot]]) -> _Decision:
@@ -195,14 +210,7 @@ class _ControlNode:
         batch = () if intent is before else tuple(
             ShedCommand(lid, status)
             for lid, status, old in zip(self._ids, intent, before) if status != old)
-        last_intent, last_demands, intent_power = self._intent_power
-        if intent is not last_intent or used.demands is not last_demands:
-            intent_power = 0.0
-            for status, d, rated in zip(intent, used.demands, self._rated_w):
-                intent_power += (d if d < status else status) * rated  # min(status, d)
-            self._intent_power = (intent, used.demands, intent_power)
-        self.last = _Decision(batch, intent, seq=seq, budget_w=used.budget_w,
-                              intent_power_w=intent_power, solve_time_s=solve_time,
+        self.last = _Decision(batch, intent, seq=seq, solve_time_s=solve_time,
                               optimal=plan is None or plan.optimal)
         return self.last
 
@@ -211,9 +219,8 @@ class _UdpLink:
     """Plant-side proxy of a :class:`_ControlNode` served over UDP on a thread."""
 
     def __init__(self, node: _ControlNode, host: str, plant_port: int,
-                 controller_port: int, sync_timeout_s: float, tick_s: float | None):
+                 controller_port: int, tick_s: float | None):
         self.node = node
-        self.sync_timeout_s = sync_timeout_s
         self.tick_s = tick_s
         self._plant_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._ctrl_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -279,7 +286,7 @@ class _UdpLink:
             for part in link.encode_telemetry_parts(snap, seq):
                 self._plant_sock.sendto(part, self._ctrl_addr)
         decision = self._last.held()
-        deadline = time.monotonic() + (self.sync_timeout_s if arrived else 0.0)
+        deadline = time.monotonic() + (SYNC_TIMEOUT_S if arrived else 0.0)
         while time.monotonic() < deadline:
             try:
                 view = self._reasm.feed(self._plant_sock.recvfrom(65536)[0])
@@ -326,7 +333,7 @@ def _run(sc: ScenarioConfig, algorithm: str | None, seed: int | None,
         mission_id=sc.mission_id,
         fleet=tuple((spec.id, spec.group.value, spec.rated_power_w) for spec in sc.fleet),
     )
-    result = RunResult(meta, [], [], [], [], [], [], [])
+    result = RunResult(meta, [], [])
 
     dt = sc.window.tick_s
     with connect(node) as controller_side:
@@ -336,16 +343,10 @@ def _run(sc: ScenarioConfig, algorithm: str | None, seed: int | None,
                 plant.apply_commands(batch)
             snapshot = plant.tick(dt)
 
-            deliver = q_tel.submit((k, snapshot), snapshot.time_s)
-            result.telemetry_dropped.append(deliver is None)
+            q_tel.submit((k, snapshot), snapshot.time_s)
             decision = controller_side.exchange(k, q_tel.poll(snapshot.time_s))
-
-            result.batches.append(decision.batch)
-            deliver = q_cmd.submit(decision.batch, snapshot.time_s)
-            result.command_dropped.append(deliver is None)
+            q_cmd.submit(decision.batch, snapshot.time_s)
             result.used_seq.append(decision.seq)
-            result.budget_w.append(decision.budget_w)
-            result.intent_power_w.append(decision.intent_power_w)
             result.nonoptimal_solves += not decision.optimal
             result.rows.append(recorder.row(snapshot, decision.intent, decision.degraded,
                                             decision.solve_time_s))
@@ -368,7 +369,6 @@ def run_networked(
     host: str = "127.0.0.1",
     plant_port: int = DEFAULT_PLANT_PORT,
     controller_port: int = DEFAULT_CONTROLLER_PORT,
-    sync_timeout_s: float = 1.0,
     realtime: bool = False,
 ) -> RunResult:
     """The same loop with the controller node on a thread behind UDP sockets.
@@ -378,11 +378,11 @@ def run_networked(
     ``jitter_ms`` are ignored, as the sockets supply the latency. The node
     only ever answers the current tick's telemetry, so its staleness
     failsafe does not engage: a tick whose telemetry is lost, or whose reply
-    does not arrive within ``sync_timeout_s``, is degraded while the plant
+    does not arrive within ``SYNC_TIMEOUT_S``, is degraded while the plant
     holds its last commands. ``realtime`` paces the ticks at the control
     period, the window's tick. Aborts with a diagnostic on socket failure.
     """
     tick_s = sc.window.tick_s if realtime else None
     return _run(sc, algorithm, seed, "networked", functools.partial(
         _UdpLink, host=host, plant_port=plant_port, controller_port=controller_port,
-        sync_timeout_s=sync_timeout_s, tick_s=tick_s))
+        tick_s=tick_s))

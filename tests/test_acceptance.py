@@ -319,7 +319,9 @@ def test_10_determinism_and_mode_equivalence(bundled_scenario, advanced_run, tmp
     lock = run_lockstep(sc, algorithm="advanced", seed=0)
     net = run_networked(sc, algorithm="advanced", seed=0, plant_port=0,
                         controller_port=0)
-    assert net.batches == lock.batches
+    assert net.used_seq == lock.used_seq
+    assert [replace(r, solve_time_s=0.0) for r in net.rows] == [
+        replace(r, solve_time_s=0.0) for r in lock.rows]
     announce(10, "determinism (byte-identical run.csv) and mode equivalence")
 
 
@@ -331,15 +333,16 @@ def test_11_impairment_robustness(bundled_scenario):
     assert len(result.rows) == 6000
 
     drops = replay_drop_schedule(replace(sc.impairment, seed=42), "telemetry", 6000)
-    assert result.telemetry_dropped == drops
     stale_limit = sc.controller.stale_limit
     freshest = None
-    expected = []
+    expected, used = [], []
     for k, dropped in enumerate(drops, start=1):
         if not dropped:
             freshest = k
         expected.append(freshest is None or (k - freshest) > stale_limit)
+        used.append(None if expected[-1] else freshest)
     assert [r.degraded for r in result.rows] == expected
+    assert result.used_seq == used  # each fresh tick used the last telemetry through
 
     for budget, implied in zip(result.budget_w, result.intent_power_w):
         if budget is not None:

@@ -324,7 +324,7 @@ class TestPlanReuse:
         assert solved.solve_time_s == solves[0].solve_time_s
         assert reused.solve_time_s > 0.0 and reused.solve_time_s != solved.solve_time_s
         assert reused.optimal and reused.batch == ()
-        assert reused.intent_power_w == solved.intent_power_w
+        assert reused.intent is solved.intent
 
 
 class TestBaselineController:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,12 +12,13 @@ import pytest
 import loadshed
 from _helpers import small_scenario
 from loadshed.cli import main
+from loadshed import link
 from loadshed.link import MAX_ID, MAX_TELEMETRY_LOADS
 from loadshed.metrics import MissionWindow
 from loadshed.model import (GenerationModule, LoadGroup, LoadSpec, MissionWeightSet,
                             Variability, ZoneLimit)
-from loadshed.plant import LoadProfile, ZoneLimitChange
-from loadshed.records import read_run_csv
+from loadshed.plant import GeneratorTrip, LoadProfile, ZoneLimitChange
+from loadshed.records import RunCsvError, read_run_csv, write_run_csv
 from loadshed.report import (
     GROUPINGS,
     IncompatibleRunsError,
@@ -33,7 +35,7 @@ from loadshed.scenario import (
     scenario_to_json,
     validate_scenario,
 )
-from loadshed.sim import run_lockstep
+from loadshed.sim import build_plant, run_lockstep, run_networked
 from loadshed import report
 
 
@@ -160,6 +162,27 @@ class TestScenarioConfig:
                      profiles={s.id: LoadProfile(((0.0, 1.0),)) for s in fleet}, events=())
         codes = {i.code for i in validate_scenario(sc)}
         assert codes == (set() if fits else {"wire-fleet-size"})
+
+    @pytest.mark.parametrize("t_start_s, fits", [(1.8e16, True), (2e16, False)])
+    def test_a_time_the_wire_cannot_carry_flagged(self, t_start_s, fits):
+        # telemetry stamps round(time_s * 1000) as a u64: small_scenario moved
+        # to 2e16 s runs in lockstep, but its first networked tick cannot be
+        # encoded, while at 1.8e16 s the whole networked run completes
+        sc = small_scenario()
+        sc = replace(sc, window=MissionWindow(t_start_s, t_start_s + 40.0, 4.0),
+                     profiles={lid: LoadProfile(((t_start_s, p.breakpoints[-1][1]),))
+                               for lid, p in sc.profiles.items()},
+                     events=(GeneratorTrip(t_start_s + 20.0, 2),))
+        codes = {i.code for i in validate_scenario(sc)}
+        assert codes == (set() if fits else {"wire-time"})
+        assert len(run_lockstep(sc).rows) == 10
+        first = build_plant(sc).tick(sc.window.tick_s)
+        if fits:
+            link.encode_telemetry_parts(first, seq=1)
+            assert len(run_networked(sc, plant_port=0, controller_port=0).rows) == 10
+        else:
+            with pytest.raises(struct.error):
+                link.encode_telemetry_parts(first, seq=1)
 
     @pytest.mark.parametrize("field, value", [
         ("tau_s", -1.0), ("tau_s", math.nan), ("tau_s", math.inf),
@@ -371,6 +394,21 @@ class TestCli:
                      "--out", str(plot_dir)]) == 0
         header = (plot_dir / "PMM.csv").read_text().splitlines()
         assert header[1] == "time_s,demand_w,served_w"
+
+    def test_a_torn_last_row_is_refused(self, advanced_run, tmp_path, capsys):
+        # the bundled run.csv with the last 20 fields of its last row lost:
+        # read as is, plot-data would write 22 MW of demand at t=600 s
+        path = tmp_path / "run.csv"
+        write_run_csv(path, advanced_run.meta, advanced_run.rows)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-1] = ",".join(lines[-1].split(",")[:-20]) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(RunCsvError, match=f"line {len(lines)} has"):
+            read_run_csv(path)
+        assert main(["plot-data", str(path), "--group", "TOTAL",
+                     "--out", str(tmp_path / "plot")]) != 0
+        assert not (tmp_path / "plot" / "TOTAL.csv").exists()
+        assert main(["compare", str(path), str(path)]) != 0
 
     def test_plot_data_rejects_unknown_group(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

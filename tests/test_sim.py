@@ -12,15 +12,48 @@ import pytest
 from _helpers import failure_scenario, milp_objective, small_scenario
 from loadshed.controller import (ALGORITHMS, AdvancedController, MissionDatabase,
                                  make_controller)
-from loadshed.link import replay_drop_schedule
+from loadshed.link import DelayQueue, replay_drop_schedule
 from loadshed.model import ShedCommand
 from loadshed.optimizer import OBJ_REL_TOL, FleetModel
 from loadshed.plant import GeneratorTrip
 from loadshed.records import read_run_csv, write_run_csv
 from loadshed.scenario import default_scenario, load_scenario, save_scenario, validate_scenario
-from loadshed.sim import _ControlNode, _Recorder, build_plant, run_lockstep, run_networked
+from loadshed.sim import (SYNC_TIMEOUT_S, _ControlNode, _Recorder, build_plant, run_lockstep,
+                          run_networked)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """What each run's loop hands its two queues: ``submitted[i][stream]``
+    lists ``(item, dropped)`` per tick for the ``i``-th run, where the item
+    is ``(seq, snapshot)`` on ``"telemetry"`` and the batch on ``"commands"``."""
+    runs: list[dict[str, list]] = []
+    init, submit = DelayQueue.__init__, DelayQueue.submit
+
+    def spy_init(self, config, stream):
+        init(self, config, stream)
+        if not runs or stream in runs[-1]:
+            runs.append({})
+        runs[-1][stream] = self.sent = []
+
+    def spy_submit(self, item, now_s):
+        deliver = submit(self, item, now_s)
+        self.sent.append((item, deliver is None))
+        return deliver
+
+    monkeypatch.setattr(DelayQueue, "__init__", spy_init)
+    monkeypatch.setattr(DelayQueue, "submit", spy_submit)
+    return runs
+
+
+def batches(run):
+    return [batch for batch, _ in run["commands"]]
+
+
+def drops(run, stream):
+    return [dropped for _, dropped in run[stream]]
 
 
 def expected_degraded(drops, stale_limit):
@@ -151,8 +184,12 @@ class TestLockstep:
         assert advanced_run.rows[0].time_s == pytest.approx(0.1)
         assert advanced_run.rows[-1].time_s == pytest.approx(600.0)
 
-    def test_one_batch_per_tick(self, advanced_run):
-        assert len(advanced_run.batches) == 6000
+    def test_one_batch_per_tick(self, submitted):
+        # degraded ticks re-send a batch too
+        sc = small_scenario(loss=0.3, seed=2)
+        result = run_lockstep(sc, algorithm="advanced", seed=2)
+        assert any(r.degraded for r in result.rows)
+        assert len(batches(submitted[0])) == len(result.used_seq) == sc.window.n_ticks
 
     def test_deterministic_repeat_is_byte_identical(self, tmp_path):
         sc = small_scenario(loss=0.15, latency_ms=120.0, seed=9)
@@ -163,44 +200,66 @@ class TestLockstep:
         write_run_csv(pb, b.meta, b.rows)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_different_seed_changes_impaired_run(self):
+    def test_different_seed_changes_impaired_run(self, submitted):
         sc = small_scenario(loss=0.3)
         a = run_lockstep(sc, algorithm="advanced", seed=1)
         b = run_lockstep(sc, algorithm="advanced", seed=2)
-        assert a.telemetry_dropped != b.telemetry_dropped
+        assert drops(submitted[0], "telemetry") != drops(submitted[1], "telemetry")
+        assert a.used_seq != b.used_seq
 
     def test_loss_free_run_has_no_degraded_ticks(self):
         result = run_lockstep(small_scenario(), algorithm="advanced", seed=0)
         assert not any(r.degraded for r in result.rows)
-        assert not any(result.telemetry_dropped)
+        assert result.used_seq == list(range(1, len(result.rows) + 1))
 
-    def test_degraded_ticks_match_replayed_drop_schedule(self):
+    def test_degraded_ticks_match_replayed_drop_schedule(self, submitted):
         sc = small_scenario(loss=0.35, seed=11, stale_limit=2)
         result = run_lockstep(sc, algorithm="advanced", seed=11)
-        drops = replay_drop_schedule(replace(sc.impairment, seed=11), "telemetry",
-                                     sc.window.n_ticks)
-        assert result.telemetry_dropped == drops
-        assert [r.degraded for r in result.rows] == expected_degraded(drops, 2)
+        schedule = replay_drop_schedule(replace(sc.impairment, seed=11), "telemetry",
+                                        sc.window.n_ticks)
+        assert drops(submitted[0], "telemetry") == schedule
+        degraded = expected_degraded(schedule, 2)
+        assert [r.degraded for r in result.rows] == degraded
+        # a fresh tick used the last telemetry that got through
+        got_through = [k for k, dropped in enumerate(schedule, start=1) if not dropped]
+        assert result.used_seq == [
+            None if bad else max(seq for seq in got_through if seq <= k)
+            for k, bad in enumerate(degraded, start=1)]
 
-    def test_degraded_tick_resends_last_batch(self):
+    def test_degraded_tick_resends_last_batch(self, submitted):
         sc = small_scenario(loss=0.5, seed=3, stale_limit=1)
         result = run_lockstep(sc, algorithm="advanced", seed=3)
+        sent = batches(submitted[0])
         degraded_ticks = [k for k, r in enumerate(result.rows) if r.degraded]
         assert degraded_ticks, "expected at least one degraded tick at 50% loss"
         for k in degraded_ticks:
-            previous = result.batches[k - 1] if k > 0 else ()
-            assert result.batches[k] == previous
+            previous = sent[k - 1] if k > 0 else ()
+            assert sent[k] == previous
+        # the run's degraded ticks all follow an empty batch; at the node, a
+        # batch of changed statuses is re-sent while the telemetry is stale
+        db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
+        node = _ControlNode(make_controller(sc.fleet, sc.controller, db), 0, sc.fleet,
+                            sc.mission_id)
+        plant = build_plant(sc)
+        k, decision = 0, node.last
+        while not decision.batch:
+            k += 1
+            decision = node.exchange(k, [(k, plant.tick(sc.window.tick_s))])
+        for late in (1, 2):
+            held = node.exchange(k + late, [])
+            assert held.degraded and held.batch == decision.batch
 
     def test_latency_delays_reaction(self):
         # telemetry delayed by two ticks: the trip at t=10 is acted on at 10.3
         prompt = run_lockstep(small_scenario(), algorithm="advanced", seed=0)
         delayed = run_lockstep(small_scenario(latency_ms=150.0), algorithm="advanced",
                                seed=0)
-        t_react_prompt = next(r.time_s for r, b in zip(prompt.rows, prompt.batches)
-                              if r.time_s >= 10.0 and b)
-        t_react_delayed = next(r.time_s for r, b in zip(delayed.rows, delayed.batches)
-                               if r.time_s >= 10.0 and b)
-        assert t_react_delayed > t_react_prompt
+
+        def reaction(rows):  # the first tick from the trip on whose intent changed
+            return next(r.time_s for r, before in zip(rows[1:], rows)
+                        if r.time_s >= 10.0 and r.commanded != before.commanded)
+
+        assert reaction(delayed.rows) > reaction(prompt.rows)
 
     def test_commanded_power_within_budget_every_fresh_tick(self):
         result = run_lockstep(small_scenario(tau_s=0.0), algorithm="advanced", seed=0)
@@ -222,7 +281,9 @@ class TestLockstep:
         )
         a = run_lockstep(sc, algorithm="baseline", seed=0)
         b = run_lockstep(permuted, algorithm="baseline", seed=0)
-        assert a.batches == b.batches
+        assert any(0.0 in r.commanded for r in a.rows), "the baseline must shed for the check"
+        assert [(r.commanded, r.degraded) for r in a.rows] == [
+            (r.commanded, r.degraded) for r in b.rows]
 
     def test_baseline_waits_250_ms_at_50_ms_ticks(self, bundled_scenario):
         # the overload timer advances by the tick, whatever its length
@@ -244,13 +305,15 @@ class TestLockstep:
 
 
 class TestNetworked:
-    def test_zero_loss_matches_lockstep_command_sequence(self):
+    def test_zero_loss_matches_lockstep_command_sequence(self, submitted):
         sc = small_scenario()
-        lock = run_lockstep(sc, algorithm="advanced", seed=0)
+        run_lockstep(sc, algorithm="advanced", seed=0)
         net = run_networked(sc, algorithm="advanced", seed=0, plant_port=0,
                             controller_port=0)
-        assert len(net.batches) == len(lock.batches)
-        assert net.batches == lock.batches
+        lock_batches, net_batches = batches(submitted[0]), batches(submitted[1])
+        assert len(net_batches) == len(lock_batches) == sc.window.n_ticks
+        assert net_batches == lock_batches
+        assert any(lock_batches)
         assert not any(r.degraded for r in net.rows)
 
     def test_zero_loss_rows_match_lockstep(self):
@@ -264,19 +327,18 @@ class TestNetworked:
 
     def test_lossy_networked_run_completes(self):
         sc = small_scenario(loss=0.2, seed=5)
-        net = run_networked(sc, algorithm="advanced", seed=5, sync_timeout_s=0.2,
-                            plant_port=0, controller_port=0)
+        net = run_networked(sc, algorithm="advanced", seed=5, plant_port=0, controller_port=0)
         assert len(net.rows) == sc.window.n_ticks
         assert any(r.degraded for r in net.rows)
 
-    def test_baseline_over_udp(self):
+    def test_baseline_over_udp(self, submitted):
         sc = small_scenario()
-        net = run_networked(sc, algorithm="baseline", seed=0, plant_port=0,
-                            controller_port=0)
-        lock = run_lockstep(sc, algorithm="baseline", seed=0)
-        assert net.batches == lock.batches
+        run_networked(sc, algorithm="baseline", seed=0, plant_port=0, controller_port=0)
+        run_lockstep(sc, algorithm="baseline", seed=0)
+        assert batches(submitted[0]) == batches(submitted[1])
+        assert any(batches(submitted[1]))
 
-    def test_zero_loss_bookkeeping_matches_lockstep(self):
+    def test_zero_loss_bookkeeping_matches_lockstep(self, submitted):
         sc = small_scenario()
         lock = run_lockstep(sc, algorithm="advanced", seed=0)
         net = run_networked(sc, algorithm="advanced", seed=0, plant_port=0,
@@ -284,31 +346,32 @@ class TestNetworked:
         assert net.used_seq == lock.used_seq
         assert net.budget_w == lock.budget_w
         assert net.intent_power_w == lock.intent_power_w
-        assert net.command_dropped == lock.command_dropped
+        assert drops(submitted[1], "commands") == drops(submitted[0], "commands")
 
     def test_baseline_over_udp_records_decision_time(self):
         net = run_networked(small_scenario(), algorithm="baseline", seed=0, plant_port=0,
                             controller_port=0)
         assert any(r.solve_time_s > 0 for r in net.rows)
 
-    def test_lossy_drops_follow_replayed_schedule(self):
+    def test_lossy_drops_follow_replayed_schedule(self, submitted):
         sc = small_scenario(loss=0.2, seed=5)
-        net = run_networked(sc, algorithm="advanced", seed=5, sync_timeout_s=0.2,
-                            plant_port=0, controller_port=0)
+        run_networked(sc, algorithm="advanced", seed=5, plant_port=0, controller_port=0)
         n = sc.window.n_ticks
-        assert net.telemetry_dropped == replay_drop_schedule(sc.impairment, "telemetry", n)
-        assert net.command_dropped == replay_drop_schedule(sc.impairment, "commands", n)
+        for stream in ("telemetry", "commands"):
+            schedule = replay_drop_schedule(sc.impairment, stream, n)
+            assert any(schedule)
+            assert drops(submitted[0], stream) == schedule, stream
 
     def test_lossy_degraded_ticks_are_the_lost_telemetry_ticks(self):
         sc = small_scenario(loss=0.2, seed=5)
-        net = run_networked(sc, algorithm="advanced", seed=5, sync_timeout_s=0.2,
-                            plant_port=0, controller_port=0)
-        assert [r.degraded for r in net.rows] == net.telemetry_dropped
+        net = run_networked(sc, algorithm="advanced", seed=5, plant_port=0, controller_port=0)
+        lost = replay_drop_schedule(sc.impairment, "telemetry", sc.window.n_ticks)
+        assert [r.degraded for r in net.rows] == lost
+        assert net.used_seq == [None if dropped else k for k, dropped in enumerate(lost, 1)]
 
     def test_lossy_fresh_ticks_stay_within_budget(self):
         sc = small_scenario(loss=0.2, seed=5)
-        net = run_networked(sc, algorithm="advanced", seed=5, sync_timeout_s=0.2,
-                            plant_port=0, controller_port=0)
+        net = run_networked(sc, algorithm="advanced", seed=5, plant_port=0, controller_port=0)
         for k, (row, budget, implied) in enumerate(zip(net.rows, net.budget_w,
                                                        net.intent_power_w)):
             if not row.degraded:
@@ -324,22 +387,35 @@ class TestNetworked:
         assert time.monotonic() - t0 >= 4 * sc.window.tick_s
 
 
-def test_intent_power_follows_demand_under_a_held_intent():
-    """A tick that keeps the intent tuple but brings other demands reports
-    the power the intent implies at those demands."""
-    sc = small_scenario()
-    controller = make_controller(sc.fleet, replace(sc.controller, algorithm="baseline"),
-                                 tick_s=sc.window.tick_s)
-    node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet, sc.mission_id)
-    plant = build_plant(sc)
-    snaps = [plant.tick(sc.window.tick_s) for _ in range(30)]  # before the trip
-    decisions = [node.exchange(k, [(k, snap)]) for k, snap in enumerate(snaps, start=1)]
-    assert decisions[-1].intent is decisions[0].intent  # ample capacity: nothing shed
-    assert len({d.intent_power_w for d in decisions}) > 1
+def test_views_read_the_telemetry_the_controller_saw(monkeypatch):
+    """``budget_w`` and ``intent_power_w`` read back, bit for bit, the budget
+    of the telemetry each fresh tick's controller was handed and the power
+    its intent draws at that telemetry's demands. At 120 ms latency most
+    fresh tick uses an older seq than its own."""
+    sc = small_scenario(loss=0.15, latency_ms=120.0, seed=9)
+    seen = []  # (snapshot, intent after the call) of each call
+    on_telemetry = AdvancedController.on_telemetry
+
+    def spy(self, snapshot):
+        on_telemetry(self, snapshot)
+        seen.append((snapshot, self.intent))
+
+    monkeypatch.setattr(AdvancedController, "on_telemetry", spy)
+    result = run_lockstep(sc, algorithm="advanced", seed=9)
+    fresh = [k for k, seq in enumerate(result.used_seq) if seq is not None]
+    assert len(fresh) == len(seen) == 289
+    assert all(result.used_seq[k] < k + 1 for k in fresh)
     rated = [spec.rated_power_w for spec in sc.fleet]
-    for snap, d in zip(snaps, decisions):
-        implied = math.fsum(min(s, x) * r for s, x, r in zip(d.intent, snap.demands, rated))
-        assert d.intent_power_w == pytest.approx(implied, rel=1e-12)
+    for k, (snapshot, intent) in zip(fresh, seen):
+        power = 0.0
+        for s, d, r in zip(intent, snapshot.demands, rated):
+            power += (d if d < s else s) * r
+        assert result.budget_w[k].hex() == snapshot.budget_w.hex(), f"tick {k + 1}"
+        assert result.intent_power_w[k].hex() == power.hex(), f"tick {k + 1}"
+    degraded = [k for k, r in enumerate(result.rows) if r.degraded]
+    assert degraded
+    assert all(result.budget_w[k] is None and result.intent_power_w[k] is None
+               for k in degraded)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -415,9 +491,8 @@ def test_controller_fault_degrades_ticks_in_both_modes(monkeypatch, caplog, tmp_
 
     monkeypatch.setattr(AdvancedController, "on_telemetry", faulty)
     bodies = []
-    for run, kwargs in ((run_lockstep, {}),
-                        (run_networked, dict(plant_port=0, controller_port=0,
-                                             sync_timeout_s=1.0))):
+    networked = dict(plant_port=0, controller_port=0)
+    for run, kwargs in ((run_lockstep, {}), (run_networked, networked)):
         caplog.clear()
         raised.clear()
         t0 = time.monotonic()
@@ -433,4 +508,5 @@ def test_controller_fault_degrades_ticks_in_both_modes(monkeypatch, caplog, tmp_
         write_run_csv(path, result.meta, result.rows)
         bodies.append(path.read_text().splitlines()[2:])  # past the version and meta lines
     assert bodies[0] == bodies[1]
-    assert elapsed < 0.1 * sc.window.n_ticks * 1.0, f"networked run took {elapsed:.1f} s"
+    limit = 0.1 * sc.window.n_ticks * SYNC_TIMEOUT_S
+    assert elapsed < limit, f"networked run took {elapsed:.1f} s"
