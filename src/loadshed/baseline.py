@@ -33,10 +33,9 @@ class BaselineController:
 
     ``intent`` is the statuses it commands, in fleet order; it stays the same
     tuple object while no load is cut. There is no optimization solve, so
-    ``last_solve_time_s`` stays 0.0 and ``last_plan`` None.
+    ``last_plan`` stays None.
     """
 
-    last_solve_time_s = 0.0
     last_plan = None
 
     def __init__(self, fleet: Sequence[LoadSpec], tick_s: float):

@@ -4,11 +4,12 @@ A controller turns telemetry into intent. It is driven one snapshot at a time
 and keeps its ``intent``, the statuses it commands, as a tuple in fleet order:
 the same tuple object while no status changes. The control node diffs the
 intent into command batches; no controller builds commands. The advanced
-controller looks up the weight set and zone limits in force in a mission
-schedule built once, and solves the shedding optimization within its per-tick
-deadline. While a certificate shows it is still the optimum, it keeps the branch
-statuses of its last computed plan without solving and only refills the plan's
-continuous loads at the tick's budget (see ``_Leaf`` in the optimizer).
+controller reads the fleet model of the weight set in force and the zone
+limits from the run's mission schedule, which builds each weight set's model
+once, and solves the shedding optimization within its per-tick deadline.
+While a certificate shows it is still the optimum, it keeps the branch
+statuses of its last computed plan without solving and only refills the
+plan's continuous loads at the tick's budget (see ``_Leaf`` in the optimizer).
 The control period is the run's tick, which the engine passes in.
 """
 
@@ -48,55 +49,59 @@ class ControllerConfig:
 
 
 class Segment(NamedTuple):
-    """The weight set in force and the declared zones' limits, in declared order."""
+    """The model of the weight set in force, and the declared zones' limits
+    in declared order."""
 
-    weights: MissionWeightSet
+    model: FleetModel
     limits_w: tuple[float, ...]
 
 
 class MissionDatabase:
-    """The controller's "dynamic database": each mission's schedule, built once.
+    """The controller's "dynamic database": the run's mission schedule, built once.
 
-    A schedule is a sorted tuple of segment start times and the segments. A
-    weight set applies from its ``valid_from_s`` (the first declared wins a
-    tie), a scenario ``ZoneLimitChange`` from its time (in declared order at
-    one time), and neither from a NaN time. Telemetry carries no zone limits,
-    and only the controller enforces them; load failures reach it as zero
-    demand. Zone membership is fixed, so a change to an undeclared zone is
-    ignored.
+    The schedule is a sorted tuple of segment start times and the segments.
+    A weight set of the mission applies from its ``valid_from_s`` (the first
+    declared wins a tie), a scenario ``ZoneLimitChange`` from its time (in
+    declared order at one time), and neither from a NaN time. Each weight set
+    in force gets one :class:`FleetModel`, which every segment of that set
+    shares; building it raises ``ConfigurationError`` if the set lacks a
+    load. Telemetry carries no zone limits, and only the controller enforces
+    them; load failures reach it as zero demand. Zone membership is fixed, so
+    a change to an undeclared zone is ignored.
     """
 
-    def __init__(self, weight_sets: Sequence[MissionWeightSet],
+    def __init__(self, fleet: Sequence[LoadSpec], mission_id: int,
+                 weight_sets: Sequence[MissionWeightSet],
                  zones: Sequence[ZoneLimit] = (), events: Iterable[PlantEvent] = ()):
-        self.zones = tuple({zl.zone: zl for zl in zones}.values())
-        index = {zl.zone: zi for zi, zl in enumerate(self.zones)}
-        limits = [zl.limit_w for zl in self.zones]
-        declared = tuple(limits)
+        zones = tuple({zl.zone: zl for zl in zones}.values())
+        index = {zl.zone: zi for zi, zl in enumerate(zones)}
+        limits = [zl.limit_w for zl in zones]
+        limits_w = tuple(limits)  # the declared limits, in force until the first change
         steps: dict[float, tuple[float, ...]] = {}  # the limits in force from each change time
         for ev in sorted((ev for ev in events if isinstance(ev, ZoneLimitChange)
                           and ev.zone in index and not math.isnan(ev.time_s)),
                          key=lambda ev: ev.time_s):
             limits[index[ev.zone]] = ev.limit_w
             steps[ev.time_s] = tuple(limits)
-        firsts: dict[int, dict[float, MissionWeightSet]] = {}
+        by_start: dict[float, MissionWeightSet] = {}
         for ws in weight_sets:
-            if not math.isnan(ws.valid_from_s):
-                firsts.setdefault(ws.mission_id, {}).setdefault(ws.valid_from_s, ws)
-        self._schedules: dict[int, tuple[tuple[float, ...], tuple[Segment, ...]]] = {}
-        for mission_id, by_start in firsts.items():
-            segments, weights, limits_w = {}, None, declared
-            for t in sorted(by_start.keys() | steps.keys()):
-                weights, limits_w = by_start.get(t, weights), steps.get(t, limits_w)
-                if weights is not None:
-                    segments[t] = Segment(weights, limits_w)
-            self._schedules[mission_id] = (tuple(segments), tuple(segments.values()))
+            if ws.mission_id == mission_id and not math.isnan(ws.valid_from_s):
+                by_start.setdefault(ws.valid_from_s, ws)
+        segments: dict[float, Segment] = {}
+        model = None
+        for t in sorted(by_start.keys() | steps.keys()):
+            if t in by_start:
+                model = FleetModel.of_fleet(fleet, by_start[t], zones)
+            limits_w = steps.get(t, limits_w)
+            if model is not None:
+                segments[t] = Segment(model, limits_w)
+        self._starts, self._segments = tuple(segments), tuple(segments.values())
 
-    def segment_at(self, mission_id: int, time_s: float) -> Segment | None:
-        """The segment in force at ``time_s``; None for an unknown mission, a
-        NaN time or a time before the mission's first weight set."""
-        starts, segments = self._schedules.get(mission_id, ((), ()))
-        k = bisect_right(starts, time_s) - 1
-        return segments[k] if k >= 0 and starts[k] <= time_s else None
+    def segment_at(self, time_s: float) -> Segment | None:
+        """The segment in force at ``time_s``; None for a NaN time or a time
+        before the mission's first weight set."""
+        k = bisect_right(self._starts, time_s) - 1
+        return self._segments[k] if k >= 0 and self._starts[k] <= time_s else None
 
 
 class AdvancedController:
@@ -105,9 +110,7 @@ class AdvancedController:
     ``last_plan`` is the last plan ``solve`` computed, and ``intent`` the
     statuses this tick commands: the last plan's, or its branch statuses with
     the continuous loads refilled at this tick's budget on a tick the
-    certificate in :meth:`on_telemetry` kept. ``last_solve_time_s`` is the
-    solve time of this tick's plan, or 0.0 when the tick solved nothing: it
-    held, or the certificate kept the plan.
+    certificate in :meth:`on_telemetry` kept.
     """
 
     def __init__(self, fleet: Sequence[LoadSpec], database: MissionDatabase,
@@ -117,16 +120,12 @@ class AdvancedController:
         self.config = config
         self.intent: tuple[float, ...] = (1.0,) * len(self.fleet)
         self.last_plan: ShedPlan | None = None
-        self.last_solve_time_s = 0.0
         # the search data last_plan was solved on and its leaf, kept while the
         # plan was proven optimal, and the continuous fill (in the leaf's
         # order) that intent holds
         self._kept: _Prepared | None = None
         self._leaf: _Leaf | None = None
         self._fill: list[float] = []
-        # one static model per weight set (zone membership is fixed); the
-        # database holds the sets as long as we do, so identity is a stable key
-        self._models: dict[int, FleetModel] = {}
 
     def on_telemetry(self, snapshot: SystemSnapshot) -> None:
         """Solve this tick's problem, unless the last computed plan's branch
@@ -140,17 +139,12 @@ class AdvancedController:
         nothing but ``intent``, and copies the statuses only when the fill
         differs from the one ``intent`` holds.
         """
-        self.last_solve_time_s = 0.0
-        segment = self.database.segment_at(snapshot.mission_id, snapshot.time_s)
+        segment = self.database.segment_at(snapshot.time_s)
         if segment is None:
             log.warning("no weights for mission %d at t=%.1f s; holding last commands",
                         snapshot.mission_id, snapshot.time_s)
             return
-        weights = segment.weights
-        model = self._models.get(id(weights))
-        if model is None:
-            model = self._models[id(weights)] = FleetModel.of_fleet(
-                self.fleet, weights, self.database.zones)
+        model = segment.model
         instance = model.instance(snapshot, segment.limits_w)
         budget_w = instance.capacity_budget_w
         prep = model.prepared(instance.caps, instance.zone_limits_w)
@@ -170,7 +164,6 @@ class AdvancedController:
                 return
         plan = solve(instance, self.config.solve_deadline_s)
         self.last_plan = plan
-        self.last_solve_time_s = plan.solve_time_s
         statuses = tuple(plan.statuses.values())  # the model lists the fleet in order
         if statuses != self.intent:  # else every tick since the last change shares one tuple
             self.intent = statuses

@@ -4,8 +4,8 @@ The instantaneous value is the weighted fraction of demanded load service
 actually delivered: ``operability(num, den)``, where ``served_sums`` gives
 the weighted demand ``den`` and commanded service ``num``, and
 ``measured_sum`` the measured service. Both take aligned per-load columns
-in fleet order, as telemetry carries them; the run recorder calls them each
-tick.
+in fleet order: the weights as the run's fleet model holds them, and the
+statuses as telemetry carries them. The run recorder calls them each tick.
 
 The mission-period value is the ratio of the two time-integrals (weighted
 service over weighted demand), approximated by left-rectangle sums on the
@@ -15,7 +15,7 @@ divided once, so a time-varying demand profile is handled correctly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .model import STATUS_TOL
@@ -49,11 +49,11 @@ class MissionWindow:
         return round((self.t_end_s - self.t_start_s) / self.tick_s)
 
 
-def served_sums(weights: Mapping[int, float], load_ids: Iterable[int],
-                demands: Iterable[float], served: Iterable[float]) -> tuple[float, float]:
+def served_sums(weights: Iterable[float], demands: Iterable[float],
+                served: Iterable[float]) -> tuple[float, float]:
     """Weighted (demanded, served) totals in one pass over the loads.
 
-    ``load_ids``, ``demands`` and ``served`` are aligned columns, one entry
+    ``weights``, ``demands`` and ``served`` are aligned columns, one entry
     per load. A served status counts up to its load's demand status. Loads
     whose demand status is within ``STATUS_TOL`` of zero, which every status
     domain reads as 0, add to neither sum: a measured status over such a
@@ -61,24 +61,23 @@ def served_sums(weights: Mapping[int, float], load_ids: Iterable[int],
     """
     den = num = 0.0
     tol = STATUS_TOL
-    for lid, ds, s in zip(load_ids, demands, served):
+    for w, ds, s in zip(weights, demands, served):
         if -tol <= ds <= tol:
             continue
-        w = weights[lid]
         den += w * ds
         num += w * (ds if ds < s else s)  # min(s, ds) without the call overhead
     return den, num
 
 
-def measured_sum(weights: Mapping[int, float], load_ids: Iterable[int],
-                 demands: Iterable[float], measured_pu: Iterable[float]) -> float:
+def measured_sum(weights: Iterable[float], demands: Iterable[float],
+                 measured_pu: Iterable[float]) -> float:
     """Weighted measured status over the loads that :func:`served_sums`
     counts, added in the order given, like it."""
     total = 0.0
     tol = STATUS_TOL
-    for lid, ds, m in zip(load_ids, demands, measured_pu):
+    for w, ds, m in zip(weights, demands, measured_pu):
         if not -tol <= ds <= tol:
-            total += weights[lid] * m
+            total += w * m
     return total
 
 

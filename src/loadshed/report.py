@@ -66,22 +66,20 @@ def _group_series(
     rated = [r for _, _, r in meta.fleet]
     demands = measured = None
     for r in rows:
-        # a row holding the previous row's tuple has its sums; each loop zips
-        # in the other column too, so both stop where the row's shortest does
-        new_demands = r.demands is not demands or len(r.measured_w) != len(measured)
-        new_measured = r.measured_w is not measured or len(r.demands) != len(demands)
-        demands, measured = r.demands, r.measured_w
-        if new_demands:
+        # a row holding the previous row's tuple has its sums
+        if r.demands is not demands:
+            demands = r.demands
             demand = [0] * n
             total_demand = 0
-            for k, d, rated_w, _ in zip(slots, demands, rated, measured):
+            for k, d, rated_w in zip(slots, demands, rated):
                 p = d * rated_w
                 demand[k] += p
                 total_demand += p
-        if new_measured:
+        if r.measured_w is not measured:
+            measured = r.measured_w
             served = [0] * n
             total_served = 0
-            for k, _, m in zip(slots, demands, measured):
+            for k, m in zip(slots, measured):
                 served[k] += m
                 total_served += m
         yield r.time_s, [(total_demand, total_served), *zip(demand, served)]

@@ -10,18 +10,21 @@ the drop schedule is a pure function of the seed: ``link.replay_drop_schedule``.
 
 The controller side is a :class:`_ControlNode`: it keeps the freshest
 telemetry, owns the staleness failsafe (telemetry older than
-``stale_limit`` ticks: re-send the last batch, flag the tick degraded),
-answers a controller that raises the same way (logging only the first
-fault, retrying every later tick), times each solve and alone turns intent
-into commands. It hands the controller the telemetry and diffs the
-controller's ``intent`` before and after: the batch is the statuses that
-changed, in fleet order, or empty when the intent is the same tuple
-object. Lockstep calls the node inline, and the queues also apply latency
-and jitter. Networked mode serves it on a thread behind real UDP sockets,
-which supply the latency, so ``latency_ms`` and ``jitter_ms`` apply to
-lockstep only; a tick whose telemetry is lost, or whose reply does not
-come within ``SYNC_TIMEOUT_S``, is degraded while the plant holds its last
-commands. A loss-free networked run reproduces the lockstep run exactly.
+``stale_limit`` ticks: re-send the last fresh answer's batch, flag the tick
+degraded), answers a controller that raises the same way (logging only the
+first fault, retrying every later tick), times each decision and alone
+turns intent into commands. It hands the controller the telemetry and
+diffs the controller's ``intent`` before and after: the batch is the
+statuses that changed, in fleet order, or empty when the intent is the same
+tuple object. So the failsafe's batch is empty unless the last fresh answer
+changed the intent: it holds the plant's commands, and repairs a dropped
+batch only when the degraded tick directly follows that change. Lockstep
+calls the node inline, and the queues also apply latency and jitter.
+Networked mode serves it on a thread behind real UDP sockets, which supply
+the latency, so ``latency_ms`` and ``jitter_ms`` apply to lockstep only; a
+tick whose telemetry is lost, or whose reply does not come within
+``SYNC_TIMEOUT_S``, is degraded while the plant holds its last commands. A
+loss-free networked run reproduces the lockstep run exactly.
 """
 
 from __future__ import annotations
@@ -99,11 +102,12 @@ def build_plant(sc: ScenarioConfig) -> Plant:
 
 
 class _Recorder:
-    """Shared row bookkeeping for both execution modes."""
+    """Shared row bookkeeping for both execution modes. The run's mission
+    database is built here, and the rows read each load's weight by its
+    position in the weight set's fleet model."""
 
     def __init__(self, sc: ScenarioConfig):
-        self.db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
-        self._ids = tuple(spec.id for spec in sc.fleet)
+        self.db = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
         self._rated_w = tuple(spec.rated_power_w for spec in sc.fleet)
         # the last row's served sums after the objects they were taken from:
         # (weights, demands, commanded, den, num, op)
@@ -116,8 +120,8 @@ class _Recorder:
         degraded: bool,
         solve_time_s: float,
     ) -> RunRecord:
-        segment = self.db.segment_at(snapshot.mission_id, snapshot.time_s)
-        weights = None if segment is None else segment.weights.weights
+        segment = self.db.segment_at(snapshot.time_s)
+        weights = None if segment is None else segment.model.weight
         demands, measured = snapshot.demands, snapshot.measured_w
         # the same objects give the same sums (each adds the same terms in the
         # same order), so a row takes the last row's where its inputs are its
@@ -125,13 +129,12 @@ class _Recorder:
         if s is None or s[0] is not weights or s[1] is not demands or s[2] is not commanded:
             den = num = 0.0
             if weights is not None:
-                den, num = served_sums(weights, self._ids, demands, commanded)
+                den, num = served_sums(weights, demands, commanded)
             s = self._served = (weights, demands, commanded, den, num, operability(num, den))
         _, _, _, den, num_cmd, op_cmd = s
         num_meas = 0.0
         if weights is not None:
-            num_meas = measured_sum(weights, self._ids, demands,
-                                    map(truediv, measured, self._rated_w))
+            num_meas = measured_sum(weights, demands, map(truediv, measured, self._rated_w))
         return RunRecord(
             time_s=snapshot.time_s,
             capacity_w=snapshot.total_capacity_w,
@@ -157,11 +160,12 @@ class _Decision(NamedTuple):
     intent: tuple[float, ...]  # the controller's statuses after this decision, in fleet order
     degraded: bool = False
     seq: int | None = None  # telemetry seq the batch was based on
-    solve_time_s: float = 0.0
+    solve_time_s: float = 0.0  # the controller's decision time
     optimal: bool = True
 
     def held(self) -> _Decision:
-        """The failsafe answer: re-send this batch, flagged degraded."""
+        """The failsafe answer: re-send this fresh answer's batch (empty unless
+        it changed the intent), flagged degraded."""
         return _Decision(self.batch, self.intent, degraded=True)
 
 
@@ -184,7 +188,7 @@ class _ControlNode:
             if self._mailbox is None or seq > self._mailbox[0]:
                 self._mailbox = (seq, snap)
         if self._mailbox is None or k - self._mailbox[0] > self.stale_limit:
-            return self.last.held()  # failsafe: hold (re-send) the last batch
+            return self.last.held()  # failsafe: re-send the last fresh answer's batch
         seq, used = self._mailbox
         # answer as stale: another mission, other loads, non-finite values (NaN and inf
         # survive the sum), or loading NaN (the baseline reads it as overload) or
@@ -205,12 +209,12 @@ class _ControlNode:
                 log.exception("controller failed on telemetry seq %d; holding the last batch",
                               seq)
             return self.last.held()
-        solve_time = controller.last_solve_time_s or (time.perf_counter() - t0)
+        elapsed = time.perf_counter() - t0
         plan, intent = controller.last_plan, controller.intent
         batch = () if intent is before else tuple(
             ShedCommand(lid, status)
             for lid, status, old in zip(self._ids, intent, before) if status != old)
-        self.last = _Decision(batch, intent, seq=seq, solve_time_s=solve_time,
+        self.last = _Decision(batch, intent, seq=seq, solve_time_s=elapsed,
                               optimal=plan is None or plan.optimal)
         return self.last
 

@@ -1,4 +1,3 @@
-import logging
 import math
 from dataclasses import replace
 
@@ -61,7 +60,7 @@ class TestControllerConfig:
 
 class TestAdvancedController:
     def make(self):
-        db = MissionDatabase([WEIGHTS])
+        db = MissionDatabase(FLEET, 1, [WEIGHTS])
         return AdvancedController(FLEET, db, ControllerConfig())
 
     def test_ample_capacity_restores_every_demand(self):
@@ -90,16 +89,6 @@ class TestAdvancedController:
         first, second = batches(ctrl, snap, snap)
         assert first and second == ()
 
-    def test_unknown_mission_holds(self, caplog):
-        ctrl = self.make()
-        snap = snapshot(full_demand(), 60 * MW, mission_id=9)
-        before = ctrl.intent
-        # called directly: a control node degrades another mission's telemetry
-        with caplog.at_level(logging.WARNING):
-            ctrl.on_telemetry(snap)
-        assert ctrl.intent is before and ctrl.last_plan is None
-        assert any("mission 9" in rec.message for rec in caplog.records)
-
     def test_never_commands_above_demand(self):
         ctrl = self.make()
         demands = [0.0 if k % 3 == 0 else d for k, d in enumerate(full_demand())]
@@ -107,10 +96,12 @@ class TestAdvancedController:
         for status, d in zip(ctrl.intent, demands):
             assert status <= d
 
-    def test_solve_time_tracked(self):
-        ctrl = self.make()
-        ctrl.on_telemetry(snapshot(full_demand(), 60 * MW))
-        assert ctrl.last_solve_time_s > 0.0
+    def test_solve_time_tracked(self, solves):
+        # the node times the whole decision, which holds the solve
+        node = _ControlNode(self.make(), stale_limit=5, fleet=FLEET, mission_id=1)
+        decision = node.exchange(1, [(1, snapshot(full_demand(), 60 * MW))])
+        assert len(solves) == 1
+        assert decision.solve_time_s >= solves[0].solve_time_s > 0.0
 
 
 def reference_weights(weight_sets, mission_id, t):
@@ -129,9 +120,9 @@ def reference_zones(zones, events, t):
 
 
 class TestCachedModel:
-    """The controller's cached fleet model gives, on every tick, the plan that
-    solving a freshly built instance gives, with the weights and zones a linear
-    scan of the mission data finds."""
+    """The mission database's fleet model gives the controller, on every
+    tick, the plan that solving a freshly built instance gives, with the
+    weights and zones a linear scan of the mission data finds."""
 
     @staticmethod
     def snapshots(monkeypatch, sc):
@@ -148,7 +139,7 @@ class TestCachedModel:
         return seen
 
     def check_every_tick(self, monkeypatch, sc):
-        db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
+        db = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
         ctrl = AdvancedController(sc.fleet, db, ControllerConfig(solve_deadline_s=60.0))
         failed = {ev.load_id for ev in sc.events if isinstance(ev, LoadFailure)}
         up, down = set(), set()  # failed loads seen with demand; seen dropping to 0
@@ -190,7 +181,7 @@ class TestCachedModel:
         self.check_every_tick(monkeypatch, sc)
 
     def test_demands_must_line_up_with_the_fleet(self):
-        ctrl = AdvancedController(FLEET, MissionDatabase([WEIGHTS]), ControllerConfig())
+        ctrl = AdvancedController(FLEET, MissionDatabase(FLEET, 1, [WEIGHTS]), ControllerConfig())
         snap = snapshot(full_demand(), 60 * MW)
         ids, demands = snap.load_ids, snap.demands
         for changed in (dict(load_ids=ids[:-1], demands=demands[:-1]),
@@ -209,7 +200,7 @@ class TestPlanReuse:
 
     @staticmethod
     def make(db=None, fleet=FLEET, deadline_s=0.05):
-        return AdvancedController(fleet, db or MissionDatabase([WEIGHTS]),
+        return AdvancedController(fleet, db or MissionDatabase(fleet, 1, [WEIGHTS]),
                                   ControllerConfig(solve_deadline_s=deadline_s))
 
     def test_identical_snapshots_solve_once(self, solves):
@@ -217,13 +208,12 @@ class TestPlanReuse:
         node = _ControlNode(ctrl, stale_limit=5, fleet=FLEET, mission_id=1)
         snap = snapshot(full_demand(), 60 * MW)
         assert node.exchange(1, [(1, snap)]).batch
-        assert ctrl.last_solve_time_s == solves[0].solve_time_s
+        assert len(solves) == 1
         # the same snapshot, then an equal one built anew (as a decoded one is)
         assert node.exchange(2, [(2, snap)]).batch == ()
         equal = replace(snap, demands=tuple(list(snap.demands)))
         assert node.exchange(3, [(3, equal)]).batch == ()
         assert len(solves) == 1 and ctrl.last_plan is solves[0]
-        assert ctrl.last_solve_time_s == 0.0
 
     def test_a_deadline_cut_plan_is_solved_again(self, solves):
         ctrl = self.make(deadline_s=1e-12)
@@ -259,7 +249,7 @@ class TestPlanReuse:
         assert solves[0].served_power_w < nudged.budget_w
         ctrl.on_telemetry(nudged)
         assert len(solves) == 1 and ctrl.last_plan is solves[0]
-        assert ctrl.last_solve_time_s == 0.0 and ctrl.intent is intent
+        assert ctrl.intent is intent
         # the leaf's budget stays the solved one: back at it, the exact repeat keeps it
         ctrl.on_telemetry(snap)
         assert len(solves) == 1
@@ -271,7 +261,7 @@ class TestPlanReuse:
         high = ctrl.intent
         assert any(0.0 < x < 0.64 for x, c in zip(high, pmm) if c), "the fill must be cut"
         ctrl.on_telemetry(snapshot(full_demand(), 59 * MW, loss_fraction=0.0))
-        assert len(solves) == 2 and ctrl.last_solve_time_s > 0.0
+        assert len(solves) == 2
         low = ctrl.intent
         assert [x for x, c in zip(low, pmm) if not c] == [x for x, c in zip(high, pmm) if not c]
         assert sum(x for x, c in zip(low, pmm) if c) < sum(x for x, c in zip(high, pmm) if c)
@@ -301,7 +291,7 @@ class TestPlanReuse:
     def test_a_zone_limit_change_is_solved_again(self, solves):
         fleet = tuple(replace(s, zone="Z1") if s.group.value == "PMM" else s for s in FLEET)
         members = tuple(s.id for s in fleet if s.zone == "Z1")
-        db = MissionDatabase([WEIGHTS], [ZoneLimit("Z1", 40 * MW, members)],
+        db = MissionDatabase(fleet, 1, [WEIGHTS], [ZoneLimit("Z1", 40 * MW, members)],
                              events=[ZoneLimitChange(1.0, "Z1", 20 * MW)])
         ctrl = self.make(db, fleet)
         for t in (0.5, 1.0, 1.5):
@@ -310,7 +300,7 @@ class TestPlanReuse:
 
     def test_a_new_weight_set_is_solved_again(self, solves):
         later = MissionWeightSet(1, dict(WEIGHTS.weights), valid_from_s=1.0)
-        ctrl = self.make(MissionDatabase([WEIGHTS, later]))
+        ctrl = self.make(MissionDatabase(FLEET, 1, [WEIGHTS, later]))
         for t in (0.5, 1.0, 1.5):
             ctrl.on_telemetry(snapshot(full_demand(), 60 * MW, t=t))
         assert len(solves) == 2
@@ -321,7 +311,7 @@ class TestPlanReuse:
         solved = node.exchange(1, [(1, snap)])
         reused = node.exchange(2, [(2, snap)])
         assert len(solves) == 1
-        assert solved.solve_time_s == solves[0].solve_time_s
+        assert solved.solve_time_s >= solves[0].solve_time_s
         assert reused.solve_time_s > 0.0 and reused.solve_time_s != solved.solve_time_s
         assert reused.optimal and reused.batch == ()
         assert reused.intent is solved.intent
@@ -347,58 +337,83 @@ class TestBaselineController:
 
 
 class TestMissionDatabase:
+    ONE = FLEET[:1]  # load 1 alone, so a weight set {1: w} weighs the whole fleet
+
     def test_weight_schedule_selects_latest_valid(self):
         early = MissionWeightSet(1, {1: 1.0}, valid_from_s=0.0)
         late = MissionWeightSet(1, {1: 2.0}, valid_from_s=100.0)
         other = MissionWeightSet(2, {1: 9.0}, valid_from_s=0.0)
-        db = MissionDatabase([early, late, other])
-        assert db.segment_at(1, 50.0).weights is early
-        assert db.segment_at(1, 100.0).weights is late
-        assert db.segment_at(2, 500.0).weights is other
-        assert db.segment_at(3, 0.0) is None
+        db = MissionDatabase(self.ONE, 1, [early, late, other])
+        assert db.segment_at(50.0).model.weight == [1.0]
+        assert db.segment_at(100.0).model.weight == [2.0]
+        assert db.segment_at(500.0).model.weight == [2.0]
+        assert MissionDatabase(self.ONE, 2, [early, late, other]).segment_at(
+            500.0).model.weight == [9.0]
+        assert MissionDatabase(self.ONE, 3, [early, late, other]).segment_at(0.0) is None
 
     def test_zone_updates_apply_in_time_order(self):
         base = ZoneLimit("Z1", 10 * MW, (1, 2))
-        db = MissionDatabase([WEIGHTS], zones=[base],
+        db = MissionDatabase(FLEET, 1, [WEIGHTS], zones=[base],
                              events=[ZoneLimitChange(50.0, "Z1", 4 * MW)])
-        assert db.zones == (base,)
-        assert db.segment_at(1, 10.0).limits_w == (10 * MW,)
-        assert db.segment_at(1, 50.0).limits_w == (4 * MW,)
-        assert db.zones[0].members == (1, 2)
+        assert db.segment_at(10.0).limits_w == (10 * MW,)
+        assert db.segment_at(50.0).limits_w == (4 * MW,)
 
     def test_equal_start_first_declared_wins(self):
         first = MissionWeightSet(1, {1: 1.0}, valid_from_s=10.0)
         second = MissionWeightSet(1, {1: 2.0}, valid_from_s=10.0)
-        db = MissionDatabase([MissionWeightSet(1, {1: 3.0}), first, second])
-        assert db.segment_at(1, 10.0).weights is first
-        assert db.segment_at(1, 99.0).weights is first
+        db = MissionDatabase(self.ONE, 1, [MissionWeightSet(1, {1: 3.0}), first, second])
+        assert db.segment_at(10.0).model.weight == [1.0]
+        assert db.segment_at(99.0).model.weight == [1.0]
         assert reference_weights([first, second], 1, 10.0) is first
 
     def test_zone_changes_at_one_time_apply_in_declared_order(self):
         zones = [ZoneLimit("Z1", 10 * MW, (1,)), ZoneLimit("Z2", 8 * MW, (2,))]
-        db = MissionDatabase([WEIGHTS], zones, events=[
+        db = MissionDatabase(FLEET, 1, [WEIGHTS], zones, events=[
             ZoneLimitChange(20.0, "Z2", 3 * MW), ZoneLimitChange(20.0, "Z1", 2 * MW),
             ZoneLimitChange(20.0, "Z2", 1 * MW), ZoneLimitChange(20.0, "Z1", 5 * MW)])
-        assert db.segment_at(1, 19.9).limits_w == (10 * MW, 8 * MW)
-        assert db.segment_at(1, 20.0).limits_w == (5 * MW, 1 * MW)
+        assert db.segment_at(19.9).limits_w == (10 * MW, 8 * MW)
+        assert db.segment_at(20.0).limits_w == (5 * MW, 1 * MW)
 
     def test_zone_change_before_the_first_weight_set(self):
         weights = MissionWeightSet(1, {1: 1.0}, valid_from_s=10.0)
-        db = MissionDatabase([weights], [ZoneLimit("Z1", 10 * MW, (1,))],
+        db = MissionDatabase(self.ONE, 1, [weights], [ZoneLimit("Z1", 10 * MW, (1,))],
                              events=[ZoneLimitChange(5.0, "Z1", 2 * MW)])
-        assert db.segment_at(1, 7.0) is None
-        assert db.segment_at(1, 10.0) == (weights, (2 * MW,))
+        assert db.segment_at(7.0) is None
+        segment = db.segment_at(10.0)
+        assert segment.model.weight == [1.0] and segment.limits_w == (2 * MW,)
 
     def test_no_segment_before_the_first_weight_set(self):
-        db = MissionDatabase([MissionWeightSet(1, {1: 1.0}, valid_from_s=10.0)])
-        assert db.segment_at(1, 9.99) is None
-        assert db.segment_at(1, -1.0) is None
-        assert db.segment_at(1, math.nan) is None
-        assert db.segment_at(1, 10.0) is not None
+        db = MissionDatabase(self.ONE, 1, [MissionWeightSet(1, {1: 1.0}, valid_from_s=10.0)])
+        assert db.segment_at(9.99) is None
+        assert db.segment_at(-1.0) is None
+        assert db.segment_at(math.nan) is None
+        assert db.segment_at(10.0) is not None
+
+    def test_one_model_per_weight_set_in_force(self):
+        # a zone limit change splits the first set's span into two segments,
+        # which share its model; the second set gets its own
+        zones = [ZoneLimit("Z1", 10 * MW, (1,))]
+        later = MissionWeightSet(1, dict(WEIGHTS.weights), valid_from_s=100.0)
+        db = MissionDatabase(FLEET, 1, [WEIGHTS, later], zones,
+                             events=[ZoneLimitChange(50.0, "Z1", 4 * MW)])
+        before, after, switched = (db.segment_at(t) for t in (10.0, 50.0, 100.0))
+        assert before.limits_w != after.limits_w
+        assert before.model is after.model
+        assert switched.model is not before.model and switched.limits_w == after.limits_w
+
+    def test_a_weight_set_in_force_must_weigh_every_load(self):
+        partial = MissionWeightSet(1, {1: 1.0}, valid_from_s=10.0)
+        with pytest.raises(ConfigurationError, match="no weight for load 2"):
+            MissionDatabase(FLEET[:2], 1, [MissionWeightSet(1, {1: 1.0, 2: 1.0}), partial])
+        # another mission's set, and a set a first-declared one shadows, are not in force
+        shadowed = MissionWeightSet(1, {1: 1.0}, valid_from_s=0.0)
+        db = MissionDatabase(FLEET[:2], 1, [MissionWeightSet(1, {1: 1.0, 2: 1.0}), shadowed,
+                                            replace(partial, mission_id=2)])
+        assert db.segment_at(99.0).model.weight == [1.0, 1.0]
 
 
 def test_make_controller_dispatch():
-    db = MissionDatabase([WEIGHTS])
+    db = MissionDatabase(FLEET, 1, [WEIGHTS])
     assert isinstance(make_controller(FLEET, ControllerConfig(algorithm="baseline")),
                       BaselineController)
     assert isinstance(make_controller(FLEET, ControllerConfig(), db), AdvancedController)

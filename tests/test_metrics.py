@@ -13,7 +13,7 @@ from loadshed.metrics import (
 def instant(weights, statuses, demands):
     """(operability, weighted demand) of loads 0, 1, ..., as the run recorder
     computes them from aligned columns."""
-    den, num = served_sums(dict(enumerate(weights)), range(len(weights)), demands, statuses)
+    den, num = served_sums(weights, demands, statuses)
     return operability(num, den), den
 
 

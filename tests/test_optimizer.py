@@ -508,7 +508,7 @@ class TestBudgetCertificate:
         zones = [ZoneLimit(str(zi), limit, tuple(lid for lid, z in zip(m.ids, m.zone_of)
                                                  if z == zi) or (m.ids[0],))
                  for zi, limit in enumerate(inst.zone_limits_w)]
-        db = MissionDatabase([MissionWeightSet(1, dict(zip(m.ids, m.weight)))], zones)
+        db = MissionDatabase(fleet, 1, [MissionWeightSet(1, dict(zip(m.ids, m.weight)))], zones)
         ctrl = AdvancedController(fleet, db, ControllerConfig(solve_deadline_s=60.0))
         measured = tuple(c * r for c, r in zip(inst.caps, m.rated))
 
@@ -663,7 +663,7 @@ class TestBudgetCertificate:
         assert solved == (1.0, 0.5)
         ctrl.on_telemetry(snapshot(1.9 * MW))
         assert len(solves) == 1 and ctrl.intent == pytest.approx((1.0, 0.45))
-        assert ctrl.last_plan is solves[0] and ctrl.last_solve_time_s == 0.0
+        assert ctrl.last_plan is solves[0]
         ctrl.on_telemetry(snapshot(2.1 * MW))  # a rise: the zone keeps the fill as solved
         assert len(solves) == 1 and ctrl.intent is solved
         ctrl.on_telemetry(snapshot(1.7 * MW))

@@ -12,9 +12,10 @@ import pytest
 from _helpers import failure_scenario, milp_objective, small_scenario
 from loadshed.controller import (ALGORITHMS, AdvancedController, MissionDatabase,
                                  make_controller)
+from loadshed import link
 from loadshed.link import DelayQueue, replay_drop_schedule
-from loadshed.model import ShedCommand
-from loadshed.optimizer import OBJ_REL_TOL, FleetModel
+from loadshed.model import STATUS_TOL, ShedCommand
+from loadshed.optimizer import OBJ_REL_TOL
 from loadshed.plant import GeneratorTrip
 from loadshed.records import read_run_csv, write_run_csv
 from loadshed.scenario import default_scenario, load_scenario, save_scenario, validate_scenario
@@ -144,7 +145,7 @@ def test_pinned_672_load_run_csv(solves, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["bundled", "double-trip", "fleet-scale"])
-def test_sampled_ticks_match_the_milp_oracle(name, monkeypatch, tmp_path):
+def test_sampled_ticks_match_the_milp_oracle(name, solves, monkeypatch, tmp_path):
     # a seeded sample of the ticks that solved, that kept the solved plan and
     # that refilled its continuous loads at a new budget: each intent's
     # objective is the optimum HiGHS finds for the tick's problem
@@ -158,24 +159,70 @@ def test_sampled_ticks_match_the_milp_oracle(name, monkeypatch, tmp_path):
     on_telemetry = AdvancedController.on_telemetry
 
     def spy(self, snap):
+        computed = len(solves)
         on_telemetry(self, snap)
-        kind = ("solved" if self.last_solve_time_s > 0.0 else
+        kind = ("solved" if len(solves) > computed else
                 "kept" if self.intent == tuple(self.last_plan.statuses.values()) else "refilled")
         ticks[kind].append((snap, self.intent))
 
     monkeypatch.setattr(AdvancedController, "on_telemetry", spy)
     run_lockstep(sc, algorithm="advanced", seed=42)
     rng = random.Random(f"milp/{name}")
-    database = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
+    database = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
     sample = [tick for kind, k in (("solved", 6), ("kept", 6), ("refilled", 30))
               for tick in rng.sample(ticks[kind], min(k, len(ticks[kind])))]
     assert len(sample) >= 12
     for snap, intent in sample:
-        segment = database.segment_at(snap.mission_id, snap.time_s)
-        model = FleetModel.of_fleet(sc.fleet, segment.weights, database.zones)
+        segment = database.segment_at(snap.time_s)
+        model = segment.model  # the run's controller shares no model with this database
         objective = model.plan_key(intent)[0]
         oracle = milp_objective(model.instance(snap, segment.limits_w))
         assert abs(objective - oracle) <= OBJ_REL_TOL * (1.0 + abs(oracle)), f"t={snap.time_s}"
+
+
+def weights_in_force(sc, t):
+    """The id-keyed weights of the run's mission in force at ``t``, by a
+    linear scan (the latest start at or before ``t``; the first declared wins
+    a tie)."""
+    valid = [ws for ws in sc.weight_sets if ws.mission_id == sc.mission_id and ws.valid_from_s <= t]
+    return max(valid, key=lambda ws: ws.valid_from_s).weights
+
+
+@pytest.mark.parametrize("scenario", [small_scenario, failure_scenario, default_scenario],
+                         ids=["small", "failure", "bundled"])
+def test_a_fleet_declared_out_of_id_order(scenario):
+    # every pinned fleet is declared in ascending id order, so only a
+    # reversed one tells the recorder's fleet order from id order: each
+    # row's weighted sums equal a recomputation from the id-keyed weights,
+    # and the advanced plans equal the id-ordered run's load by load (the
+    # baseline cuts in declaration order by design)
+    sc = scenario()
+    ids = [spec.id for spec in sc.fleet]
+    assert ids == sorted(ids)
+    backwards = replace(sc, fleet=sc.fleet[::-1])
+    assert validate_scenario(backwards).ok
+    for algorithm in ALGORITHMS:
+        result = run_lockstep(backwards, algorithm=algorithm, seed=42)
+        assert list(result.meta.load_ids) == ids[::-1]
+        rated = [r for _, _, r in result.meta.fleet]
+        for row in result.rows:
+            weights = weights_in_force(sc, row.time_s)
+            terms = [(weights[lid], d, c, m / r) for lid, d, c, m, r in zip(
+                result.meta.load_ids, row.demands, row.commanded, row.measured_w, rated)
+                if not -STATUS_TOL <= d <= STATUS_TOL]
+            expected = (math.fsum(w * d for w, d, _, _ in terms),
+                        math.fsum(w * min(d, c) for w, d, c, _ in terms),
+                        math.fsum(w * m for w, _, _, m in terms))
+            got = (row.wsum_demand, row.wsum_commanded, row.wsum_measured)
+            assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, expected)), \
+                f"{algorithm} t={row.time_s}: {got} != {expected}"
+        if algorithm == "advanced":
+            in_order = run_lockstep(sc, algorithm=algorithm, seed=42)
+            assert any(c < d for r in in_order.rows for c, d in zip(r.commanded, r.demands)), \
+                "the run must shed for the check to mean anything"
+            for a, b in zip(in_order.rows, result.rows):
+                assert all(abs(x - y) <= 1e-12 for x, y in zip(a.commanded, b.commanded[::-1])), \
+                    f"t={a.time_s}"
 
 
 class TestLockstep:
@@ -237,7 +284,7 @@ class TestLockstep:
             assert sent[k] == previous
         # the run's degraded ticks all follow an empty batch; at the node, a
         # batch of changed statuses is re-sent while the telemetry is stale
-        db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
+        db = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
         node = _ControlNode(make_controller(sc.fleet, sc.controller, db), 0, sc.fleet,
                             sc.mission_id)
         plant = build_plant(sc)
@@ -376,6 +423,30 @@ class TestNetworked:
                                                        net.intent_power_w)):
             if not row.degraded:
                 assert implied <= budget + 1e-6, f"tick {k}: {implied} > {budget}"
+
+    def test_split_messages_reassemble_over_udp(self, monkeypatch, tmp_path):
+        # 672 loads with every module tripping at 310 s: each tick's telemetry
+        # and the trip's command batch go in several datagrams each, and the
+        # loss-free networked run still writes the lockstep rows
+        sc = fleet_scenario(1, tmp_path, copies=16)
+        sc = replace(sc, events=tuple(GeneratorTrip(310.0, m.id) for m in sc.generation))
+        parts = {"encode_telemetry_parts": [], "encode_commands_parts": []}
+        for name, counts in parts.items():
+            encode = getattr(link, name)
+
+            def counted(*args, encode=encode, counts=counts, **kwargs):
+                out = encode(*args, **kwargs)
+                counts.append(len(out))
+                return out
+
+            monkeypatch.setattr(link, name, counted)
+        lock = run_lockstep(sc, algorithm="advanced", seed=42)
+        net = run_networked(sc, algorithm="advanced", seed=42, plant_port=0, controller_port=0)
+        assert min(parts["encode_telemetry_parts"]) > 1
+        assert max(parts["encode_commands_parts"]) > 1
+        assert net.used_seq == lock.used_seq
+        assert [replace(r, solve_time_s=0.0) for r in net.rows] == [
+            replace(r, solve_time_s=0.0) for r in lock.rows]
 
     def test_realtime_paces_ticks_at_control_period(self):
         sc = small_scenario()

@@ -149,7 +149,7 @@ def limit_breaches(sc: ScenarioConfig, result) -> list[str]:
     Tick ``k``'s intent was built from the telemetry of tick ``used_seq[k]``,
     so demands and the limits in force are taken at that tick.
     """
-    db = MissionDatabase(sc.weight_sets, sc.zones, sc.events)
+    db = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
     rated = {spec.id: spec.rated_power_w for spec in sc.fleet}
     ids = [spec.id for spec in sc.fleet]
     problems = []
@@ -162,11 +162,11 @@ def limit_breaches(sc: ScenarioConfig, result) -> list[str]:
         used = result.rows[seq - 1]
         served = {lid: min(c, d) * rated[lid]
                   for lid, c, d in zip(ids, row.commanded, used.demands)}
-        segment = db.segment_at(sc.mission_id, used.time_s)
+        segment = db.segment_at(used.time_s)
         if segment is None:
             problems.append(f"tick {k + 1}: no weight set in force at t={used.time_s}")
             continue
-        for zl, limit in zip(db.zones, segment.limits_w):
+        for zl, limit in zip(sc.zones, segment.limits_w):  # validation refuses duplicates
             total = sum(served[lid] for lid in zl.members)
             if total > limit * (1 + 1e-9) + 1e-6:
                 problems.append(f"tick {k + 1}: zone {zl.zone} serves {total} W over {limit} W")
