@@ -9,8 +9,9 @@ limits from the run's mission schedule, which builds each weight set's model
 once, and solves the shedding optimization within its per-tick deadline.
 While a certificate shows it is still the optimum, it keeps the branch
 statuses of its last computed plan without solving and only refills the
-plan's continuous loads at the tick's budget (see ``_Leaf`` in the optimizer).
-The control period is the run's tick, which the engine passes in.
+plan's continuous loads at the tick's budget, through the leaf ``solve``
+returned with the plan (see ``_Leaf`` in the optimizer). The control period
+is the run's tick, which the engine passes in.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .baseline import BaselineController
-from .metrics import DEFAULT_TICK_S
 from .model import LoadSpec, MissionWeightSet, SystemSnapshot, ZoneLimit
-from .optimizer import FleetModel, ShedPlan, _Leaf, _Prepared, solve
+from .optimizer import FleetModel, ShedPlan, solve
 from .plant import PlantEvent, ZoneLimitChange
 
 log = logging.getLogger(__name__)
@@ -107,10 +107,11 @@ class MissionDatabase:
 class AdvancedController:
     """Per-tick re-solve of the mission-weighted shedding optimization.
 
-    ``last_plan`` is the last plan ``solve`` computed, and ``intent`` the
-    statuses this tick commands: the last plan's, or its branch statuses with
-    the continuous loads refilled at this tick's budget on a tick the
-    certificate in :meth:`on_telemetry` kept.
+    ``last_plan`` is the last plan ``solve`` computed, with the leaf it
+    proved optimal (None if the deadline cut it), and ``intent`` the statuses
+    this tick commands: the last plan's, or its branch statuses with the
+    continuous loads refilled at this tick's budget on a tick the certificate
+    in :meth:`on_telemetry` kept.
     """
 
     def __init__(self, fleet: Sequence[LoadSpec], database: MissionDatabase,
@@ -120,24 +121,19 @@ class AdvancedController:
         self.config = config
         self.intent: tuple[float, ...] = (1.0,) * len(self.fleet)
         self.last_plan: ShedPlan | None = None
-        # the search data last_plan was solved on and its leaf, kept while the
-        # plan was proven optimal, and the continuous fill (in the leaf's
-        # order) that intent holds
-        self._kept: _Prepared | None = None
-        self._leaf: _Leaf | None = None
-        self._fill: list[float] = []
+        self._fill: list[float] = []  # the continuous fill intent holds, in leaf.prep.cont order
 
     def on_telemetry(self, snapshot: SystemSnapshot) -> None:
         """Solve this tick's problem, unless the last computed plan's branch
         statuses, refilled at this tick's budget, are certifiably its optimum.
 
-        The plan's leaf is kept, with no solve, while ``solve`` proved the plan
-        optimal, ``FleetModel.prepared`` returns the very search data it was
-        solved on (equal caps and zone limits give the same object), and
-        ``_Prepared.refill`` returns a fill: the certificate ``_Leaf`` states.
-        The leaf's budget stays that of the last solve: a kept tick moves
-        nothing but ``intent``, and copies the statuses only when the fill
-        differs from the one ``intent`` holds.
+        The plan's leaf is kept, with no solve, while ``solve`` returned one
+        (it proved the plan optimal), ``FleetModel.prepared`` returns the very
+        search data the leaf names (equal caps and zone limits give the same
+        object), and the leaf's ``refill`` returns a fill: the certificate
+        ``_Leaf`` states. The leaf's budget stays that of the last solve: a
+        kept tick moves nothing but ``intent``, and copies the statuses only
+        when the fill differs from the one ``intent`` holds.
         """
         segment = self.database.segment_at(snapshot.time_s)
         if segment is None:
@@ -146,11 +142,9 @@ class AdvancedController:
             return
         model = segment.model
         instance = model.instance(snapshot, segment.limits_w)
-        budget_w = instance.capacity_budget_w
-        prep = model.prepared(instance.caps, instance.zone_limits_w)
-        if prep is self._kept:
-            leaf = self._leaf
-            fill = prep.refill(leaf, budget_w)
+        leaf = self.last_plan and self.last_plan.leaf
+        if leaf is not None and leaf.prep is model.prepared(instance.caps, instance.zone_limits_w):
+            fill = leaf.refill(instance.capacity_budget_w)
             if fill is not None:
                 if fill != self._fill:  # else the intent already holds this leaf
                     self._fill = fill
@@ -158,21 +152,18 @@ class AdvancedController:
                         self.intent = leaf.statuses
                     else:
                         statuses = list(leaf.statuses)
-                        for (i, _, _, _), status in zip(prep.cont, fill):
+                        for (i, _, _, _), status in zip(leaf.prep.cont, fill):
                             statuses[i] = status
                         self.intent = tuple(statuses)
                 return
-        plan = solve(instance, self.config.solve_deadline_s)
-        self.last_plan = plan
-        statuses = tuple(plan.statuses.values())  # the model lists the fleet in order
+        plan = self.last_plan = solve(instance, self.config.solve_deadline_s)
+        leaf = plan.leaf
+        if leaf is None:
+            statuses = tuple(plan.statuses.values())  # the model lists the fleet in order
+        else:
+            statuses, self._fill = leaf.statuses, leaf.fill
         if statuses != self.intent:  # else every tick since the last change shares one tuple
             self.intent = statuses
-        if plan.optimal:
-            self._kept = prep
-            self._leaf = prep.leaf(self.intent, budget_w, plan.objective)
-            self._fill = self._leaf.fill
-        else:
-            self._kept = None
 
 
 Controller = AdvancedController | BaselineController
@@ -181,10 +172,11 @@ Controller = AdvancedController | BaselineController
 def make_controller(
     fleet: Sequence[LoadSpec],
     config: ControllerConfig,
-    database: MissionDatabase | None = None,
-    tick_s: float = DEFAULT_TICK_S,
+    database: MissionDatabase | None,
+    tick_s: float,
 ) -> Controller:
-    """The configured controller; ``tick_s`` is the control period of the run."""
+    """The configured controller; ``database`` is the run's mission schedule
+    (the advanced controller's), ``tick_s`` the control period of the run."""
     if config.algorithm == "baseline":
         return BaselineController(fleet, tick_s)
     if database is None:

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .model import (
@@ -77,6 +77,8 @@ class ShedPlan:
     served_power_w: float
     solve_time_s: float
     optimal: bool
+    # the leaf ``solve`` proved optimal; None if its deadline cut it, or outside ``solve``
+    leaf: _Leaf | None = field(default=None, compare=False, repr=False)
 
 
 def _weight(weights: MissionWeightSet, load_id: int) -> float:
@@ -184,9 +186,10 @@ class FleetModel:
         return (obj, served, lex)
 
     def to_plan(self, statuses: Sequence[float], key: tuple[float, float, tuple[float, ...]],
-                solve_time_s: float, optimal: bool) -> ShedPlan:
+                solve_time_s: float, optimal: bool, leaf: _Leaf | None = None) -> ShedPlan:
         """The plan of ``statuses``, whose ``plan_key`` is ``key``."""
-        return ShedPlan(dict(zip(self.ids, statuses)), key[0], key[1], solve_time_s, optimal)
+        return ShedPlan(dict(zip(self.ids, statuses)), key[0], key[1], solve_time_s, optimal,
+                        leaf)
 
 
 @dataclass(frozen=True)
@@ -209,10 +212,9 @@ class _Prepared:
     faster than that with the budget.
 
     :meth:`fill` is the continuous fill of every leaf, in the search and out
-    of it. A plan ``solve`` proved optimal at one budget is kept as a
-    :class:`_Leaf` (:meth:`leaf`, once per solve), and :meth:`refill` returns
-    its continuous fill at another budget where ``_Leaf``'s certificate shows
-    that the refilled leaf is ``solve``'s answer there.
+    of it. ``solve`` hands back the plan it proved optimal with its
+    :class:`_Leaf`, which names this data and refills the plan at other
+    budgets.
     """
 
     def __init__(self, model: FleetModel, caps: Sequence[float],
@@ -327,84 +329,36 @@ class _Prepared:
                 fill.append(0.0)
         return fill
 
-    def leaf(self, statuses: tuple[float, ...], budget_w: float, objective: float) -> _Leaf:
-        """The :class:`_Leaf` of a plan ``solve`` proved optimal at ``budget_w``
-        with these statuses (in model order) and objective."""
-        steps = self.steps
-        powers = tuple(statuses[i] * rated for i, _, rated, _, _, _ in steps)
-        rooms = list(self.zone_limits)
-        for (_, _, _, zi, _, _), power in zip(steps, powers):
-            if zi >= 0:
-                rooms[zi] -= power  # as the search lowers each room on its way down
-        fill = [statuses[i] for i, _, _, _ in self.cont]
-        margin = -math.inf
-        if all(statuses[i] == top for i, _, _, _, _, top in steps):
-            cuts: dict[int, int] = {}
-            root, whole = self.relax_bound(0, budget_w, 0.0, list(self.zone_limits), cuts)
-            if whole == len(steps):
-                rates, density = self.resume_rates(cuts), self.model.density
-                ceiling = max((root - (top - s) * rated * (density[i] - rates[zi])
-                               for i, _, rated, zi, downward, top in steps
-                               for s in downward[1:]), default=-math.inf)
-                margin = objective - ceiling - self.model.ceiling_slack
-        return _Leaf(statuses, budget_w, powers, rooms, fill, margin)
-
-    def refill(self, leaf: _Leaf, budget_w: float) -> list[float] | None:
-        """The continuous statuses, in ``cont`` order, that make ``leaf``'s
-        branch statuses, so refilled, the plan ``solve`` returns at
-        ``budget_w``, where ``_Leaf``'s certificate shows it; else None.
-
-        At the leaf's own budget they are its own fill. Elsewhere the budget
-        must lie within the radius of the leaf's margin, and the branch powers
-        must fit it: they are subtracted in level order with the search's own
-        check and arithmetic, then :meth:`fill` fills the continuous loads as
-        ``solve``'s leaf does. Zone rooms need no check: they do not depend on
-        the budget, and the search met them on its way to the leaf. The search
-        puts back each room it lowered as the value it was, not as a sum, so a
-        node's rooms depend on its path alone, and ``leaf.rooms`` are the
-        leaf's at any budget.
-        """
-        if budget_w == leaf.budget_w:
-            return leaf.fill
-        if not abs(budget_w - leaf.budget_w) * self.d_max < leaf.margin:
-            return None
-        rem = budget_w
-        for power in leaf.powers:
-            if power > rem:
-                return None
-            rem -= power
-        return self.fill(rem, leaf.rooms)
-
 
 class _Leaf(NamedTuple):
-    """A plan ``solve`` proved optimal at ``budget_w`` (B0), kept to be
-    refilled at other budgets: its statuses, its branch powers in level order
-    and the zone rooms after them, neither of which depends on the budget, its
-    continuous statuses in ``_Prepared.cont`` order, and the margin by which it
-    beats every other leaf at B0.
+    """A plan ``solve`` proved optimal at ``budget_w`` (B0) on the search data
+    ``prep``, kept to be refilled at other budgets: its statuses, its branch
+    powers in level order and the zone rooms the search reached it with,
+    neither of which depends on the budget, its continuous statuses in
+    ``prep.cont`` order, and the margin by which it beats every other leaf at
+    B0. The search records the rooms and the fill as it fills the leaf.
 
     ``solve`` refuses a model where a load weighs negative
     (``FleetModel.fill_monotone``), so the search's bounds are true relaxation
-    bounds. :meth:`_Prepared.refill` certifies the refilled leaf (the same
-    branch statuses, with the fill ``solve``'s leaf gives them at budget B) as
-    the plan ``solve`` returns at B in one of two cases (sensitivity analysis
-    for branch and bound: Schrage & Wolsey, *Operations Research* 33(5),
-    1985):
+    bounds. :meth:`refill` certifies the refilled leaf (the same branch
+    statuses, with the fill ``solve``'s leaf gives them at budget B) as the
+    plan ``solve`` returns at B in one of two cases (sensitivity analysis for
+    branch and bound: Schrage & Wolsey, *Operations Research* 33(5), 1985):
 
     - B = B0. The caps and zone limits are the plan's, so the problem is the
       one ``solve`` proved the plan optimal on, and its fill is ``fill``.
     - |B - B0|·d_max < ``margin``, d_max being ``_Prepared.d_max``, and the
       branch powers fit B. The margin is finite only where every branch load
-      sits at its top status and the root relaxation at B0 takes them all
+      sits at its top status and the root relaxation at B0 took them all
       whole. Then every other leaf lies under a sibling of the root's chain,
       whose bound at B0 is at most its ceiling (see ``solve``) and, a greedy
       relaxation, rises with the budget by at most d_max per watt. The
       refilled leaf's fill is monotone in the budget and loses at most a watt
       per watt, each worth at most d_max. The margin is the plan's objective
-      less the highest ceiling, over every branch level and lower status, less
-      ``FleetModel.ceiling_slack``; so inside that radius every other leaf's
-      objective is strictly below the refilled leaf's, and the first dive
-      reaches it.
+      less the highest ceiling the search computed, over every branch level
+      and lower status, pruned or searched, less ``FleetModel.ceiling_slack``;
+      so inside that radius every other leaf's objective is strictly below
+      the refilled leaf's, and the first dive reaches it.
 
     The slack covers the rounding of that argument, with u = 2**-53 and P and V
     as in ``FleetModel``: the ceilings' 20(m + 2)uV, as in ``solve``; 2uV for
@@ -415,12 +369,40 @@ class _Leaf(NamedTuple):
     slack's 32(n + 2)uV.
     """
 
+    prep: _Prepared
     statuses: tuple[float, ...]
     budget_w: float
     powers: tuple[float, ...]
     rooms: list[float]
     fill: list[float]
     margin: float
+
+    def refill(self, budget_w: float) -> list[float] | None:
+        """The continuous statuses, in ``prep.cont`` order, that make this
+        leaf's branch statuses, so refilled, the plan ``solve`` returns at
+        ``budget_w``, where the certificate above shows it; else None.
+
+        At the leaf's own budget they are its own fill. Elsewhere the budget
+        must lie within the radius of the margin, and the branch powers must
+        fit it: they are subtracted in level order with the search's own
+        check and arithmetic, then ``prep.fill`` fills the continuous loads as
+        ``solve``'s leaf does. Zone rooms need no check: they do not depend on
+        the budget, and the search met them on its way to the leaf. The search
+        puts back each room it lowered as the value it was, not as a sum, so a
+        node's rooms depend on its path alone, and ``rooms`` are the leaf's at
+        any budget.
+        """
+        if budget_w == self.budget_w:
+            return self.fill
+        prep = self.prep
+        if not abs(budget_w - self.budget_w) * prep.d_max < self.margin:
+            return None
+        rem = budget_w
+        for power in self.powers:
+            if power > rem:
+                return None
+            rem -= power
+        return prep.fill(rem, self.rooms)
 
 
 def _tie_tol(ref: float) -> float:
@@ -471,6 +453,11 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     first dive (the greedy plan, which nothing prunes) is always completed,
     so an expired solve returns at least that plan, never the all-zero one,
     flagged ``optimal=False``.
+
+    A plan proven optimal carries its :class:`_Leaf`, recorded as the search
+    runs: the zone rooms and fill of the leaf that ranked first, whether the
+    root relaxation took every branch item whole, and the highest ceiling of a
+    chain sibling, pruned or searched, from which the margin follows.
     """
     t0 = time.perf_counter()
     model = instance.model
@@ -488,18 +475,24 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     n_branch = len(steps)
     density, slack = model.density, model.ceiling_slack
     zone_rem = list(prep.zone_limits)
+    best_rooms, best_fill = list(zone_rem), [0.0] * len(cont)  # the all-shed plan's
     root: dict[int, int] = {}  # where the root relaxation's fill first falls short
+    root_whole = False  # whether the root relaxation took every branch item whole
+    top_ceiling = -math.inf  # the highest ceiling of a sibling of the root's chain
 
     def leaf(rem: float) -> None:
-        """Fill the continuous loads, keep the plan if it ranks first, undo the fill."""
-        nonlocal best_key, best_statuses, cutoff, deadline
+        """Fill the continuous loads, keep the plan, its zone rooms and its fill
+        if it ranks first, undo the fill."""
+        nonlocal best_key, best_statuses, best_rooms, best_fill, cutoff, deadline
         deadline = stop_at
-        for (i, _, _, _), status in zip(cont, prep.fill(rem, zone_rem)):
+        fill = prep.fill(rem, zone_rem)
+        for (i, _, _, _), status in zip(cont, fill):
             statuses[i] = status
         key = model.plan_key(statuses)
         if key > best_key:
             best_key = key
             best_statuses = list(statuses)
+            best_rooms, best_fill = list(zone_rem), fill
             cutoff = key[0] - _tie_tol(key[0])
         for i, _, _, _ in cont:
             statuses[i] = 0.0
@@ -507,6 +500,7 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     def visit(level: int, rem: float, obj_acc: float):
         """Bound a node, search the line of first children that inherit its
         bound, then yield the visit of each other child, deepest first."""
+        nonlocal root_whole, top_ceiling
         if time.perf_counter() > deadline:
             raise _DeadlineExpired
         chain = level == 0  # the root and its line: ``root`` describes their relaxation
@@ -514,7 +508,8 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
                                         root if chain else None)
         if bound < cutoff:
             return
-        rates = prep.resume_rates(root) if chain else None
+        if chain:
+            rates, root_whole = prep.resume_rates(root), whole == n_branch
         # The relaxation took the next ``whole`` branch items whole, so a child
         # giving one its top status inherits the bound: exact there (up to
         # rounding), and it passed the incumbent, which no leaf has changed since.
@@ -546,13 +541,14 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
                 power = status * rated
                 if whole and status == top or power > rem or zi >= 0 and power > zone_rem[zi]:
                     continue
-                # a chain sibling whose ceiling its own fill could not pass: pruned
-                # without a fill, but with its clock read
-                if whole and chain and (
-                        bound - (top - status) * rated * (density[i] - rates[zi]) < cutoff - slack):
-                    if time.perf_counter() > deadline:
-                        raise _DeadlineExpired
-                    continue
+                if whole and chain:
+                    ceiling = bound - (top - status) * rated * (density[i] - rates[zi])
+                    top_ceiling = max(top_ceiling, ceiling)
+                    # its own fill would prune it too: pruned unfilled, with its clock read
+                    if ceiling < cutoff - slack:
+                        if time.perf_counter() > deadline:
+                            raise _DeadlineExpired
+                        continue
                 statuses[i] = status
                 if zi >= 0:
                     room = zone_rem[zi]
@@ -565,7 +561,6 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     # the visits from the root down to the current one, each paused where it
     # yielded the visit of a child
     path = [visit(0, instance.capacity_budget_w, 0.0)]
-    optimal = True
     try:
         while path:
             for child in path[-1]:
@@ -574,8 +569,14 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
             else:
                 path.pop()
     except _DeadlineExpired:
-        optimal = False
-    return model.to_plan(best_statuses, best_key, time.perf_counter() - t0, optimal)
+        return model.to_plan(best_statuses, best_key, time.perf_counter() - t0, False)
+    margin = -math.inf
+    if root_whole and all(best_statuses[i] == top for i, _, _, _, _, top in steps):
+        margin = best_key[0] - top_ceiling - slack
+    powers = tuple(best_statuses[i] * rated for i, _, rated, _, _, _ in steps)
+    proven = _Leaf(prep, tuple(best_statuses), instance.capacity_budget_w, powers, best_rooms,
+                   best_fill, margin)
+    return model.to_plan(best_statuses, best_key, time.perf_counter() - t0, True, proven)
 
 
 # ---------------------------------------------------------------------------

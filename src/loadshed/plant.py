@@ -159,11 +159,16 @@ class Plant:
         return k > start
 
     def apply_commands(self, commands: Iterable[ShedCommand]) -> None:
-        """Update commanded statuses; unknown load ids are logged and skipped."""
+        """Update commanded statuses; a command for an unknown load id, or with a
+        status outside its load's domain (NaN included), is logged and skipped."""
         for cmd in commands:
             i = self._index.get(cmd.load_id)
             if i is None:
                 log.warning("ignoring command for unknown load %d", cmd.load_id)
+                continue
+            if not self.fleet[i].variability.contains(cmd.status):
+                log.warning("ignoring status %r outside the domain of load %d",
+                            cmd.status, cmd.load_id)
                 continue
             self.commanded[i] = cmd.status
             self._moving.add(i)

@@ -414,8 +414,8 @@ class TestMissionDatabase:
 
 def test_make_controller_dispatch():
     db = MissionDatabase(FLEET, 1, [WEIGHTS])
-    assert isinstance(make_controller(FLEET, ControllerConfig(algorithm="baseline")),
+    assert isinstance(make_controller(FLEET, ControllerConfig(algorithm="baseline"), None, 0.1),
                       BaselineController)
-    assert isinstance(make_controller(FLEET, ControllerConfig(), db), AdvancedController)
+    assert isinstance(make_controller(FLEET, ControllerConfig(), db, 0.1), AdvancedController)
     with pytest.raises(ValueError):
-        make_controller(FLEET, ControllerConfig())
+        make_controller(FLEET, ControllerConfig(), None, 0.1)

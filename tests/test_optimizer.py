@@ -304,19 +304,40 @@ class TestResumeCeiling:
     power times the density the load gives up over the best density left
     where the root fill first fell short for lack of that power's room."""
 
-    @pytest.mark.parametrize("family", [
-        lambda seed: random_instance(seed, max_discrete=14),
-        tied_zoned_instance,
-        chain_instance,
-        signed_instance,
+    # margins: how many plans at least have a finite margin over one ceiling
+    @pytest.mark.parametrize("family, margins", [
+        (lambda seed: random_instance(seed, max_discrete=14), 2),
+        (tied_zoned_instance, 0),
+        (chain_instance, 20),
+        (signed_instance, 0),
     ], ids=["random", "tied-zoned", "chain", "signed"])
-    def test_bounds_every_sibling_bound(self, family):
-        checked = 0
+    def test_bounds_every_sibling_bound(self, family, margins):
+        checked = finite = 0
         for seed in range(300):
-            for ceiling, slack, bound in chain_ceilings(family(seed)):
+            inst = family(seed)
+            ceilings = []
+            for ceiling, slack, bound in chain_ceilings(inst):
                 assert ceiling + slack >= bound, f"seed {seed}: {ceiling} < {bound}"
+                ceilings.append(ceiling)
                 checked += 1
+            if not inst.model.fill_monotone:  # solve refuses the signed family
+                continue
+            # the optimal plan's margin is the objective less the highest of
+            # those ceilings and the slack, bit for bit, where the root
+            # relaxation took every branch item whole and the plan is all-top
+            plan = solve(inst, None)
+            prep = plan.leaf.prep
+            _, whole = prep.relax_bound(0, inst.capacity_budget_w, 0.0, list(prep.zone_limits))
+            if whole == len(prep.steps) and all(
+                    plan.leaf.statuses[i] == top for i, _, _, _, _, top in prep.steps):
+                expected = (plan.objective - max(ceilings, default=-math.inf)
+                            - inst.model.ceiling_slack)
+                finite += bool(ceilings)
+            else:
+                expected = -math.inf
+            assert plan.leaf.margin.hex() == expected.hex(), f"seed {seed}"
         assert checked >= 300, f"only {checked} siblings"
+        assert finite >= margins, f"only {finite} finite margins"
 
     def test_prunes_every_sibling_when_every_load_fits(self, monkeypatch):
         # test_one_clock_read_per_node's instance: the fill ends uncut, so a
@@ -484,7 +505,7 @@ def stepped_zoned_instance(seed: int) -> ModelInstance:
 class TestBudgetCertificate:
     """The advanced controller keeps its last plan's branch statuses, with no
     solve, while the plan was proven optimal, the caps and zone limits are
-    unchanged and ``_Prepared.refill`` certifies a fill: at the plan's own
+    unchanged and the leaf ``solve`` returned certifies a fill: at the plan's own
     budget, or within the radius of the plan's margin where its branch loads
     fit the tick's budget. A kept tick's intent must be the plan an unbounded
     fresh ``solve`` gives. ``solve`` refuses a load that weighs negative."""
@@ -518,15 +539,13 @@ class TestBudgetCertificate:
         return ctrl, snapshot
 
     @staticmethod
-    def radius(inst: ModelInstance, plan: ShedPlan) -> float:
-        """How far from ``inst``'s budget the margin of ``plan``, solved
-        there, keeps its leaf: the margin over the densest item's density."""
-        prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
-        statuses = tuple(plan.statuses[lid] for lid in inst.model.ids)
-        margin = prep.leaf(statuses, inst.capacity_budget_w, plan.objective).margin
+    def radius(plan: ShedPlan) -> float:
+        """How far from its solved budget the margin of ``plan`` keeps its
+        leaf: the margin over the densest item's density."""
+        margin, d_max = plan.leaf.margin, plan.leaf.prep.d_max
         if margin <= 0.0:
             return 0.0
-        return margin / prep.d_max if prep.d_max > 0.0 else math.inf
+        return margin / d_max if d_max > 0.0 else math.inf
 
     @staticmethod
     def budgets(budget_w: float, plan: ShedPlan, radius: float) -> list[float]:
@@ -549,10 +568,8 @@ class TestBudgetCertificate:
         # its zone rooms give ``fill`` the remainders ``solve``'s leaf filled
         for seed in range(300):
             inst = family(seed)
-            plan = solve(inst, None)
-            prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
-            statuses = tuple(plan.statuses[lid] for lid in inst.model.ids)
-            leaf = prep.leaf(statuses, inst.capacity_budget_w, plan.objective)
+            leaf = solve(inst, None).leaf
+            prep = leaf.prep
             rem = inst.capacity_budget_w
             for power in leaf.powers:
                 rem -= power
@@ -570,7 +587,7 @@ class TestBudgetCertificate:
             plan = ctrl.last_plan
             assert plan.optimal
             solved_at = inst.capacity_budget_w
-            for budget_w in self.budgets(solved_at, plan, self.radius(inst, plan)):
+            for budget_w in self.budgets(solved_at, plan, self.radius(plan)):
                 before = len(solves)
                 ctrl.on_telemetry(snapshot(budget_w))
                 fresh = solve(replace(inst, capacity_budget_w=budget_w), None)
@@ -605,9 +622,9 @@ class TestBudgetCertificate:
         # off, so the plan has no margin.
         inst = model_instance((binary_row(1, 10.0, 1 * MW), binary_row(2, 5.0, 5 * MW),
                                cont_row(3, 1.0, 1 * MW)), 3 * MW)
-        prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
-        leaf = prep.leaf((1.0, 0.0, 1.0), 3 * MW, 11.0)
-        assert prep.refill(leaf._replace(margin=math.inf), 10 * MW) == leaf.fill == [1.0]
+        leaf = solve(inst, None).leaf
+        assert leaf.statuses == (1.0, 0.0, 1.0) and leaf.budget_w == 3 * MW
+        assert leaf._replace(margin=math.inf).refill(10 * MW) == leaf.fill == [1.0]
         assert leaf.margin == -math.inf
         ctrl, snapshot = self.controller(inst)
         ctrl.on_telemetry(snapshot(3 * MW))
@@ -620,15 +637,15 @@ class TestBudgetCertificate:
         inst = model_instance((binary_row(1, 5.0, 3 * MW, zone="Z1"),
                                binary_row(2, 4.0, 2 * MW, zone="Z1"),
                                cont_row(3, 1.0, 2 * MW)), 6 * MW, zones)
-        prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
-        leaf = prep.leaf((1.0, 0.0, 1.0), 6 * MW, 6.0)
+        leaf = solve(inst, None).leaf
+        assert leaf.statuses == (1.0, 0.0, 1.0) and leaf.budget_w == 6 * MW
         assert leaf.rooms == [1 * MW]  # load 1 leaves 1 MW of the 4 MW zone, at any budget
-        assert prep.refill(leaf, 6 * MW) == [1.0]
+        assert leaf.refill(6 * MW) == [1.0]
         # load 2 is off, so the leaf has no margin; an infinite one exposes the walk
-        assert prep.refill(leaf, 4 * MW) is None
+        assert leaf.refill(4 * MW) is None
         walked = leaf._replace(margin=math.inf)
-        assert prep.refill(walked, 4 * MW) == [0.5]  # the fill is cut to 0.5
-        assert prep.refill(walked, 2 * MW) is None  # load 1 alone is over budget
+        assert walked.refill(4 * MW) == [0.5]  # the fill is cut to 0.5
+        assert walked.refill(2 * MW) is None  # load 1 alone is over budget
 
     def test_a_lower_budget_can_switch_on_a_negative_weight(self, solves):
         # at 21 MW load 2 would stay off (objective 9 against 8.75); that plan
@@ -656,7 +673,7 @@ class TestBudgetCertificate:
         inst = model_instance((binary_row(1, 1.0, 1 * MW), cont_row(2, 10.0, 2 * MW, zone="Z1")),
                               2 * MW, zones)
         plan = solve(inst, None)
-        assert self.radius(inst, plan) == pytest.approx(0.2 * MW)
+        assert self.radius(plan) == pytest.approx(0.2 * MW)
         ctrl, snapshot = self.controller(inst)
         ctrl.on_telemetry(snapshot(2 * MW))
         solved = ctrl.intent
@@ -688,7 +705,7 @@ class TestBudgetCertificate:
         ctrl.on_telemetry(snapshot(budget_w))
         ctrl.on_telemetry(snapshot(nudged))
         assert ctrl.intent == tuple(fresh.statuses.values())
-        assert len(solves) == 2 and self.radius(inst, plan) == 0.0
+        assert len(solves) == 2 and self.radius(plan) == 0.0
 
 class TestProperties:
     @pytest.mark.parametrize("seed", range(15))
@@ -872,6 +889,7 @@ class TestDeadline:
         inst = model_instance(rows, budget)
         plan = solve(inst, deadline_s=1e-4)
         assert not plan.optimal
+        assert plan.leaf is None
         assert plan_violations(inst, plan) == []
 
     def test_deadline_is_checked_at_every_node(self, monkeypatch):

@@ -119,6 +119,22 @@ class TestCommands:
             plant.apply_commands([ShedCommand(99, 0.0)])
         assert any("99" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("status", [math.nan, -1.0, 0.5])
+    def test_status_outside_the_domain_logged_not_applied(self, status, caplog):
+        # load 1 is binary: its commanded status stays 0, and no power goes
+        # NaN or negative on any later tick
+        plant = simple_plant()
+        plant.apply_commands([ShedCommand(1, 0.0)])
+        with caplog.at_level(logging.WARNING):
+            plant.apply_commands([ShedCommand(1, status)])
+        assert plant.commanded[0] == 0.0
+        assert any("load 1" in rec.message for rec in caplog.records)
+        for _ in range(50):
+            snap = plant.tick(0.1)
+            assert all(math.isfinite(x) and x >= 0.0 for x in snap.measured_w)
+            assert math.isfinite(snap.total_loss_w) and math.isfinite(snap.loading_pu)
+        assert snap.measured_w[0] < 1.0  # settled at the valid command's 0
+
 
 class TestEventsAndSnapshot:
     def test_trip_reflected_in_snapshot_at_event_time(self):

@@ -285,8 +285,8 @@ class TestLockstep:
         # the run's degraded ticks all follow an empty batch; at the node, a
         # batch of changed statuses is re-sent while the telemetry is stale
         db = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
-        node = _ControlNode(make_controller(sc.fleet, sc.controller, db), 0, sc.fleet,
-                            sc.mission_id)
+        node = _ControlNode(make_controller(sc.fleet, sc.controller, db, sc.window.tick_s), 0,
+                            sc.fleet, sc.mission_id)
         plant = build_plant(sc)
         k, decision = 0, node.last
         while not decision.batch:
