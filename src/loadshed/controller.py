@@ -131,9 +131,11 @@ class AdvancedController:
         (it proved the plan optimal), ``FleetModel.prepared`` returns the very
         search data the leaf names (equal caps and zone limits give the same
         object), and the leaf's ``refill`` returns a fill: the certificate
-        ``_Leaf`` states. The leaf's budget stays that of the last solve: a
-        kept tick moves nothing but ``intent``, and copies the statuses only
-        when the fill differs from the one ``intent`` holds.
+        ``_Leaf`` states. While the snapshot carries the last tick's demand
+        tuple, these steps read no load but the continuous fill (see the
+        optimizer's module docstring). The leaf's budget stays that of the
+        last solve: a kept tick moves nothing but ``intent``, and copies the
+        statuses only when the fill differs from the one ``intent`` holds.
         """
         segment = self.database.segment_at(snapshot.time_s)
         if segment is None:

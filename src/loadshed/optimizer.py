@@ -31,11 +31,21 @@ The search data (``_Prepared``) is the model refreshed with a tick's caps and
 zone limits, not its budget, which ``solve`` hands to the root node: one walk
 of the cached density order picks out the branch, continuous and relaxation
 items, with no sorting, and calls ``discrete_statuses`` only for a load capped
-below its top status. The model keeps the last search data it built and
-returns it again while the caps and limits are equal, which they are on most
-ticks; the search only reads it. A :class:`ModelInstance`, a model with one
-tick's caps, budget and zone limits, is the one input of ``solve`` and
-``plan_violations``.
+below its top status. It also records where each level's fill starts, so a
+node's fill reads only the items free at its level. The model keeps the last
+search data it built and returns it again while the caps and limits are
+equal, which they are on most ticks; the search only reads it. A
+:class:`ModelInstance`, a model with one tick's caps, budget and zone limits,
+is the one input of ``solve`` and ``plan_violations``.
+
+A tick whose snapshot carries the very demand tuple of the last one (the
+plant hands one tuple on while no demand changes) costs the model O(1) in
+the fleet size: ``instance`` reuses the caps list it clamped from that tuple,
+and ``prepared``, asked again for those very caps and limits objects, returns
+its search data with no comparison. A new tuple of equal values, such as a
+decoded snapshot's, is clamped again and compared by value. A plan's
+:class:`_Leaf` checks its branch powers against a new budget with one exact
+subtraction where they are integers (see :meth:`_Leaf.refill`).
 
 Ties are broken deterministically: higher objective, then higher served
 power, then lexicographically by ascending load id preferring the higher
@@ -51,6 +61,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .model import (
@@ -147,6 +158,11 @@ class FleetModel:
         # finite weights.
         reach = sum(map(abs, self.rated)) * max(map(abs, self.density), default=0.0)
         self.ceiling_slack = 32 * (self.n + 2) * 2.0 ** -53 * reach
+        self._demands: Sequence[float] | None = None  # the demand tuple ``_caps`` clamps
+        self._caps: list[float] = []
+        # the caps and limits objects ``prepared`` was last asked for; the
+        # values it built its search data from
+        self._asked: tuple[Sequence[float] | None, Sequence[float] | None] = (None, None)
         self._prepared_key: tuple[tuple[float, ...], tuple[float, ...]] | None = None
         self._prepared: _Prepared | None = None
 
@@ -160,22 +176,34 @@ class FleetModel:
     def instance(self, snapshot: SystemSnapshot, limits_w: Sequence[float]) -> ModelInstance:
         """This tick's problem: caps read straight from the snapshot's demands,
         whose ids must be the model's in order, and ``limits_w`` this tick's
-        limits of the model's zones, in the same order."""
+        limits of the model's zones, in the same order.
+
+        The ids are checked on every call, first. The model keeps the caps of
+        the last demand tuple it clamped, and a reference to that tuple, so
+        its id cannot be reused; while a snapshot carries that very tuple,
+        which the plant hands on while no demand changes, the caps list is
+        reused with no clamping. It is shared, so no caller may change it."""
         demands = snapshot.demands
         if snapshot.load_ids != self.ids or len(demands) != self.n:
             raise ConfigurationError("snapshot demands do not list the fleet's loads in order")
-        # each demand clamped to [0, 1] exactly as min(max(x, 0.0), 1.0) clamps it
-        caps = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in demands]
-        return ModelInstance(self, caps, snapshot.budget_w, limits_w)
+        if demands is not self._demands:
+            # each demand clamped to [0, 1] exactly as min(max(x, 0.0), 1.0) clamps it
+            self._caps = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in demands]
+            self._demands = demands
+        return ModelInstance(self, self._caps, snapshot.budget_w, limits_w)
 
     def prepared(self, caps: Sequence[float], zone_limits_w: Sequence[float]) -> _Prepared:
         """The search data for these caps and zone limits: the last one built
-        while they are equal to its own (by value, so a decoded snapshot
-        qualifies), else a new one, which is kept instead."""
-        key = (tuple(caps), tuple(zone_limits_w))
-        if key != self._prepared_key:
-            self._prepared = _Prepared(self, key[0], key[1])
-            self._prepared_key = key
+        while they are the very objects of the last call (with no comparison:
+        a caller must not change a list it has passed) or equal to its own by
+        value (so a decoded snapshot qualifies), else a new one, which is kept
+        instead."""
+        if caps is not self._asked[0] or zone_limits_w is not self._asked[1]:
+            key = (tuple(caps), tuple(zone_limits_w))
+            if key != self._prepared_key:
+                self._prepared = _Prepared(self, key[0], key[1])
+                self._prepared_key = key
+            self._asked = (caps, zone_limits_w)
         return self._prepared
 
     def plan_key(self, statuses: Sequence[float]) -> tuple[float, float, tuple[float, ...]]:
@@ -230,6 +258,10 @@ class _Prepared:
         # below the search level are fixed; continuous items sit past every
         # level.
         self.relax: list[tuple[int, float, float, int]] = []
+        # where a fill at each level, and past the last, starts: the relaxation
+        # index of that level's item and how many continuous items precede it
+        self.starts: list[tuple[int, int]] = []
+        self.cont_at: list[int] = []  # the relaxation index of each continuous item
         rated, density, zone_of = model.rated, model.density, model.zone_of
         for i in model.order:
             cap = caps[i]
@@ -238,6 +270,7 @@ class _Prepared:
                 if cap > 0.0:
                     power = cap * rated[i]
                     self.cont.append((i, zone_of[i], rated[i], power))
+                    self.cont_at.append(len(self.relax))
                     self.relax.append((model.n, power, density[i], zone_of[i]))
                 continue
             top = model.top[i]
@@ -245,8 +278,10 @@ class _Prepared:
                 table = model.variability[i].discrete_statuses(cap)
                 downward, top = table[::-1], max(table)
             if len(downward) > 1:
+                self.starts.append((len(self.relax), len(self.cont_at)))
                 self.relax.append((len(self.steps), top * rated[i], density[i], zone_of[i]))
                 self.steps.append((i, model.weight[i], rated[i], zone_of[i], downward, top))
+        self.starts.append((len(self.relax), len(self.cont_at)))
         self.d_max = max(0.0, self.relax[0][2]) if self.relax else 0.0
 
     def relax_bound(self, level: int, rem: float, bound: float, zrem: list[float],
@@ -255,6 +290,9 @@ class _Prepared:
         relaxation items free at ``level``, into ``rem`` watts and the zone
         rooms ``zrem`` (a list it uses up); and how many branch items from
         ``level`` on it takes whole at their top status, one after another.
+        The free items are the continuous ones before ``level``'s item, then
+        every item from it on, so the fill reads no item fixed above
+        ``level``, and visits the free ones in density order.
 
         ``cuts``, when given, receives the index of the item where the fill
         first falls short: under key -1 the item the budget cuts, or where
@@ -267,10 +305,9 @@ class _Prepared:
             return bound, 0
         head = level
         relax = self.relax
-        for k in range(len(relax)):
+        start, before = self.starts[level]
+        for k in chain(self.cont_at[:before], range(start, len(relax))):
             pos, max_power, density, zi = relax[k]
-            if pos < level:
-                continue
             room = zrem[zi] if zi >= 0 and zrem[zi] < rem else rem
             if max_power <= room:
                 take = max_power
@@ -337,6 +374,8 @@ class _Leaf(NamedTuple):
     neither of which depends on the budget, its continuous statuses in
     ``prep.cont`` order, and the margin by which it beats every other leaf at
     B0. The search records the rooms and the fill as it fills the leaf.
+    ``branch_w`` is the branch powers' sum S, by ``math.fsum``, where every
+    power is an integer in [0, 2**53), else None (see :meth:`refill`).
 
     ``solve`` refuses a model where a load weighs negative
     (``FleetModel.fill_monotone``), so the search's bounds are true relaxation
@@ -373,6 +412,7 @@ class _Leaf(NamedTuple):
     statuses: tuple[float, ...]
     budget_w: float
     powers: tuple[float, ...]
+    branch_w: float | None
     rooms: list[float]
     fill: list[float]
     margin: float
@@ -391,17 +431,35 @@ class _Leaf(NamedTuple):
         puts back each room it lowered as the value it was, not as a sum, so a
         node's rooms depend on its path alone, and ``rooms`` are the leaf's at
         any budget.
+
+        Where ``branch_w`` holds S and 0 < B < 2**53, one subtraction B - S
+        stands for that walk, bit for bit. B is a multiple of ulp(B), which is
+        at most 1, so every integer is one too. While the walk's check passes,
+        each remainder, B less the powers so far, is exact by induction: a
+        multiple of ulp(B) in [0, B] is a float. So each check compares exact
+        values, and as the powers are non-negative the walk fails exactly
+        where their exact sum exceeds B. ``math.fsum`` rounds correctly, so S
+        is that sum where it is below 2**53 and at least 2**53 > B where it
+        is not; the walk fails exactly where B - S, rounded, is negative (a
+        rounded difference keeps its sign), and else ends at B - S, which is
+        exact. With B > 0 no remainder is -0.0. Any other leaf or budget
+        takes the walk.
         """
         if budget_w == self.budget_w:
             return self.fill
         prep = self.prep
         if not abs(budget_w - self.budget_w) * prep.d_max < self.margin:
             return None
-        rem = budget_w
-        for power in self.powers:
-            if power > rem:
+        if self.branch_w is not None and 0.0 < budget_w < 2.0 ** 53:
+            rem = budget_w - self.branch_w
+            if rem < 0.0:
                 return None
-            rem -= power
+        else:
+            rem = budget_w
+            for power in self.powers:
+                if power > rem:
+                    return None
+                rem -= power
         return prep.fill(rem, self.rooms)
 
 
@@ -574,8 +632,10 @@ def solve(instance: ModelInstance, deadline_s: float | None = 0.05) -> ShedPlan:
     if root_whole and all(best_statuses[i] == top for i, _, _, _, _, top in steps):
         margin = best_key[0] - top_ceiling - slack
     powers = tuple(best_statuses[i] * rated for i, _, rated, _, _, _ in steps)
-    proven = _Leaf(prep, tuple(best_statuses), instance.capacity_budget_w, powers, best_rooms,
-                   best_fill, margin)
+    exact = all(0.0 <= p < 2.0 ** 53 and p.is_integer() for p in powers)
+    branch_w = math.fsum(powers) if exact else None
+    proven = _Leaf(prep, tuple(best_statuses), instance.capacity_budget_w, powers, branch_w,
+                   best_rooms, best_fill, margin)
     return model.to_plan(best_statuses, best_key, time.perf_counter() - t0, True, proven)
 
 

@@ -181,6 +181,7 @@ class _ControlNode:
         self._mailbox: tuple[int, SystemSnapshot] | None = None
         self.last = _Decision((), controller.intent)
         self._fault_logged = False
+        self._summed: tuple[tuple[float, ...] | None, float] = (None, 0.0)  # demands, their sum
 
     def exchange(self, k: int, arrived: list[tuple[int, SystemSnapshot]]) -> _Decision:
         """Take the telemetry that arrived by tick ``k`` and answer for tick ``k``."""
@@ -195,7 +196,8 @@ class _ControlNode:
         # negative; +inf is zero capacity
         if (used.mission_id != self.mission_id or used.load_ids != self._ids
                 or not used.loading_pu >= 0.0 or not math.isfinite(
-                used.time_s + sum(used.demands) + used.total_capacity_w + used.total_loss_w)):
+                used.time_s + self._demand_sum(used.demands) + used.total_capacity_w
+                + used.total_loss_w)):
             return self.last.held()
         controller = self.controller
         before = controller.intent
@@ -217,6 +219,14 @@ class _ControlNode:
         self.last = _Decision(batch, intent, seq=seq, solve_time_s=elapsed,
                               optimal=plan is None or plan.optimal)
         return self.last
+
+    def _demand_sum(self, demands: tuple[float, ...]) -> float:
+        """``sum(demands)``, added once per tuple object: the plant hands one
+        tuple on while no demand changes. The last tuple and its sum are kept,
+        so a tuple holding a NaN gives NaN on every tick that carries it."""
+        if demands is not self._summed[0]:
+            self._summed = (demands, sum(demands))
+        return self._summed[1]
 
 
 class _UdpLink:

@@ -24,6 +24,34 @@ MW = 1e6
 MAX_GEN_COMBOS = 1 << 20
 
 
+def counting(base: type) -> type:
+    """A subclass of ``base`` (a tuple or list type) whose instances add to its
+    ``reads`` each read of their items: by index, by iteration (unpacking and
+    ``tuple()`` included) or by comparison."""
+
+    class Counting(base):
+        reads = 0
+        __hash__ = base.__hash__
+
+        def __getitem__(self, k):
+            Counting.reads += 1
+            return super().__getitem__(k)
+
+        def __iter__(self):
+            Counting.reads += 1
+            return super().__iter__()
+
+        def __eq__(self, other):
+            Counting.reads += 1
+            return super().__eq__(other)
+
+        def __ne__(self, other):
+            Counting.reads += 1
+            return super().__ne__(other)
+
+    return Counting
+
+
 def model_instance(rows, budget: float, zones=()) -> ModelInstance:
     """The problem over ``(id, weight, rated, demand, variability, zone)``
     rows under ``zones`` (ZoneLimits), each demand clamped to [0, 1] as

@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
-from _helpers import MW, assert_plans_agree, model_instance, random_instance
+from _helpers import MW, assert_plans_agree, counting, model_instance, random_instance
 from _oracle import InstanceTooLargeError, brute_force_solve
 from loadshed import optimizer
 from loadshed.controller import AdvancedController, ControllerConfig, MissionDatabase
@@ -35,14 +36,14 @@ def cont_row(lid, weight, power_w, demand=1.0, zone=None):
     return (lid, weight, power_w, demand, Variability.continuous(), zone)
 
 
-def reweighted(inst: ModelInstance, weight) -> ModelInstance:
+def reweighted(inst: ModelInstance, weight=lambda k, w: w, rated=lambda k, r: r) -> ModelInstance:
     """``inst`` with the weight w of the load at model position k replaced
-    by ``weight(k, w)``: the same loads and zones, each zone named by its
-    index."""
+    by ``weight(k, w)`` and its rating r by ``rated(k, r)``: the same loads
+    and zones, each zone named by its index."""
     m = inst.model
     zones = [ZoneLimit(str(zi), limit, tuple(lid for lid, z in zip(m.ids, m.zone_of) if z == zi))
              for zi, limit in enumerate(inst.zone_limits_w)]
-    loads = [(lid, weight(k, w), r, v, str(z)) for k, (lid, w, r, v, z)
+    loads = [(lid, weight(k, w), rated(k, r), v, str(z)) for k, (lid, w, r, v, z)
              in enumerate(zip(m.ids, m.weight, m.rated, m.variability, m.zone_of))]
     return replace(inst, model=FleetModel(loads, zones))
 
@@ -252,6 +253,36 @@ def chain_instance(seed: int) -> ModelInstance:
     return model_instance(tuple(rows), rng.uniform(0.3, 1.2) * total, tuple(limits))
 
 
+def tied_density_instance(seed: int) -> ModelInstance:
+    """Binary, stepped and continuous loads whose densities take one of three
+    values, exactly (each weight is a whole multiple of its rating in MW), so
+    a branch item often ties the item where the root relaxation's fill is
+    cut: a chain sibling whose ceiling ties the plan's objective, which
+    ``solve`` searches rather than prunes."""
+    rng = random.Random(f"tied-density/{seed}")
+    zones = [f"Z{z + 1}" for z in range(rng.randint(0, 2))]
+    rows = []
+    for lid in range(1, rng.randint(4, 10) + 1):
+        zone = rng.choice(zones + [None, None])
+        m = rng.randint(1, 4)
+        weight, rated = rng.choice((1.0, 2.0, 3.0)) * m, m * MW
+        kind = rng.random()
+        if kind < 0.3:
+            rows.append(cont_row(lid, weight, rated, rng.choice((1.0, 0.5)), zone))
+        elif kind < 0.45:
+            rows.append((lid, weight, rated, 1.0, Variability.stepped([0.5, 1.0]), zone))
+        else:
+            rows.append(binary_row(lid, weight, rated, zone=zone))
+    limits = []
+    for z in zones:
+        members = tuple(row[0] for row in rows if row[5] == z)
+        zone_w = sum(d * r for _, _, r, d, _, zone in rows if zone == z)
+        if members:
+            limits.append(ZoneLimit(z, rng.uniform(0.5, 1.2) * zone_w, members))
+    total = sum(d * r for _, _, r, d, _, _ in rows)
+    return model_instance(tuple(rows), rng.uniform(0.3, 1.1) * total, tuple(limits))
+
+
 def signed_instance(seed: int) -> ModelInstance:
     # weights validation refuses but a direct caller may pass: fills meet
     # items of negative density, and a freed watt may earn less than 0
@@ -304,15 +335,19 @@ class TestResumeCeiling:
     power times the density the load gives up over the best density left
     where the root fill first fell short for lack of that power's room."""
 
-    # margins: how many plans at least have a finite margin over one ceiling
-    @pytest.mark.parametrize("family, margins", [
-        (lambda seed: random_instance(seed, max_discrete=14), 2),
-        (tied_zoned_instance, 0),
-        (chain_instance, 20),
-        (signed_instance, 0),
-    ], ids=["random", "tied-zoned", "chain", "signed"])
-    def test_bounds_every_sibling_bound(self, family, margins):
-        checked = finite = 0
+    # margins: how many plans at least have a finite margin over one ceiling;
+    # searched: how many of those have a highest ceiling that ``solve`` could
+    # not prune (within the tie tolerance and slack of the objective), so the
+    # margin must count a sibling the search filled
+    @pytest.mark.parametrize("family, margins, searched", [
+        (lambda seed: random_instance(seed, max_discrete=14), 2, 0),
+        (tied_zoned_instance, 0, 0),
+        (chain_instance, 20, 0),
+        (tied_density_instance, 20, 5),
+        (signed_instance, 0, 0),
+    ], ids=["random", "tied-zoned", "chain", "tied-density", "signed"])
+    def test_bounds_every_sibling_bound(self, family, margins, searched):
+        checked = finite = unpruned = 0
         for seed in range(300):
             inst = family(seed)
             ceilings = []
@@ -330,14 +365,17 @@ class TestResumeCeiling:
             _, whole = prep.relax_bound(0, inst.capacity_budget_w, 0.0, list(prep.zone_limits))
             if whole == len(prep.steps) and all(
                     plan.leaf.statuses[i] == top for i, _, _, _, _, top in prep.steps):
-                expected = (plan.objective - max(ceilings, default=-math.inf)
-                            - inst.model.ceiling_slack)
+                highest = max(ceilings, default=-math.inf)
+                expected = plan.objective - highest - inst.model.ceiling_slack
                 finite += bool(ceilings)
+                unpruned += highest >= (plan.objective - optimizer._tie_tol(plan.objective)
+                                        - inst.model.ceiling_slack)
             else:
                 expected = -math.inf
             assert plan.leaf.margin.hex() == expected.hex(), f"seed {seed}"
         assert checked >= 300, f"only {checked} siblings"
         assert finite >= margins, f"only {finite} finite margins"
+        assert unpruned >= searched, f"only {unpruned} margins over a searched sibling"
 
     def test_prunes_every_sibling_when_every_load_fits(self, monkeypatch):
         # test_one_clock_read_per_node's instance: the fill ends uncut, so a
@@ -463,6 +501,23 @@ class TestPreparedMemo:
         changed = model.prepared([1.0, 0.25], (8 * MW,))
         assert changed is not first
         assert model.prepared([1.0, 0.25], (9 * MW,)) is not changed
+
+    def test_the_very_caps_and_limits_are_not_compared(self):
+        # asked again for the objects of the last call, the model reads none of
+        # their items; new objects of equal values are compared by value
+        fleet = (LoadSpec(1, "A", LoadGroup.ACLC_VITAL, 10 * MW, Variability.binary(), "Z1"),
+                 LoadSpec(5, "B", LoadGroup.PMM, 20 * MW, Variability.continuous()))
+        zones = (ZoneLimit("Z1", 8 * MW, (1,)),)
+        model = FleetModel.of_fleet(fleet, MissionWeightSet(1, {1: 5.0, 5: 5.0}), zones)
+        Caps, Limits = counting(list), counting(tuple)
+        caps, limits = Caps([1.0, 0.5]), Limits((8 * MW,))
+        first = model.prepared(caps, limits)
+        Caps.reads = Limits.reads = 0
+        assert model.prepared(caps, limits) is first
+        assert Caps.reads == Limits.reads == 0
+        assert model.prepared([1.0, 0.5], [8 * MW]) is first
+        assert model.prepared(caps, limits) is first
+        assert Caps.reads > 0 and Limits.reads > 0  # the last call's objects were others
 
     @pytest.mark.parametrize("seed", range(20))
     def test_one_model_across_budgets_gives_the_fresh_plans(self, seed):
@@ -601,6 +656,37 @@ class TestBudgetCertificate:
         assert repeats >= 100, f"only {repeats} kept ticks at the solved budget"
         assert above >= margin_kept, f"only {above} kept ticks above the solved budget"
 
+    # zeros: how many demands at least are given as -0.0 (only the random
+    # family has failed loads)
+    @pytest.mark.parametrize("family, zeros", zip(FAMILIES, (1000, 0, 0, 0)), ids=IDS)
+    def test_one_demand_tuple_keeps_the_fresh_optimum(self, family, zeros, solves):
+        # the budgets above, first with one demand tuple shared by every tick
+        # (the model reuses its caps and search data with no comparison), then
+        # each with a new tuple of equal values, every zero given as -0.0
+        # (clamped again and compared by value)
+        kept, negated = [0, 0], 0
+        for seed in range(150):
+            inst = family(seed)
+            ctrl, snapshot = self.controller(inst)
+            shared = tuple(inst.caps)
+            ctrl.on_telemetry(replace(snapshot(inst.capacity_budget_w), demands=shared))
+            plan = ctrl.last_plan
+            budgets = self.budgets(inst.capacity_budget_w, plan, self.radius(plan))
+            for copied in (False, True):
+                for budget_w in budgets:
+                    demands = shared
+                    if copied:
+                        demands = tuple(-0.0 if d == 0.0 else d for d in shared)
+                        negated += sum(math.copysign(1.0, d) < 0.0 for d in demands)
+                    before = len(solves)
+                    ctrl.on_telemetry(replace(snapshot(budget_w), demands=demands))
+                    fresh = solve(replace(inst, capacity_budget_w=budget_w), None)
+                    assert ctrl.intent == tuple(fresh.statuses[lid] for lid in inst.model.ids), (
+                        f"seed {seed}, budget {budget_w!r}, copied {copied}")
+                    kept[copied] += len(solves) == before
+        assert min(kept) >= 50, f"kept ticks (shared, copied): {kept}"
+        assert negated >= zeros, f"only {negated} demands given as -0.0"
+
     def test_a_negative_continuous_weight_keeps_no_plan(self, solves):
         # no plan to keep: the first tick is refused, and nothing is solved
         negative = 0
@@ -706,6 +792,110 @@ class TestBudgetCertificate:
         ctrl.on_telemetry(snapshot(nudged))
         assert ctrl.intent == tuple(fresh.statuses.values())
         assert len(solves) == 2 and self.radius(plan) == 0.0
+
+
+class TestKeptTick:
+    """A tick that keeps its plan costs O(1) in the fleet size while the
+    snapshot carries the very demand tuple of the last one: ``instance``
+    reuses its caps, ``prepared`` its search data with no comparison, and
+    ``refill`` checks integer branch powers with one exact subtraction."""
+
+    def test_a_shared_demand_tuple_reads_no_load(self, solves):
+        # binary loads of 1-3 MW, all on at 8.5 MW, and load 5 cut: the
+        # margin's radius is 0.6875 MW, and each budget below lies inside it
+        rows = (binary_row(1, 10.0, 1 * MW), binary_row(2, 9.0, 2 * MW),
+                binary_row(3, 8.0, 3 * MW), binary_row(4, 7.0, 1 * MW),
+                cont_row(5, 0.5, 4 * MW, 0.75), cont_row(6, 0.2, 2 * MW))
+        inst = model_instance(rows, 8.5 * MW)
+        ctrl, snapshot = TestBudgetCertificate.controller(inst)
+        Demands, Powers = counting(tuple), counting(tuple)
+        demands = Demands(inst.caps)
+        ctrl.on_telemetry(replace(snapshot(8.5 * MW), demands=demands))
+        leaf = ctrl.last_plan.leaf
+        ctrl.last_plan = replace(ctrl.last_plan, leaf=leaf._replace(powers=Powers(leaf.powers)))
+        Demands.reads = Powers.reads = 0
+        for budget_w in (8.4 * MW, 8.7 * MW, 8.5 * MW, 7.9 * MW):
+            ctrl.on_telemetry(replace(snapshot(budget_w), demands=demands))
+            fresh = solve(replace(inst, capacity_budget_w=budget_w), None)
+            assert ctrl.intent == tuple(fresh.statuses.values()), f"budget {budget_w!r}"
+        assert len(solves) == 1
+        assert (Demands.reads, Powers.reads) == (0, 0)
+        assert leaf.branch_w == 7 * MW  # the refill subtracted it
+
+
+class TestExactRefill:
+    """Where every branch power is an integer in [0, 2**53), ``refill``
+    subtracts their sum S from a budget 0 < B < 2**53 once in place of the
+    walk; any other leaf or budget takes the walk."""
+
+    FAMILIES = [
+        chain_instance,
+        stepped_zoned_instance,
+        # the same with whole-watt ratings: integer powers, but for a stepped
+        # status times an odd rating
+        lambda seed: reweighted(chain_instance(seed), rated=lambda k, r: float(round(r))),
+        lambda seed: reweighted(stepped_zoned_instance(seed), rated=lambda k, r: float(round(r))),
+    ]
+
+    @staticmethod
+    def walk(leaf, budget_w: float) -> float | None:
+        """The remainder the branch walk leaves, or None where it fails."""
+        rem = budget_w
+        for power in leaf.powers:
+            if power > rem:
+                return None
+            rem -= power
+        return rem
+
+    def test_the_subtraction_is_the_walk(self):
+        subtracted = walked = 0
+        for family in self.FAMILIES:
+            for seed in range(150):
+                # an infinite margin exposes the check at every budget
+                leaf = solve(family(seed), None).leaf._replace(margin=math.inf)
+                exact = all(0.0 <= p < 2.0 ** 53 and p.is_integer() for p in leaf.powers)
+                assert leaf.branch_w == (math.fsum(leaf.powers) if exact else None)
+                total = math.fsum(leaf.powers)
+                for budget_w in (leaf.budget_w * 0.9, leaf.budget_w * 1.1, total, total / 2,
+                                 math.nextafter(total, -math.inf), math.nextafter(total, math.inf),
+                                 total + 0.5, 2.0 ** 53, math.nextafter(2.0 ** 53, 0.0), 1e300,
+                                 0.0, 5e-324, math.inf):
+                    fill = leaf.refill(budget_w)
+                    by_walk = leaf._replace(branch_w=None).refill(budget_w)
+                    assert (fill is None) == (by_walk is None), f"seed {seed}, {budget_w!r}"
+                    if fill is not None:
+                        assert [x.hex() for x in fill] == [x.hex() for x in by_walk]
+                    if leaf.branch_w is not None and 0.0 < budget_w < 2.0 ** 53:
+                        subtracted += 1
+                        rem = self.walk(leaf, budget_w)
+                        diff = budget_w - leaf.branch_w
+                        assert (rem is None) == (diff < 0.0)
+                        assert rem is None or rem.hex() == diff.hex(), f"seed {seed}"
+                    else:
+                        walked += 1
+        assert subtracted >= 1000 and walked >= 1000, (subtracted, walked)
+
+    def test_from_2_to_the_53_the_walk_is_taken(self):
+        # two 1 W loads and a continuous 2**55 W one that the budget cuts: from
+        # 2**53 on a remainder rounds, and the walk, taking 1 W twice from
+        # 2**54 + 4 W, leaves it unchanged, where B - S would round to 2**54
+        rows = (binary_row(1, 1.0, 1.0), binary_row(2, 1.0, 1.0), cont_row(3, 1.0, 2.0 ** 55))
+        leaf = solve(model_instance(rows, 2.0 ** 54), None).leaf._replace(margin=math.inf)
+        assert leaf.branch_w == 2.0
+        budget_w = 2.0 ** 54 + 4
+        assert self.walk(leaf, budget_w) == budget_w != budget_w - leaf.branch_w
+        assert leaf.refill(budget_w) == [budget_w / 2.0 ** 55]
+        # three binary loads of 2**52 W: their sum 3 * 2**52 exceeds every
+        # budget below 2**53, so the subtraction and the walk both fail there
+        rows = tuple(binary_row(i, 1.0, 2.0 ** 52) for i in (1, 2, 3))
+        leaf = solve(model_instance(rows, 2.0 ** 54), None).leaf._replace(margin=math.inf)
+        assert leaf.branch_w == 3 * 2.0 ** 52
+        assert leaf.refill(math.nextafter(2.0 ** 53, 0.0)) is None
+        assert leaf.refill(3 * 2.0 ** 52) == []
+        # a power of 2**53 W or more takes the walk at every budget
+        leaf = solve(model_instance((binary_row(1, 1.0, 2.0 ** 53),), 2.0 ** 54), None).leaf
+        assert leaf.powers == (2.0 ** 53,) and leaf.branch_w is None
+
 
 class TestProperties:
     @pytest.mark.parametrize("seed", range(15))
@@ -825,17 +1015,7 @@ class TestZeroBudget:
         # items (the root reads one, the rate at the budget's cut): the dive
         # costs O(n), not O(n^2). Each item counts its own reads, by index or
         # by unpacking, so the count does not depend on how a fill loops.
-        class CountingItem(tuple):
-            reads = 0
-
-            def __getitem__(self, k):
-                CountingItem.reads += 1
-                return super().__getitem__(k)
-
-            def __iter__(self):
-                CountingItem.reads += 1
-                return super().__iter__()
-
+        CountingItem = counting(tuple)
         n = 2000
         rows = tuple(binary_row(i + 1, 2 - i / n, MW) for i in range(n))
         inst = model_instance(rows, 0.0)
@@ -845,6 +1025,42 @@ class TestZeroBudget:
         assert plan.optimal
         assert plan.objective == 0.0 and set(plan.statuses.values()) == {0.0}
         assert 0 < CountingItem.reads <= n
+
+    def test_a_cut_first_dive_is_linear(self):
+        # 2,000 binary 1 MW loads at 0.5 MW: the budget cuts the first free
+        # item at every level, so each of the n + 1 fills takes that one item.
+        # A fill starts at its own level, so the dive reads O(n) items and
+        # runs O(n) loop iterations; starting at item 0 and skipping the fixed
+        # items would run n^2 / 2. The loop's lines are counted with a trace
+        # function, which stops the solve once they pass the bound.
+        class TooManyLines(Exception):
+            pass
+
+        CountingItem = counting(tuple)
+        n = 2000
+        rows = tuple(binary_row(i + 1, 2 - i / n, MW) for i in range(n))
+        inst = model_instance(rows, 0.5 * MW)
+        prep = inst.model.prepared(inst.caps, inst.zone_limits_w)
+        prep.relax = [CountingItem(item) for item in prep.relax]
+        code, lines, limit = optimizer._Prepared.relax_bound.__code__, 0, 40 * (n + 1)
+
+        def count(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+                if lines > limit:
+                    raise TooManyLines
+            return count
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+        try:
+            plan = solve(inst, deadline_s=None)
+        finally:
+            sys.settrace(previous)
+        assert plan.optimal and plan.objective == 0.0
+        assert n + 1 <= CountingItem.reads <= 2 * (n + 1)
+        assert lines <= limit
 
 
 class TestTieBreak:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from _helpers import failure_scenario, milp_objective, small_scenario
+from _helpers import counting, failure_scenario, milp_objective, small_scenario
 from loadshed.controller import (ALGORITHMS, AdvancedController, MissionDatabase,
                                  make_controller)
 from loadshed import link
@@ -542,6 +542,25 @@ class TestNonFiniteTelemetry:
         held = node.exchange(2, [(2, corrupt(plant.tick(sc.window.tick_s)))])
         assert held.degraded
         assert held.batch == first.batch and held.intent == first.intent
+
+    def test_a_demand_tuple_is_added_once_and_a_nan_one_degrades_every_tick(self):
+        # the plant hands one demand tuple on while no demand changes: the node
+        # adds each tuple object up once, and refuses one holding a NaN on
+        # every tick that carries it
+        sc = small_scenario()
+        plant, recorder = build_plant(sc), _Recorder(sc)
+        controller = make_controller(sc.fleet, sc.controller, recorder.db, sc.window.tick_s)
+        node = _ControlNode(controller, sc.controller.stale_limit, sc.fleet, sc.mission_id)
+        handed = []
+        controller.on_telemetry = handed.append  # reads no demand
+        snap = plant.tick(sc.window.tick_s)
+        Demands = counting(tuple)
+        finite, nan = Demands(snap.demands), Demands((math.nan,) + snap.demands[1:])
+        for k, demands in enumerate((finite, finite, nan, nan, nan, finite, finite), start=1):
+            decision = node.exchange(k, [(k, replace(snap, demands=demands))])
+            assert decision.degraded == (demands is nan), f"tick {k}"
+        assert len(handed) == 4
+        assert Demands.reads == 3  # finite, nan, finite again
 
 
 def test_controller_fault_degrades_ticks_in_both_modes(monkeypatch, caplog, tmp_path):
