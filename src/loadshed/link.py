@@ -27,6 +27,13 @@ final part, so a message splits into at most 128 parts. The trailer travels
 with the final part only. Part and single-part datagrams are distinguished
 by their exact length. Load and mission ids travel as u16; ``MAX_ID``,
 ``MAX_TELEMETRY_LOADS`` and ``MAX_TIMESTAMP_MS`` are what a scenario must fit.
+
+The codec packs and unpacks the records of each part, or of a message that
+fits one datagram, with one precompiled struct for that record count (at
+most one part's records: 74 telemetry, 138 command), reading the fields
+straight out of the datagram and splitting the flat field tuple into
+columns by slicing. The bytes are those of packing each record on its own
+(``<Hdd`` or ``<Hd``) and joining the records in order.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import struct
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ShedCommand, SystemSnapshot
 
@@ -51,16 +59,32 @@ MAX_TIMESTAMP_MS = 0xFFFF_FFFF_FFFF_FFFF  # telemetry carries round(time_s * 100
 MAX_PENDING = 8  # incomplete messages a Reassembler keeps; it drops the oldest beyond this
 
 _HEADER = struct.Struct("<2sBBIQH")
-_TELEMETRY_RECORD = struct.Struct("<Hdd")
-_TELEMETRY_TRAILER = struct.Struct("<ddHdd")
-_COMMAND_RECORD = struct.Struct("<Hd")
+_RECORD_FORMAT = {MSG_TELEMETRY: "Hdd", MSG_COMMANDS: "Hd"}  # load_id, then the values
+_TRAILER = {MSG_TELEMETRY: struct.Struct("<ddHdd"), MSG_COMMANDS: struct.Struct("<")}
 
-_RECORD_SIZE = {MSG_TELEMETRY: _TELEMETRY_RECORD.size, MSG_COMMANDS: _COMMAND_RECORD.size}
-_TRAILER_SIZE = {MSG_TELEMETRY: _TELEMETRY_TRAILER.size, MSG_COMMANDS: 0}
+_FIELDS = {t: len(f) for t, f in _RECORD_FORMAT.items()}  # fields per record
+_RECORD_SIZE = {t: struct.calcsize("<" + f) for t, f in _RECORD_FORMAT.items()}
 _PER_PART = {  # records per part of a split message
-    t: (MAX_DATAGRAM - _HEADER.size - 1 - _TRAILER_SIZE[t]) // n for t, n in _RECORD_SIZE.items()
+    t: (MAX_DATAGRAM - _HEADER.size - 1 - _TRAILER[t].size) // n for t, n in _RECORD_SIZE.items()
 }
 MAX_TELEMETRY_LOADS = MAX_PARTS * _PER_PART[MSG_TELEMETRY]  # 128 x 74 = 9,472
+
+
+class _Layouts(dict):
+    """``layouts[k]``: the struct of ``k`` consecutive records of one message
+    type, compiled on first use. The codec asks only for ``k`` up to one
+    part's records (74 telemetry, 138 command), so the cache stays small."""
+
+    def __init__(self, record_format: str):
+        super().__init__()
+        self.record_format = record_format
+
+    def __missing__(self, k: int) -> struct.Struct:
+        layout = self[k] = struct.Struct("<" + self.record_format * k)
+        return layout
+
+
+_LAYOUTS = {t: _Layouts(f) for t, f in _RECORD_FORMAT.items()}
 
 
 class DecodeError(Exception):
@@ -91,8 +115,7 @@ class DatagramTooLarge(ValueError):
     """Message does not fit in MAX_PARTS parts."""
 
 
-@dataclass(frozen=True)
-class DatagramView:
+class DatagramView(NamedTuple):
     msg_type: int
     seq: int
     timestamp_ms: int
@@ -100,109 +123,117 @@ class DatagramView:
     commands: tuple[ShedCommand, ...] | None = None
 
 
-@dataclass(frozen=True)
-class DatagramPart:
+class DatagramPart(NamedTuple):
+    """One part of a split message: its records' fields in wire order, and
+    on the final part the trailer's fields (empty for commands)."""
+
     msg_type: int
     seq: int
     timestamp_ms: int
     count: int
     index: int
     final: bool
-    records: bytes
-    trailer: bytes
+    records: tuple
+    trailer: tuple
 
 
 # ---------------------------------------------------------------------------
 # encoding
 
 
-def _telemetry_body(snapshot: SystemSnapshot) -> tuple[bytes, bytes]:
-    pack = _TELEMETRY_RECORD.pack
-    records = b"".join(map(pack, snapshot.load_ids, snapshot.demands, snapshot.measured_w))
-    trailer = _TELEMETRY_TRAILER.pack(
-        snapshot.total_capacity_w,
-        snapshot.total_loss_w,
-        snapshot.mission_id,
-        snapshot.loading_pu,
-        snapshot.time_s,
-    )
-    return records, trailer
-
-
-def _command_body(commands: Sequence[ShedCommand]) -> tuple[bytes, bytes]:
-    return b"".join(_COMMAND_RECORD.pack(c.load_id, c.status) for c in commands), b""
-
-
-def _encode_parts(msg_type: int, seq: int, timestamp_ms: int, count: int,
-                  records: bytes, trailer: bytes) -> tuple[bytes, ...]:
-    step = _PER_PART[msg_type] * _RECORD_SIZE[msg_type]
-    n_parts = -(-len(records) // step)
+def _encode(msg_type: int, seq: int, timestamp_ms: int, count: int, flat: list,
+            trailer: bytes) -> tuple[bytes, ...]:
+    """The datagrams of a message whose ``count`` records hold the fields
+    ``flat`` in wire order: one struct call per part."""
+    per = _PER_PART[msg_type]
+    n_parts = -(-count // per)
     if n_parts > MAX_PARTS:
         raise DatagramTooLarge(f"{count} records need {n_parts} parts, over {MAX_PARTS}")
     header = _HEADER.pack(MAGIC, VERSION, msg_type, seq, timestamp_ms, count)
-    if len(header) + len(records) + len(trailer) <= MAX_DATAGRAM:
-        return (header + records + trailer,)
-    parts = []
-    for index, start in enumerate(range(0, len(records), step)):
-        final = index == n_parts - 1
-        part_byte = bytes([index | (0x80 if final else 0)])
-        parts.append(header + part_byte + records[start : start + step]
-                     + (trailer if final else b""))
+    layouts = _LAYOUTS[msg_type]
+    # a message fits one datagram exactly when its records fit one part: the
+    # part byte costs no record at these sizes
+    if n_parts <= 1:
+        return (header + layouts[count].pack(*flat) + trailer,)
+    step = per * _FIELDS[msg_type]
+    last = n_parts - 1
+    parts = [header + bytes((index,)) + layouts[per].pack(*flat[index * step : (index + 1) * step])
+             for index in range(last)]
+    parts.append(header + bytes((last | 0x80,))
+                 + layouts[count - last * per].pack(*flat[last * step :]) + trailer)
     return tuple(parts)
 
 
 def encode_telemetry_parts(snapshot: SystemSnapshot, seq: int) -> tuple[bytes, ...]:
     """One datagram, or the parts of a message over ``MAX_DATAGRAM`` bytes;
     raises :class:`DatagramTooLarge` past ``MAX_PARTS`` parts."""
-    records, trailer = _telemetry_body(snapshot)
+    load_ids = snapshot.load_ids
+    flat = [0] * (3 * len(load_ids))
+    flat[0::3] = load_ids
+    flat[1::3] = snapshot.demands
+    flat[2::3] = snapshot.measured_w
+    trailer = _TRAILER[MSG_TELEMETRY].pack(
+        snapshot.total_capacity_w,
+        snapshot.total_loss_w,
+        snapshot.mission_id,
+        snapshot.loading_pu,
+        snapshot.time_s,
+    )
     timestamp = max(0, round(snapshot.time_s * 1000.0))
-    return _encode_parts(MSG_TELEMETRY, seq, timestamp, len(snapshot.load_ids), records,
-                         trailer)
+    return _encode(MSG_TELEMETRY, seq, timestamp, len(load_ids), flat, trailer)
 
 
 def encode_commands_parts(
     commands: Sequence[ShedCommand], seq: int, timestamp_ms: int = 0
 ) -> tuple[bytes, ...]:
-    records, trailer = _command_body(commands)
-    return _encode_parts(MSG_COMMANDS, seq, timestamp_ms, len(commands), records, trailer)
+    if not commands:  # the usual reply, since batches are diffs: the header alone
+        return (_HEADER.pack(MAGIC, VERSION, MSG_COMMANDS, seq, timestamp_ms, 0),)
+    flat = [0] * (2 * len(commands))
+    flat[0::2] = [c.load_id for c in commands]
+    flat[1::2] = [c.status for c in commands]
+    return _encode(MSG_COMMANDS, seq, timestamp_ms, len(commands), flat, b"")
 
 
 # ---------------------------------------------------------------------------
 # decoding
 
 
-def _parse_telemetry(records: bytes, trailer: bytes, seq: int, timestamp_ms: int) -> DatagramView:
-    # records to columns; a zero-record message has none to transpose
-    columns = tuple(zip(*_TELEMETRY_RECORD.iter_unpack(records))) or ((), (), ())
-    load_ids, demands, measured = columns
-    capacity, loss, mission_id, loading, time_s = _TELEMETRY_TRAILER.unpack(trailer)
-    snapshot = SystemSnapshot(
-        time_s=time_s,
-        mission_id=mission_id,
-        load_ids=load_ids,
-        demands=demands,
-        measured_w=measured,
-        total_capacity_w=capacity,
-        total_loss_w=loss,
-        loading_pu=loading,
-    )
-    return DatagramView(MSG_TELEMETRY, seq, timestamp_ms, snapshot=snapshot)
+def _unpack(msg_type: int, data: bytes, offset: int, count: int) -> tuple:
+    """The fields of the ``count`` records at ``offset`` in ``data``, in wire
+    order: one struct call per part's worth of records, and no copy of the
+    bytes."""
+    layouts = _LAYOUTS[msg_type]
+    per = _PER_PART[msg_type]
+    if count <= per:
+        return layouts[count].unpack_from(data, offset)
+    whole, rest = divmod(count, per)
+    full = layouts[per]
+    flat: list = []
+    for start in range(offset, offset + whole * full.size, full.size):
+        flat += full.unpack_from(data, start)
+    flat += layouts[rest].unpack_from(data, offset + whole * full.size)
+    return tuple(flat)
 
 
-def _parse_commands(records: bytes, seq: int, timestamp_ms: int) -> DatagramView:
-    commands = tuple(
-        ShedCommand(load_id, status) for load_id, status in _COMMAND_RECORD.iter_unpack(records)
-    )
-    return DatagramView(MSG_COMMANDS, seq, timestamp_ms, commands=commands)
-
-
-def _assemble(msg_type: int, seq: int, timestamp_ms: int, count: int,
-              records: bytes, trailer: bytes) -> DatagramView:
-    if len(records) != count * _RECORD_SIZE[msg_type]:
-        raise CountMismatch(f"expected {count} records, got {len(records)} payload bytes")
+def _view(msg_type: int, seq: int, timestamp_ms: int, flat: tuple,
+          trailer: tuple) -> DatagramView:
+    """The message whose records hold the fields ``flat`` in wire order."""
     if msg_type == MSG_TELEMETRY:
-        return _parse_telemetry(records, trailer, seq, timestamp_ms)
-    return _parse_commands(records, seq, timestamp_ms)
+        capacity, loss, mission_id, loading, time_s = trailer
+        snapshot = SystemSnapshot(
+            time_s=time_s,
+            mission_id=mission_id,
+            load_ids=flat[0::3],
+            demands=flat[1::3],
+            measured_w=flat[2::3],
+            total_capacity_w=capacity,
+            total_loss_w=loss,
+            loading_pu=loading,
+        )
+        return DatagramView(MSG_TELEMETRY, seq, timestamp_ms, snapshot)
+    # an empty batch, the usual reply, builds nothing
+    commands = tuple(map(ShedCommand, flat[0::2], flat[1::2])) if flat else ()
+    return DatagramView(MSG_COMMANDS, seq, timestamp_ms, commands=commands)
 
 
 def decode_datagram(data: bytes) -> DatagramView | DatagramPart:
@@ -221,28 +252,25 @@ def decode_datagram(data: bytes) -> DatagramView | DatagramPart:
     if msg_type not in _RECORD_SIZE:
         raise BadMessageType(f"unknown message type {msg_type:#04x}")
     rec_size = _RECORD_SIZE[msg_type]
-    trailer_size = _TRAILER_SIZE[msg_type]
-    single_len = _HEADER.size + count * rec_size + trailer_size
-    if len(data) == single_len:
-        body = data[_HEADER.size :]
-        return _assemble(msg_type, seq, timestamp_ms, count,
-                         body[: count * rec_size], body[count * rec_size :])
+    trailer = _TRAILER[msg_type]
+    end = _HEADER.size + count * rec_size
+    if len(data) == end + trailer.size:
+        return _view(msg_type, seq, timestamp_ms, _unpack(msg_type, data, _HEADER.size, count),
+                     trailer.unpack_from(data, end))
     # not a single-part datagram: expect a part byte after the header
     if len(data) < _HEADER.size + 1:
         raise CountMismatch("length matches neither a whole message nor a part")
     part_byte = data[_HEADER.size]
-    index = part_byte & 0x7F
-    final = bool(part_byte & 0x80)
-    body = data[_HEADER.size + 1 :]
-    trailer = b""
-    if final:
-        if len(body) < trailer_size:
-            raise TruncatedDatagram("final part shorter than the trailer")
-        if trailer_size:
-            body, trailer = body[:-trailer_size], body[-trailer_size:]
-    if len(body) % rec_size != 0:
+    final = part_byte > 0x7F
+    end = len(data) - trailer.size if final else len(data)
+    if end < _HEADER.size + 1:
+        raise TruncatedDatagram("final part shorter than the trailer")
+    k, extra = divmod(end - _HEADER.size - 1, rec_size)
+    if extra:
         raise CountMismatch("part payload is not a whole number of records")
-    return DatagramPart(msg_type, seq, timestamp_ms, count, index, final, body, trailer)
+    return DatagramPart(msg_type, seq, timestamp_ms, count, part_byte & 0x7F, final,
+                        _unpack(msg_type, data, _HEADER.size + 1, k),
+                        trailer.unpack_from(data, end) if final else ())
 
 
 class Reassembler:
@@ -253,30 +281,31 @@ class Reassembler:
     """
 
     def __init__(self):
-        self._pending: OrderedDict[tuple[int, int], dict] = OrderedDict()
+        # (msg_type, seq) -> [first part fed, {index: part}, final part or None]
+        self._pending: OrderedDict[tuple[int, int], list] = OrderedDict()
 
     def feed(self, data: bytes) -> DatagramView | None:
         decoded = decode_datagram(data)
         if isinstance(decoded, DatagramView):
             return decoded
         key = (decoded.msg_type, decoded.seq)
-        entry = self._pending.setdefault(
-            key, {"parts": {}, "final": None, "trailer": b"", "meta": decoded}
-        )
-        entry["parts"][decoded.index] = decoded.records
+        entry = self._pending.setdefault(key, [decoded, {}, None])
+        parts = entry[1]
+        parts[decoded.index] = decoded
         if decoded.final:
-            entry["final"] = decoded.index
-            entry["trailer"] = decoded.trailer
+            entry[2] = decoded
         while len(self._pending) > MAX_PENDING:
             self._pending.popitem(last=False)
-        final = entry["final"]
-        if final is None or any(i not in entry["parts"] for i in range(final + 1)):
+        meta, _, final = entry
+        if final is None or any(i not in parts for i in range(final.index + 1)):
             return None
-        records = b"".join(entry["parts"][i] for i in range(final + 1))
-        meta = entry["meta"]
         del self._pending[key]
-        return _assemble(meta.msg_type, meta.seq, meta.timestamp_ms, meta.count,
-                         records, entry["trailer"])
+        flat: list = []
+        for i in range(final.index + 1):
+            flat += parts[i].records
+        if len(flat) != meta.count * _FIELDS[meta.msg_type]:
+            raise CountMismatch(f"expected {meta.count} records, got {len(flat)} fields")
+        return _view(meta.msg_type, meta.seq, meta.timestamp_ms, tuple(flat), final.trailer)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,11 @@ class _UdpLink:
             self.close()
             raise RuntimeError(f"cannot open UDP sockets on {host}: {exc}") from exc
         self._ctrl_addr = self._ctrl_sock.getsockname()
+        # short poll timeouts on both ends: making the sockets blocking (the
+        # plant waiting out SYNC_TIMEOUT_S in one call, the controller with no
+        # timeout) was slower, with the bundled baseline's networked tick p75
+        # at 78.2 us against 67.6 us over 16 interleaved runs on a shared
+        # 2-vCPU VM
         self._plant_sock.settimeout(0.005)
         self._ctrl_sock.settimeout(0.05)
         self._reasm = Reassembler()
@@ -299,11 +304,11 @@ class _UdpLink:
         for seq, snap in arrived:
             for part in link.encode_telemetry_parts(snap, seq):
                 self._plant_sock.sendto(part, self._ctrl_addr)
-        decision = self._last.held()
+        decision = None
         deadline = time.monotonic() + (SYNC_TIMEOUT_S if arrived else 0.0)
         while time.monotonic() < deadline:
             try:
-                view = self._reasm.feed(self._plant_sock.recvfrom(65536)[0])
+                view = self._reasm.feed(self._plant_sock.recv(65536))
             except socket.timeout:
                 continue
             except link.DecodeError as exc:
@@ -313,6 +318,8 @@ class _UdpLink:
                 # the node answers before it replies, so _latest is tick k's decision
                 decision = self._last = self._latest._replace(batch=view.commands)
                 break
+        if decision is None:
+            decision = self._last.held()
         if self.tick_s is not None:
             now = time.monotonic()
             if self._release_s > now:

@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 
@@ -18,6 +19,7 @@ from loadshed.link import (
     MAX_ID,
     MAX_PARTS,
     MAX_TELEMETRY_LOADS,
+    MAX_TIMESTAMP_MS,
     MSG_COMMANDS,
     MSG_TELEMETRY,
     Reassembler,
@@ -294,3 +296,118 @@ class TestImpairment:
     def test_round_trip_property(self, time_s, n_loads):
         snap = snapshot(n_loads, time_s=time_s)
         assert decode_datagram(telemetry_datagram(snap, seq=0)).snapshot == snap
+
+
+# the per-record codec the struct-per-part one replaced, kept as the reference
+_REF_HEADER = struct.Struct("<2sBBIQH")
+_REF_TELEMETRY = struct.Struct("<Hdd")
+_REF_TRAILER = struct.Struct("<ddHdd")
+_REF_COMMAND = struct.Struct("<Hd")
+
+
+def reference_parts(msg_type, seq, timestamp_ms, count, records, trailer, per):
+    header = _REF_HEADER.pack(b"LS", 1, msg_type, seq, timestamp_ms, count)
+    if len(header) + len(records) + len(trailer) <= MAX_DATAGRAM:
+        return (header + records + trailer,)
+    step = per * (len(records) // count)
+    starts = range(0, len(records), step)
+    return tuple(header + bytes([i | (0x80 if i == len(starts) - 1 else 0)])
+                 + records[start : start + step] + (trailer if i == len(starts) - 1 else b"")
+                 for i, start in enumerate(starts))
+
+
+def reference_telemetry(snap, seq):
+    records = b"".join(map(_REF_TELEMETRY.pack, snap.load_ids, snap.demands, snap.measured_w))
+    trailer = _REF_TRAILER.pack(snap.total_capacity_w, snap.total_loss_w, snap.mission_id,
+                                snap.loading_pu, snap.time_s)
+    timestamp = max(0, round(snap.time_s * 1000.0))
+    return reference_parts(MSG_TELEMETRY, seq, timestamp, len(snap.load_ids), records, trailer,
+                           74), records, trailer
+
+
+def reference_commands(commands, seq, timestamp_ms):
+    records = b"".join(_REF_COMMAND.pack(c.load_id, c.status) for c in commands)
+    return reference_parts(MSG_COMMANDS, seq, timestamp_ms, len(commands), records, b"", 138)
+
+
+def bits(values):
+    """The binary64 bytes of each value: tells -0.0 from 0.0 and one NaN from another."""
+    return [struct.pack("<d", v) for v in values]
+
+
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_DEAD_BEEF))[0]
+NEG_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0001))[0]
+SPECIALS = (-0.0, math.inf, -math.inf, NAN_PAYLOAD, NEG_NAN, 5e-324, -2.2250738585072e-308,
+            0.0, 1.0, 0.3, 4e7)
+RECORD_COUNTS = (0, 1, 73, 74, 75, 148, 672, MAX_TELEMETRY_LOADS)
+
+
+def special_snapshot(n, time_s=310.25):
+    return SystemSnapshot(
+        time_s=time_s, mission_id=MAX_ID, load_ids=tuple((7919 * i) % 65536 for i in range(n)),
+        demands=tuple(SPECIALS[i % len(SPECIALS)] for i in range(n)),
+        measured_w=tuple(SPECIALS[(3 * i + 1) % len(SPECIALS)] for i in range(n)),
+        total_capacity_w=NAN_PAYLOAD, total_loss_w=-0.0, loading_pu=5e-324,
+    )
+
+
+def assert_same_snapshot(got, want):
+    assert got.load_ids == want.load_ids
+    assert type(got.load_ids) is type(got.demands) is type(got.measured_w) is tuple
+    for name in ("demands", "measured_w"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert bits((got.total_capacity_w, got.total_loss_w, got.loading_pu, got.time_s)) == bits(
+        (want.total_capacity_w, want.total_loss_w, want.loading_pu, want.time_s))
+    assert got.mission_id == want.mission_id
+
+
+class TestBitExact:
+    """The codec writes the bytes of a per-record ``struct`` join, and decodes
+    every binary64 to its own 8 bytes, at every part boundary."""
+
+    @pytest.mark.parametrize("n", RECORD_COUNTS)
+    def test_telemetry_bytes_and_values(self, n):
+        snap = special_snapshot(n)
+        parts = encode_telemetry_parts(snap, seq=0xFFFF_FFFF)
+        assert parts == reference_telemetry(snap, 0xFFFF_FFFF)[0]
+        reasm = Reassembler()
+        *pending, view = [reasm.feed(p) for p in parts]
+        assert pending == [None] * (len(parts) - 1)
+        assert (view.seq, view.timestamp_ms) == (0xFFFF_FFFF, 310250)
+        assert_same_snapshot(view.snapshot, snap)
+
+    @pytest.mark.parametrize("n", [n for n in RECORD_COUNTS if n > 74])
+    def test_split_parts_out_of_order(self, n):
+        snap = special_snapshot(n)
+        parts = list(encode_telemetry_parts(snap, seq=3))
+        random.Random(n).shuffle(parts)
+        reasm = Reassembler()
+        done = [v for v in map(reasm.feed, parts) if v is not None]
+        assert len(done) == 1
+        assert_same_snapshot(done[0].snapshot, snap)
+
+    @pytest.mark.parametrize("n", [75, 148, 672])
+    def test_oversize_single_datagram_decodes_in_chunks(self, n):
+        # a whole message past MAX_DATAGRAM, which the encoder never sends,
+        # still decodes, one part's worth of records per struct call
+        snap = special_snapshot(n)
+        _, records, trailer = reference_telemetry(snap, 1)
+        data = _REF_HEADER.pack(b"LS", 1, MSG_TELEMETRY, 1, 310250, n) + records + trailer
+        assert_same_snapshot(decode_datagram(data).snapshot, snap)
+
+    @pytest.mark.parametrize("n", (0, 1, 137, 138, 139, 276, 672, MAX_TELEMETRY_LOADS))
+    def test_command_bytes_and_values(self, n):
+        commands = tuple(ShedCommand((7919 * i) % 65536, SPECIALS[i % len(SPECIALS)])
+                         for i in range(n))
+        parts = encode_commands_parts(commands, seq=8, timestamp_ms=MAX_TIMESTAMP_MS)
+        assert parts == reference_commands(commands, 8, MAX_TIMESTAMP_MS)
+        shuffled = list(parts)
+        random.Random(n).shuffle(shuffled)
+        for order in (parts, shuffled):
+            reasm = Reassembler()
+            done = [v for v in map(reasm.feed, order) if v is not None]
+            assert len(done) == 1
+            got = done[0].commands
+            assert type(got) is tuple and all(type(c) is ShedCommand for c in got)
+            assert [c.load_id for c in got] == [c.load_id for c in commands]
+            assert bits(c.status for c in got) == bits(c.status for c in commands)

@@ -448,6 +448,34 @@ class TestNetworked:
         assert [replace(r, solve_time_s=0.0) for r in net.rows] == [
             replace(r, solve_time_s=0.0) for r in lock.rows]
 
+    def test_codec_entry_points_run_once_per_tick_each_way(self, monkeypatch):
+        # the benchmark times the codec by wrapping these module attributes,
+        # so the loop must reach them through the module on every message
+        calls = {"encode_telemetry_parts": 0, "encode_commands_parts": 0}
+        for name in calls:
+            encode = getattr(link, name)
+
+            def counted(*args, encode=encode, name=name, **kwargs):
+                calls[name] += 1
+                return encode(*args, **kwargs)
+
+            monkeypatch.setattr(link, name, counted)
+        decoded = []
+        feed = link.Reassembler.feed
+
+        def counted_feed(self, data):
+            view = feed(self, data)
+            decoded.append(view.msg_type)
+            return view
+
+        monkeypatch.setattr(link.Reassembler, "feed", counted_feed)
+        sc = small_scenario()
+        net = run_networked(sc, algorithm="baseline", seed=0, plant_port=0, controller_port=0)
+        n = sc.window.n_ticks
+        assert not any(r.degraded for r in net.rows)
+        assert calls == {"encode_telemetry_parts": n, "encode_commands_parts": n}
+        assert sorted(decoded) == [link.MSG_TELEMETRY] * n + [link.MSG_COMMANDS] * n
+
     def test_realtime_paces_ticks_at_control_period(self):
         sc = small_scenario()
         sc = replace(sc, window=replace(sc.window, t_end_s=0.5))
