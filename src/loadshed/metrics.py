@@ -2,10 +2,12 @@
 
 The instantaneous value is the weighted fraction of demanded load service
 actually delivered: ``operability(num, den)``, where ``served_sums`` gives
-the weighted demand ``den`` and commanded service ``num``, and
-``measured_sum`` the measured service. Both take aligned per-load columns
-in fleet order: the weights as the run's fleet model holds them, and the
-statuses as telemetry carries them. The run recorder calls them each tick.
+the weighted demand ``den`` and commanded service ``num``, and a
+:class:`MeasuredSum` the measured service. Both take aligned per-load
+columns in fleet order: the weights as the run's fleet model holds them, and
+the statuses and powers as telemetry carries them. The run recorder calls
+them each tick; its :class:`MeasuredSum` keeps each load's term between rows
+and recomputes only those of the loads whose measured power moved.
 
 The mission-period value is the ratio of the two time-integrals (weighted
 service over weighted demand), approximated by left-rectangle sums on the
@@ -15,8 +17,11 @@ divided once, so a time-varying demand profile is handled correctly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count
+from operator import add, is_not
 
 from .model import STATUS_TOL
 
@@ -69,16 +74,62 @@ def served_sums(weights: Iterable[float], demands: Iterable[float],
     return den, num
 
 
-def measured_sum(weights: Iterable[float], demands: Iterable[float],
-                 measured_pu: Iterable[float]) -> float:
-    """Weighted measured status over the loads that :func:`served_sums`
-    counts, added in the order given, like it."""
-    total = 0.0
-    tol = STATUS_TOL
-    for w, ds, m in zip(weights, demands, measured_pu):
-        if not -tol <= ds <= tol:
-            total += w * m
-    return total
+class MeasuredSum:
+    """Weighted measured status, ``w * (m / r)`` added over the loads that
+    :func:`served_sums` counts, in fleet order, for one fleet's ratings ``r``.
+
+    A call takes the weights, demand statuses and measured powers (W) of one
+    row. The sum keeps each counted load's term and the objects it took them
+    from, and does only what their change needs:
+
+    - the same weights, demands and measured objects as the last call: the
+      last sum;
+    - a new measured tuple only: the terms of the loads whose measured float
+      is another object than in the last tuple (the plant hands on the float
+      of a load that did not move), then the terms added again;
+    - new weights or demands: every term.
+
+    The terms are added from ``0.0`` in fleet order, the operations a plain
+    loop over the loads does, so the bits do not depend on which loads moved
+    or on the Python version. A caller must not change a list or tuple it
+    has passed.
+    """
+
+    def __init__(self, rated_w: Sequence[float]):
+        self._rated = tuple(rated_w)
+        self._weights = self._demands = self._measured = None
+        self._slot: list[int] = []  # per load: its term's index in _terms, -1 if not counted
+        self._terms: list[float] = []  # the counted loads' terms, in fleet order
+        self._total = 0.0
+
+    def __call__(self, weights: Sequence[float], demands: Sequence[float],
+                 measured_w: Sequence[float]) -> float:
+        old = self._measured
+        if measured_w is old and weights is self._weights and demands is self._demands:
+            return self._total
+        self._measured = measured_w
+        rated, terms, slot = self._rated, self._terms, self._slot
+        if (weights is self._weights and demands is self._demands
+                and len(measured_w) == len(old)):
+            moved = False
+            for i in compress(count(), map(is_not, measured_w, old)):
+                j = slot[i]
+                if j >= 0:
+                    terms[j] = weights[i] * (measured_w[i] / rated[i])
+                    moved = True
+            if not moved:
+                return self._total
+        else:
+            self._weights, self._demands = weights, demands
+            tol = STATUS_TOL
+            slot[:] = [-1] * len(measured_w)
+            terms.clear()
+            for i, (w, ds, m, r) in enumerate(zip(weights, demands, measured_w, rated)):
+                if not -tol <= ds <= tol:
+                    slot[i] = len(terms)
+                    terms.append(w * (m / r))
+        self._total = reduce(add, terms, 0.0)  # ((0.0 + t0) + t1) + ..., as a loop adds
+        return self._total
 
 
 def operability(num: float, den: float) -> float:

@@ -220,11 +220,13 @@ class FleetModel:
                         leaf)
 
 
-@dataclass(frozen=True)
-class ModelInstance:
+class ModelInstance(NamedTuple):
     """One tick's problem over a :class:`FleetModel`, with no per-load objects:
     each load's status cap (demand clamped to [0, 1]; a failed load reports
-    0) in model order, the capacity budget and each model zone's limit."""
+    0) in model order, the capacity budget and each model zone's limit.
+
+    The controller builds one per tick, so it is a named tuple, not a frozen
+    dataclass: derive a changed copy with ``instance._replace(...)``."""
 
     model: FleetModel
     caps: Sequence[float]

@@ -255,13 +255,5 @@ class Plant:
             loading = (total + loss) / capacity
         else:
             loading = 0.0 if total + loss <= 0 else math.inf
-        return SystemSnapshot(
-            time_s=self.clock_s,
-            mission_id=self.mission_id,
-            load_ids=self.load_ids,
-            demands=self.demands,
-            measured_w=self._measured,
-            total_capacity_w=capacity,
-            total_loss_w=loss,
-            loading_pu=loading,
-        )
+        return SystemSnapshot(self.clock_s, self.mission_id, self.load_ids, self.demands,
+                              self._measured, capacity, loss, loading)

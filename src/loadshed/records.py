@@ -6,6 +6,10 @@ are written to a ``timing.csv`` sidecar instead, since they vary run to run.
 The CSV schema is versioned in comment lines so downstream tooling can rely
 on it.
 
+A :class:`RunRecord` is built once per tick, so it is a ``typing.NamedTuple``,
+which builds several times faster than a frozen dataclass; derive a changed
+copy with ``record._replace(...)``.
+
 The writers stream: each row is rendered and written as it is reached, so no
 whole file is built in memory. Every number is written as its ``repr``, which
 never needs CSV quoting, so a line is a plain comma-joined string and ``csv``
@@ -18,12 +22,12 @@ import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 RUN_CSV_VERSION = "loadshed-run-csv v1"
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One control tick: plant truth plus the controller's response to it.
 
     ``commanded`` is the controller's intent after processing this tick's

@@ -10,8 +10,11 @@ pass over the rows and written line by line, each number as its ``repr``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack
+from functools import reduce
+from itertools import compress, count
+from operator import add, is_not
 from pathlib import Path
 
 from .metrics import MissionWindow, integral_operability
@@ -50,39 +53,62 @@ def integral_ops(meta: RunMeta, rows: Sequence[RunRecord]) -> tuple[float, float
     return cmd, meas
 
 
-def _group_series(
-    meta: RunMeta, rows: Sequence[RunRecord]
-) -> Iterator[tuple[float, list[tuple[float, float]]]]:
-    """Per row: its time and (demanded W, served W) of each of ``GROUPINGS``.
+def _group_lines(meta: RunMeta, rows: Sequence[RunRecord]) -> Iterator[tuple[str, list[str]]]:
+    """Per row: the ``repr`` of its time, and per grouping of ``GROUPINGS``
+    the rest of its line, ``,<demanded W>,<served W>\n``.
 
     Served power is the physically measured power; TOTAL covers the fleet.
     Each sum starts from int 0 and adds its members' powers in fleet order,
     left to right, as ``sum`` did before Python 3.12 (it compensates from
     3.12 on), so the bytes written do not depend on the Python version.
+
+    Only what moved is rendered again. The demand sums and their ``repr``s
+    are taken once per demand tuple object. Of the served sums, a row takes
+    again only those of the groupings that hold a load whose measured float
+    is another object than in the last row (TOTAL whenever any load's is), as
+    the plant hands on the float of a load that did not move. The list of
+    line ends is updated in place, so a caller reads it before the next row.
     """
+    count_g = len(GROUPINGS)
     groups = list(LoadGroup)
-    n = len(groups)
-    slots = [groups.index(LoadGroup(group)) for _, group, _ in meta.fleet]
+    slots = [1 + groups.index(LoadGroup(group)) for _, group, _ in meta.fleet]  # in GROUPINGS
+    members = [[i for i, k in enumerate(slots) if k == g] for g in range(count_g)]  # TOTAL: []
     rated = [r for _, _, r in meta.fleet]
+    ends = [""] * count_g
+    demand_text, served_text = [""] * count_g, [""] * count_g
     demands = measured = None
     for r in rows:
-        # a row holding the previous row's tuple has its sums
+        stale: Iterable[int] = ()  # groupings whose line end is rendered again
         if r.demands is not demands:
             demands = r.demands
-            demand = [0] * n
-            total_demand = 0
+            demand = [0] * count_g
             for k, d, rated_w in zip(slots, demands, rated):
                 p = d * rated_w
                 demand[k] += p
-                total_demand += p
+                demand[0] += p
+            demand_text = list(map(repr, demand))
+            stale = range(count_g)
         if r.measured_w is not measured:
-            measured = r.measured_w
-            served = [0] * n
-            total_served = 0
-            for k, m in zip(slots, measured):
-                served[k] += m
-                total_served += m
-        yield r.time_s, [(total_demand, total_served), *zip(demand, served)]
+            last, measured = measured, r.measured_w
+            if last is not None and len(measured) == len(last) == len(slots):
+                moved = {slots[i] for i in compress(count(), map(is_not, measured, last))}
+                if moved:
+                    pick = measured.__getitem__
+                    for k in moved:
+                        served_text[k] = repr(reduce(add, map(pick, members[k]), 0))
+                    served_text[0] = repr(reduce(add, measured, 0))
+                    moved.add(0)
+                    stale = stale or moved
+            else:
+                served = [0] * count_g
+                for k, m in zip(slots, measured):
+                    served[k] += m
+                    served[0] += m
+                served_text = list(map(repr, served))
+                stale = range(count_g)
+        for k in stale:
+            ends[k] = f",{demand_text[k]},{served_text[k]}\n"
+        yield repr(r.time_s), ends
 
 
 def shed_summary(meta: RunMeta, rows: Sequence[RunRecord]) -> dict[str, dict[str, float]]:
@@ -246,11 +272,9 @@ def write_group_csv(meta: RunMeta, rows: Sequence[RunRecord], groupings: Sequenc
         for write, grouping in zip(writes, groupings):
             write(f"# loadshed-group-csv v1 grouping={grouping} served=measured\n")
             write("time_s,demand_w,served_w\n")
-        for t, sums in _group_series(meta, rows):
-            t_text = repr(t)
+        for t_text, ends in _group_lines(meta, rows):
             for write, k in zip(writes, indices):
-                demand, served = sums[k]
-                write(f"{t_text},{demand!r},{served!r}\n")
+                write(t_text + ends[k])
     return paths
 
 

@@ -9,6 +9,7 @@ from loadshed.controller import ControllerConfig
 from loadshed.link import ImpairmentConfig
 from loadshed.metrics import MissionWindow
 from loadshed.model import (
+    STATUS_TOL,
     GenerationModule,
     LoadGroup,
     LoadSpec,
@@ -50,6 +51,17 @@ def counting(base: type) -> type:
             return super().__ne__(other)
 
     return Counting
+
+
+def measured_sum(weights, demands, measured_pu) -> float:
+    """The reference weighted measured status: ``w * m`` added from ``0.0``
+    over the loads whose demand status is not within ``STATUS_TOL`` of zero,
+    in the order given, one load at a time."""
+    total = 0.0
+    for w, ds, m in zip(weights, demands, measured_pu):
+        if not -STATUS_TOL <= ds <= STATUS_TOL:
+            total += w * m
+    return total
 
 
 def model_instance(rows, budget: float, zones=()) -> ModelInstance:

@@ -42,6 +42,15 @@ BUNDLED_GROUP_CSV_SHA256 = {
     "IPNC": "9d31ca0cf9460df106d5c0dbcd96a352cfceb950431d886bac3c2f5307bd305b",
     "PMM": "0f8e5fd7ee506f53506661c821fe6c5b5c4d2cc33b286d121c62201915f39e84",
 }
+# the same for the bundled baseline run, whose shedding moves other groups
+BUNDLED_BASELINE_GROUP_CSV_SHA256 = {
+    "TOTAL": "6aab747e22a610d8a7391fe3ef190dc4dacaf033827a0fa3213306f47301831e",
+    "ACLC_Vital": "2d7a64bba0bca7136d9d019b2da2f37a3722d298263e52255ec567e9a7280af4",
+    "ACLC_NonVital": "c1db1077a3abd5db3f32acc9b7e3d9b1cb8c82ca49d60f17b26897d8bdc2cf58",
+    "MWClass": "7cee3b1d6970d29354459afd9c8c52c383ad6e75a153d6b52d023148636a321f",
+    "IPNC": "37fcb8a44820c80b8d56e33dc6d9e15adac01031c79c0aac1b76293f0822e68c",
+    "PMM": "478c05ad01260f1e68213b0871aa644386aa69b1165b07edd28940c42f8ef508",
+}
 
 
 def announce(n, name):
@@ -320,8 +329,8 @@ def test_10_determinism_and_mode_equivalence(bundled_scenario, advanced_run, tmp
     net = run_networked(sc, algorithm="advanced", seed=0, plant_port=0,
                         controller_port=0)
     assert net.used_seq == lock.used_seq
-    assert [replace(r, solve_time_s=0.0) for r in net.rows] == [
-        replace(r, solve_time_s=0.0) for r in lock.rows]
+    assert [r._replace(solve_time_s=0.0) for r in net.rows] == [
+        r._replace(solve_time_s=0.0) for r in lock.rows]
     announce(10, "determinism (byte-identical run.csv) and mode equivalence")
 
 
@@ -368,3 +377,11 @@ def test_13_pinned_group_csvs(advanced_run, tmp_path):
         digest = hashlib.sha256((tmp_path / f"{grouping}.csv").read_bytes()).hexdigest()
         assert digest == BUNDLED_GROUP_CSV_SHA256[grouping], f"{grouping}.csv changed"
     announce(13, "pinned group series of the bundled advanced run")
+
+
+def test_pinned_baseline_group_csvs(baseline_run, tmp_path):
+    """The bundled baseline run's six group series bytes are the pinned ones."""
+    write_group_csv(baseline_run.meta, baseline_run.rows, GROUPINGS, tmp_path)
+    for grouping in GROUPINGS:
+        digest = hashlib.sha256((tmp_path / f"{grouping}.csv").read_bytes()).hexdigest()
+        assert digest == BUNDLED_BASELINE_GROUP_CSV_SHA256[grouping], f"{grouping}.csv changed"

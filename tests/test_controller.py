@@ -188,7 +188,7 @@ class TestCachedModel:
                         dict(load_ids=ids[1:] + ids[:1], demands=demands[1:] + demands[:1]),
                         dict(demands=demands[:-1])):
             with pytest.raises(ConfigurationError):
-                ctrl.on_telemetry(replace(snap, **changed))
+                ctrl.on_telemetry(snap._replace(**changed))
 
 
 class TestPlanReuse:
@@ -211,7 +211,7 @@ class TestPlanReuse:
         assert len(solves) == 1
         # the same snapshot, then an equal one built anew (as a decoded one is)
         assert node.exchange(2, [(2, snap)]).batch == ()
-        equal = replace(snap, demands=tuple(list(snap.demands)))
+        equal = snap._replace(demands=tuple(list(snap.demands)))
         assert node.exchange(3, [(3, equal)]).batch == ()
         assert len(solves) == 1 and ctrl.last_plan is solves[0]
 

@@ -7,11 +7,14 @@ from loadshed.model import (
     LoadGroup,
     LoadSpec,
     MissionWeightSet,
+    SystemSnapshot,
     Variability,
     ZoneLimit,
     fleet_issues,
     weight_issues,
 )
+from loadshed.optimizer import FleetModel
+from loadshed.records import RunRecord
 from loadshed.scenario import default_fleet, default_weights
 
 MW = 1e6
@@ -103,3 +106,32 @@ def test_contains_allows_status_tol(variability):
     assert variability.contains(-STATUS_TOL / 2)
     assert not variability.contains(1.0 + 2 * STATUS_TOL)
     assert not variability.contains(-2 * STATUS_TOL)
+
+
+def per_tick_values():
+    snapshot = SystemSnapshot(0.1, 1, (7,), (1.0,), (2.5e6,), 1e7, 5e4, 0.26)
+    model = FleetModel([(7, 1.0, 2.5e6, Variability.binary(), None)], ())
+    return {
+        "snapshot": snapshot,
+        "record": RunRecord(0.1, 1e7, 5e4, 0.26, 1.0, 1.0, 1.0, 1.0, 1.0, False,
+                            (1.0,), (1.0,), (2.5e6,)),
+        "instance": model.instance(snapshot, ()),
+    }
+
+
+@pytest.mark.parametrize("kind", ["snapshot", "record", "instance"])
+def test_per_tick_values_are_immutable(kind):
+    value = per_tick_values()[kind]
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    again = per_tick_values()[kind]
+    if kind != "instance":  # an instance holds a model, equal only to itself, and a caps list
+        assert value == again and hash(value) == hash(again)
+    assert value._replace() == value and repr(value).startswith(type(value).__name__ + "(")
+
+
+def test_a_snapshot_keeps_its_budget_and_a_record_its_solve_time_default():
+    values = per_tick_values()
+    assert values["snapshot"].budget_w == 1e7 - 5e4
+    assert values["record"].solve_time_s == 0.0

@@ -45,7 +45,7 @@ def reweighted(inst: ModelInstance, weight=lambda k, w: w, rated=lambda k, r: r)
              for zi, limit in enumerate(inst.zone_limits_w)]
     loads = [(lid, weight(k, w), rated(k, r), v, str(z)) for k, (lid, w, r, v, z)
              in enumerate(zip(m.ids, m.weight, m.rated, m.variability, m.zone_of))]
-    return replace(inst, model=FleetModel(loads, zones))
+    return inst._replace(model=FleetModel(loads, zones))
 
 
 class TestSolveExamples:
@@ -485,7 +485,7 @@ class TestBuildInstance:
         for changed in (dict(load_ids=(5, 1)), dict(load_ids=(1,), demands=(1.0,)),
                         dict(demands=(1.0,))):
             with pytest.raises(ConfigurationError):
-                model.instance(replace(snap, **changed), ())
+                model.instance(snap._replace(**changed), ())
 
 
 class TestPreparedMemo:
@@ -524,10 +524,10 @@ class TestPreparedMemo:
         inst = random_instance(seed + 700, max_discrete=10)
         total = sum(c * r for c, r in zip(inst.caps, inst.model.rated))
         for share in (0.3, 0.9, 0.5, 1.5, 0.3):
-            shared = solve(replace(inst, capacity_budget_w=share * total), None)
+            shared = solve(inst._replace(capacity_budget_w=share * total), None)
             # a fresh model, with no search data kept from an earlier budget
             fresh_inst = random_instance(seed + 700, max_discrete=10)
-            fresh = solve(replace(fresh_inst, capacity_budget_w=share * total), None)
+            fresh = solve(fresh_inst._replace(capacity_budget_w=share * total), None)
             assert (shared.statuses, shared.objective) == (fresh.statuses, fresh.objective)
 
 
@@ -645,7 +645,7 @@ class TestBudgetCertificate:
             for budget_w in self.budgets(solved_at, plan, self.radius(plan)):
                 before = len(solves)
                 ctrl.on_telemetry(snapshot(budget_w))
-                fresh = solve(replace(inst, capacity_budget_w=budget_w), None)
+                fresh = solve(inst._replace(capacity_budget_w=budget_w), None)
                 assert ctrl.intent == tuple(fresh.statuses[lid] for lid in inst.model.ids), (
                     f"seed {seed}, budget {budget_w!r}")
                 if len(solves) > before:
@@ -669,7 +669,7 @@ class TestBudgetCertificate:
             inst = family(seed)
             ctrl, snapshot = self.controller(inst)
             shared = tuple(inst.caps)
-            ctrl.on_telemetry(replace(snapshot(inst.capacity_budget_w), demands=shared))
+            ctrl.on_telemetry(snapshot(inst.capacity_budget_w)._replace(demands=shared))
             plan = ctrl.last_plan
             budgets = self.budgets(inst.capacity_budget_w, plan, self.radius(plan))
             for copied in (False, True):
@@ -679,8 +679,8 @@ class TestBudgetCertificate:
                         demands = tuple(-0.0 if d == 0.0 else d for d in shared)
                         negated += sum(math.copysign(1.0, d) < 0.0 for d in demands)
                     before = len(solves)
-                    ctrl.on_telemetry(replace(snapshot(budget_w), demands=demands))
-                    fresh = solve(replace(inst, capacity_budget_w=budget_w), None)
+                    ctrl.on_telemetry(snapshot(budget_w)._replace(demands=demands))
+                    fresh = solve(inst._replace(capacity_budget_w=budget_w), None)
                     assert ctrl.intent == tuple(fresh.statuses[lid] for lid in inst.model.ids), (
                         f"seed {seed}, budget {budget_w!r}, copied {copied}")
                     kept[copied] += len(solves) == before
@@ -785,7 +785,7 @@ class TestBudgetCertificate:
                               budget_w)
         plan = solve(inst, None)
         nudged = math.nextafter(budget_w, toward)
-        fresh = solve(replace(inst, capacity_budget_w=nudged), None)
+        fresh = solve(inst._replace(capacity_budget_w=nudged), None)
         assert (plan.statuses[4], fresh.statuses[4]) == (1.0, 0.0)
         ctrl, snapshot = self.controller(inst)
         ctrl.on_telemetry(snapshot(budget_w))
@@ -810,13 +810,13 @@ class TestKeptTick:
         ctrl, snapshot = TestBudgetCertificate.controller(inst)
         Demands, Powers = counting(tuple), counting(tuple)
         demands = Demands(inst.caps)
-        ctrl.on_telemetry(replace(snapshot(8.5 * MW), demands=demands))
+        ctrl.on_telemetry(snapshot(8.5 * MW)._replace(demands=demands))
         leaf = ctrl.last_plan.leaf
         ctrl.last_plan = replace(ctrl.last_plan, leaf=leaf._replace(powers=Powers(leaf.powers)))
         Demands.reads = Powers.reads = 0
         for budget_w in (8.4 * MW, 8.7 * MW, 8.5 * MW, 7.9 * MW):
-            ctrl.on_telemetry(replace(snapshot(budget_w), demands=demands))
-            fresh = solve(replace(inst, capacity_budget_w=budget_w), None)
+            ctrl.on_telemetry(snapshot(budget_w)._replace(demands=demands))
+            fresh = solve(inst._replace(capacity_budget_w=budget_w), None)
             assert ctrl.intent == tuple(fresh.statuses.values()), f"budget {budget_w!r}"
         assert len(solves) == 1
         assert (Demands.reads, Powers.reads) == (0, 0)
@@ -902,7 +902,7 @@ class TestProperties:
     def test_capacity_monotonicity(self, seed):
         inst = random_instance(seed + 500, max_discrete=12)
         lower = solve(inst, deadline_s=None)
-        bigger = replace(inst, capacity_budget_w=inst.capacity_budget_w * 1.3 + MW)
+        bigger = inst._replace(capacity_budget_w=inst.capacity_budget_w * 1.3 + MW)
         higher = solve(bigger, deadline_s=None)
         assert higher.objective >= lower.objective - 1e-9
 
@@ -919,7 +919,7 @@ class TestProperties:
         inst = random_instance(seed + 900, max_discrete=12, allow_zones=False,
                                allow_failed=False)
         total = sum(c * r for c, r in zip(inst.caps, inst.model.rated))
-        rich = replace(inst, capacity_budget_w=total * 1.01 + 1.0)
+        rich = inst._replace(capacity_budget_w=total * 1.01 + 1.0)
         plan = solve(rich, deadline_s=None)
         for lid, cap in zip(inst.model.ids, inst.caps):
             assert plan.statuses[lid] == pytest.approx(cap, abs=1e-12)
@@ -986,8 +986,8 @@ class TestPlanViolations:
         # 7 MW served, 4 MW of it in Z1, against a budget or a limit over_w below that
         plan = ShedPlan({1: 1.0, 2: 0.0, 3: 0.25, 4: 1.0}, 0.0, 0.0, 0.0, True)
         inst = self.instance()
-        over_budget = plan_violations(replace(inst, capacity_budget_w=7 * MW - over_w), plan)
-        over_zone = plan_violations(replace(inst, zone_limits_w=[4 * MW - over_w]), plan)
+        over_budget = plan_violations(inst._replace(capacity_budget_w=7 * MW - over_w), plan)
+        over_zone = plan_violations(inst._replace(zone_limits_w=[4 * MW - over_w]), plan)
         assert [p.split(":")[0] for p in over_budget] == (["capacity"] if flagged else [])
         assert [p.split(":")[0] for p in over_zone] == (["zone 0"] if flagged else [])
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import math
+import pickle
 import tracemalloc
-from dataclasses import replace
+
+import pytest
 
 from loadshed.records import RunMeta, RunRecord, read_run_csv, write_run_csv
 from loadshed.report import GROUPINGS, write_group_csv, write_run_artifacts
@@ -89,13 +91,13 @@ def sharing_rows() -> tuple[RunMeta, list[RunRecord]]:
     meta, rows = special_rows()
     shared, other = rows[4].commanded, rows[6].commanded
     for k, column in ((4, shared), (5, shared), (6, other)):
-        rows[k] = replace(rows[k], demands=column, measured_w=column)
+        rows[k] = rows[k]._replace(demands=column, measured_w=column)
     return meta, rows
 
 
 def unshared(rows: list[RunRecord]) -> list[RunRecord]:
     """The same rows with every tuple a distinct object."""
-    return [replace(r, demands=tuple(list(r.demands)), commanded=tuple(list(r.commanded)),
+    return [r._replace(demands=tuple(list(r.demands)), commanded=tuple(list(r.commanded)),
                     measured_w=tuple(list(r.measured_w))) for r in rows]
 
 
@@ -132,6 +134,27 @@ class TestRunCsvWriter:
         lines = (tmp_path / "shared" / "IPNC.csv").read_text().splitlines()[2:]
         assert [line.split(",", 1)[1] for line in lines] == [
             "250,1", "250,1", "250.0,1.0", "250.0,1.0", "250,1"]
+
+    @pytest.mark.parametrize("which", ["special", "sharing", "bundled"])
+    def test_group_csvs_do_not_depend_on_shared_objects(self, which, baseline_run, tmp_path):
+        # the group writer renders a grouping again only where a member's
+        # measured float changed object; rows whose every tuple and float is
+        # a new object must write the same bytes
+        if which == "bundled":
+            meta, rows = baseline_run.meta, baseline_run.rows
+        else:
+            meta, rows = special_rows() if which == "special" else sharing_rows()
+        copied = [r._replace(demands=pickle.loads(pickle.dumps(r.demands)),
+                             measured_w=pickle.loads(pickle.dumps(r.measured_w))) for r in rows]
+        assert all(a is not b for r, c in zip(rows, copied) for a, b in zip(r.measured_w,
+                                                                            c.measured_w)
+                   if type(a) is float)
+        for name, series in (("shared", rows), ("copied", copied)):
+            (tmp_path / name).mkdir()
+            write_group_csv(meta, series, GROUPINGS, tmp_path / name)
+        for grouping in GROUPINGS:
+            shared = (tmp_path / "shared" / f"{grouping}.csv").read_bytes()
+            assert shared == (tmp_path / "copied" / f"{grouping}.csv").read_bytes(), grouping
 
     def test_round_trip_reads_every_value_back(self, tmp_path):
         meta, rows = special_rows()

@@ -22,7 +22,7 @@ from loadshed.records import RunCsvError, read_run_csv, write_run_csv
 from loadshed.report import (
     GROUPINGS,
     IncompatibleRunsError,
-    _group_series,
+    _group_lines,
     compare_runs,
     write_group_csv,
 )
@@ -226,7 +226,8 @@ class TestScenarioConfig:
 def group_rows(meta, rows, grouping):
     """(time, demanded W, served W) per row for one grouping, as the group CSVs hold them."""
     k = GROUPINGS.index(grouping)
-    return [(t, *sums[k]) for t, sums in _group_series(meta, rows)]
+    return [(float(t), *map(float, ends[k].split(",")[1:]))
+            for t, ends in _group_lines(meta, rows)]
 
 
 @pytest.fixture(scope="module")

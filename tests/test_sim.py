@@ -2,21 +2,25 @@ import hashlib
 import importlib.util
 import logging
 import math
+import pickle
 import random
 import time
 from dataclasses import replace
+from operator import truediv
 from pathlib import Path
 
 import pytest
 
-from _helpers import counting, failure_scenario, milp_objective, small_scenario
+from _helpers import (counting, failure_scenario, measured_sum, milp_objective,
+                      small_scenario)
 from loadshed.controller import (ALGORITHMS, AdvancedController, MissionDatabase,
                                  make_controller)
 from loadshed import link
 from loadshed.link import DelayQueue, replay_drop_schedule
-from loadshed.model import STATUS_TOL, ShedCommand
+from loadshed.metrics import operability
+from loadshed.model import STATUS_TOL, ShedCommand, SystemSnapshot
 from loadshed.optimizer import OBJ_REL_TOL
-from loadshed.plant import GeneratorTrip
+from loadshed.plant import GeneratorTrip, Plant
 from loadshed.records import read_run_csv, write_run_csv
 from loadshed.scenario import default_scenario, load_scenario, save_scenario, validate_scenario
 from loadshed.sim import (SYNC_TIMEOUT_S, _ControlNode, _Recorder, build_plant, run_lockstep,
@@ -225,6 +229,118 @@ def test_a_fleet_declared_out_of_id_order(scenario):
                     f"t={a.time_s}"
 
 
+def fresh_copies(monkeypatch):
+    """Make every snapshot the plant hands out carry new tuples of new
+    objects, so no row shares a tuple or a float with the row before."""
+    tick = Plant.tick
+
+    def fresh(self, dt):
+        snap = tick(self, dt)
+        return snap._replace(**{name: pickle.loads(pickle.dumps(getattr(snap, name)))
+                                for name in ("load_ids", "demands", "measured_w")})
+
+    monkeypatch.setattr(Plant, "tick", fresh)
+
+
+def assert_measured_sums_are_the_reference(sc, rows):
+    """Each row's ``wsum_measured`` and ``op_measured`` have the bits of the
+    reference loop over that row's columns."""
+    db = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
+    rated = [spec.rated_power_w for spec in sc.fleet]
+    for row in rows:
+        weights = db.segment_at(row.time_s).model.weight
+        expected = measured_sum(weights, row.demands, map(truediv, row.measured_w, rated))
+        assert row.wsum_measured.hex() == expected.hex(), f"t={row.time_s}"
+        assert row.op_measured.hex() == operability(expected, row.wsum_demand).hex(), \
+            f"t={row.time_s}"
+
+
+@pytest.mark.parametrize("case", ["advanced", "baseline", "fleet-scale", "reversed", "failure",
+                                  "fresh-copies"])
+def test_measured_sums_are_bit_identical_to_the_reference(case, advanced_run, baseline_run,
+                                                          monkeypatch, tmp_path):
+    # the recorder recomputes only the terms of the loads whose measured float
+    # changed object; every row must still carry the bits of a full pass. A
+    # run whose snapshots share nothing takes the full pass on every row and
+    # must write the same rows as the run that shares.
+    sc, algorithm = default_scenario(), "advanced"
+    if case in ("advanced", "baseline"):
+        rows = {"advanced": advanced_run, "baseline": baseline_run}[case].rows
+    else:
+        if case == "fleet-scale":
+            sc = fleet_scenario(1, tmp_path)
+        elif case == "reversed":
+            sc = replace(sc, fleet=sc.fleet[::-1])
+        elif case == "failure":
+            sc = failure_scenario()
+        elif case == "fresh-copies":
+            algorithm = "baseline"
+            shared = run_lockstep(sc, algorithm=algorithm, seed=42).rows
+            fresh_copies(monkeypatch)
+        rows = run_lockstep(sc, algorithm=algorithm, seed=42).rows
+    assert_measured_sums_are_the_reference(sc, rows)
+    if case == "fresh-copies":
+        assert all(a.measured_w is not b.measured_w for a, b in zip(rows, rows[1:]))
+        assert [r._replace(solve_time_s=0.0) for r in rows] == [
+            r._replace(solve_time_s=0.0) for r in shared]
+        assert [r.wsum_measured.hex() for r in rows] == [r.wsum_measured.hex() for r in shared]
+
+
+@pytest.mark.parametrize("moved", [0, 1, 3, 7])
+def test_a_row_computes_the_terms_of_the_moved_loads_only(moved):
+    # the measured floats count their divisions by the rating: one per term
+    # computed. The second row shares all but ``moved`` float objects with
+    # the first (the new ones have equal values), so it computes that many
+    # terms, and its sum still has the bits of the reference loop.
+    class Power(float):
+        divisions = 0
+
+        def __truediv__(self, other):
+            Power.divisions += 1
+            return float(self) / other
+
+    sc = small_scenario()
+    recorder = _Recorder(sc)
+    ids = tuple(spec.id for spec in sc.fleet)
+    rated = [spec.rated_power_w for spec in sc.fleet]
+    demands = (1.0,) * len(ids)
+    first = tuple(Power(0.4 * r) for r in rated)
+    changed = random.Random(moved).sample(range(len(ids)), moved)
+    second = tuple(Power(p) if i in changed else p for i, p in enumerate(first))
+    commanded = (1.0,) * len(ids)
+    for t, measured in ((0.1, first), (0.2, second)):
+        Power.divisions = 0
+        snap = SystemSnapshot(t, sc.mission_id, ids, demands, measured, 2e7, 0.0, 0.5)
+        row = recorder.row(snap, commanded, False, 0.0)
+    assert Power.divisions == moved
+    weights = recorder.db.segment_at(0.2).model.weight
+    expected = measured_sum(weights, demands, [p / r for p, r in zip(second, rated)])
+    assert row.wsum_measured.hex() == expected.hex()
+
+
+def test_node_batch_counts_nan_as_changed():
+    class Stub:
+        """Sets its intent to the next tuple on each telemetry."""
+
+        last_plan = None
+
+        def __init__(self, intents):
+            self.intents = iter(intents)
+            self.intent = next(self.intents)
+
+        def on_telemetry(self, snapshot):
+            self.intent = next(self.intents)
+
+    sc = small_scenario()
+    nan = math.nan
+    stub = Stub([(1.0, nan) + (1.0,) * 6, (1.0, nan) + (1.0,) * 5 + (0.5,)])
+    node = _ControlNode(stub, 3, sc.fleet, sc.mission_id)
+    snap = build_plant(sc).tick(sc.window.tick_s)
+    batch = node.exchange(1, [(1, snap)]).batch
+    assert [(c.load_id, c.status) for c in batch][1:] == [(8, 0.5)]
+    assert batch[0].load_id == 2 and math.isnan(batch[0].status)
+
+
 class TestLockstep:
     def test_row_count_matches_window(self, advanced_run):
         assert len(advanced_run.rows) == 6000
@@ -347,7 +463,7 @@ class TestLockstep:
         write_run_csv(path, result.meta, result.rows)
         meta, rows = read_run_csv(path)
         assert meta == result.meta
-        stripped = [replace(r, solve_time_s=0.0) for r in result.rows]
+        stripped = [r._replace(solve_time_s=0.0) for r in result.rows]
         assert rows == stripped
 
 
@@ -368,8 +484,8 @@ class TestNetworked:
         lock = run_lockstep(sc, algorithm="advanced", seed=0)
         net = run_networked(sc, algorithm="advanced", seed=0, plant_port=0,
                             controller_port=0)
-        a = [replace(r, solve_time_s=0.0) for r in lock.rows]
-        b = [replace(r, solve_time_s=0.0) for r in net.rows]
+        a = [r._replace(solve_time_s=0.0) for r in lock.rows]
+        b = [r._replace(solve_time_s=0.0) for r in net.rows]
         assert a == b
 
     def test_lossy_networked_run_completes(self):
@@ -445,8 +561,8 @@ class TestNetworked:
         assert min(parts["encode_telemetry_parts"]) > 1
         assert max(parts["encode_commands_parts"]) > 1
         assert net.used_seq == lock.used_seq
-        assert [replace(r, solve_time_s=0.0) for r in net.rows] == [
-            replace(r, solve_time_s=0.0) for r in lock.rows]
+        assert [r._replace(solve_time_s=0.0) for r in net.rows] == [
+            r._replace(solve_time_s=0.0) for r in lock.rows]
 
     def test_codec_entry_points_run_once_per_tick_each_way(self, monkeypatch):
         # the benchmark times the codec by wrapping these module attributes,
@@ -544,16 +660,16 @@ def test_node_batch_is_the_fleet_order_diff_of_intents(bundled_scenario, algorit
 
 class TestNonFiniteTelemetry:
     @pytest.mark.parametrize("corrupt", [
-        lambda snap: replace(snap, demands=(math.nan,) + snap.demands[1:]),
-        lambda snap: replace(snap, total_capacity_w=math.inf),
-        lambda snap: replace(snap, total_loss_w=math.inf),
-        lambda snap: replace(snap, load_ids=snap.load_ids[::-1]),
-        lambda snap: replace(snap, load_ids=(), demands=(), measured_w=()),
-        lambda snap: replace(snap, loading_pu=math.nan),
-        lambda snap: replace(snap, loading_pu=-0.5),
-        lambda snap: replace(snap, time_s=math.nan),
-        lambda snap: replace(snap, time_s=math.inf),
-        lambda snap: replace(snap, mission_id=snap.mission_id + 1),
+        lambda snap: snap._replace(demands=(math.nan,) + snap.demands[1:]),
+        lambda snap: snap._replace(total_capacity_w=math.inf),
+        lambda snap: snap._replace(total_loss_w=math.inf),
+        lambda snap: snap._replace(load_ids=snap.load_ids[::-1]),
+        lambda snap: snap._replace(load_ids=(), demands=(), measured_w=()),
+        lambda snap: snap._replace(loading_pu=math.nan),
+        lambda snap: snap._replace(loading_pu=-0.5),
+        lambda snap: snap._replace(time_s=math.nan),
+        lambda snap: snap._replace(time_s=math.inf),
+        lambda snap: snap._replace(mission_id=snap.mission_id + 1),
     ], ids=["nan-demand", "inf-capacity", "inf-loss", "other-loads", "no-records",
             "nan-loading", "negative-loading", "nan-time", "inf-time", "foreign-mission"])
     def test_tick_is_degraded_and_holds_the_last_batch(self, corrupt):
@@ -585,7 +701,7 @@ class TestNonFiniteTelemetry:
         Demands = counting(tuple)
         finite, nan = Demands(snap.demands), Demands((math.nan,) + snap.demands[1:])
         for k, demands in enumerate((finite, finite, nan, nan, nan, finite, finite), start=1):
-            decision = node.exchange(k, [(k, replace(snap, demands=demands))])
+            decision = node.exchange(k, [(k, snap._replace(demands=demands))])
             assert decision.degraded == (demands is nan), f"tick {k}"
         assert len(handed) == 4
         assert Demands.reads == 3  # finite, nan, finite again

@@ -11,7 +11,6 @@ budget and each zone's limit.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
@@ -131,15 +130,15 @@ def nonfinite_fields(row: RunRecord) -> list[str]:
     but power is drawn; that is a finite fact, not a corrupted one.
     """
     bad = []
-    for f in fields(RunRecord):
-        if f.name in ("degraded", "solve_time_s"):
+    for name in RunRecord._fields:
+        if name in ("degraded", "solve_time_s"):
             continue
-        value = getattr(row, f.name)
+        value = getattr(row, name)
         for x in value if isinstance(value, tuple) else (value,):
-            if f.name == "loading_pu" and x == math.inf and row.capacity_w == 0.0:
+            if name == "loading_pu" and x == math.inf and row.capacity_w == 0.0:
                 continue
             if not math.isfinite(x):
-                bad.append(f"t={row.time_s}: {f.name} = {x}")
+                bad.append(f"t={row.time_s}: {name} = {x}")
     return bad
 
 
