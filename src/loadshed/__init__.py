@@ -15,7 +15,7 @@ from .controller import (
     make_controller,
 )
 from .link import ImpairmentConfig
-from .metrics import MissionWindow, integral_operability, operability, served_sums
+from .metrics import MissionWindow, integral_operability, operability
 from .model import (
     Category,
     GenerationModule,

@@ -29,11 +29,13 @@ by their exact length. Load and mission ids travel as u16; ``MAX_ID``,
 ``MAX_TELEMETRY_LOADS`` and ``MAX_TIMESTAMP_MS`` are what a scenario must fit.
 
 The codec packs and unpacks the records of each part, or of a message that
-fits one datagram, with one precompiled struct for that record count (at
-most one part's records: 74 telemetry, 138 command), reading the fields
-straight out of the datagram and splitting the flat field tuple into
-columns by slicing. The bytes are those of packing each record on its own
-(``<Hdd`` or ``<Hd``) and joining the records in order.
+fits one datagram, with one precompiled struct for that record count,
+reading the fields straight out of the datagram and splitting the flat field
+tuple into columns by slicing. The bytes are those of packing each record on
+its own (``<Hdd`` or ``<Hd``) and joining the records in order. No sender
+puts more than one part's records (74 telemetry, 138 command) in a datagram,
+so the decoder refuses a datagram or a part that holds more with
+:class:`CountMismatch`.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ MAX_TELEMETRY_LOADS = MAX_PARTS * _PER_PART[MSG_TELEMETRY]  # 128 x 74 = 9,472
 class _Layouts(dict):
     """``layouts[k]``: the struct of ``k`` consecutive records of one message
     type, compiled on first use. The codec asks only for ``k`` up to one
-    part's records (74 telemetry, 138 command), so the cache stays small."""
+    part's records (74 telemetry, 138 command), and refuses longer record
+    runs before it asks, so the cache stays small."""
 
     def __init__(self, record_format: str):
         super().__init__()
@@ -198,23 +201,6 @@ def encode_commands_parts(
 # decoding
 
 
-def _unpack(msg_type: int, data: bytes, offset: int, count: int) -> tuple:
-    """The fields of the ``count`` records at ``offset`` in ``data``, in wire
-    order: one struct call per part's worth of records, and no copy of the
-    bytes."""
-    layouts = _LAYOUTS[msg_type]
-    per = _PER_PART[msg_type]
-    if count <= per:
-        return layouts[count].unpack_from(data, offset)
-    whole, rest = divmod(count, per)
-    full = layouts[per]
-    flat: list = []
-    for start in range(offset, offset + whole * full.size, full.size):
-        flat += full.unpack_from(data, start)
-    flat += layouts[rest].unpack_from(data, offset + whole * full.size)
-    return tuple(flat)
-
-
 def _view(msg_type: int, seq: int, timestamp_ms: int, flat: tuple,
           trailer: tuple) -> DatagramView:
     """The message whose records hold the fields ``flat`` in wire order."""
@@ -253,9 +239,13 @@ def decode_datagram(data: bytes) -> DatagramView | DatagramPart:
         raise BadMessageType(f"unknown message type {msg_type:#04x}")
     rec_size = _RECORD_SIZE[msg_type]
     trailer = _TRAILER[msg_type]
+    per = _PER_PART[msg_type]
     end = _HEADER.size + count * rec_size
     if len(data) == end + trailer.size:
-        return _view(msg_type, seq, timestamp_ms, _unpack(msg_type, data, _HEADER.size, count),
+        if count > per:
+            raise CountMismatch(f"{count} records in one datagram, over one part's {per}")
+        return _view(msg_type, seq, timestamp_ms,
+                     _LAYOUTS[msg_type][count].unpack_from(data, _HEADER.size),
                      trailer.unpack_from(data, end))
     # not a single-part datagram: expect a part byte after the header
     if len(data) < _HEADER.size + 1:
@@ -268,8 +258,10 @@ def decode_datagram(data: bytes) -> DatagramView | DatagramPart:
     k, extra = divmod(end - _HEADER.size - 1, rec_size)
     if extra:
         raise CountMismatch("part payload is not a whole number of records")
+    if k > per:
+        raise CountMismatch(f"{k} records in one part, over {per}")
     return DatagramPart(msg_type, seq, timestamp_ms, count, part_byte & 0x7F, final,
-                        _unpack(msg_type, data, _HEADER.size + 1, k),
+                        _LAYOUTS[msg_type][k].unpack_from(data, _HEADER.size + 1),
                         trailer.unpack_from(data, end) if final else ())
 
 

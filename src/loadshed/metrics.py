@@ -1,13 +1,12 @@
 """Mission-weighted operability metrics.
 
 The instantaneous value is the weighted fraction of demanded load service
-actually delivered: ``operability(num, den)``, where ``served_sums`` gives
-the weighted demand ``den`` and commanded service ``num``, and a
-:class:`MeasuredSum` the measured service. Both take aligned per-load
-columns in fleet order: the weights as the run's fleet model holds them, and
-the statuses and powers as telemetry carries them. The run recorder calls
-them each tick; its :class:`MeasuredSum` keeps each load's term between rows
-and recomputes only those of the loads whose measured power moved.
+actually delivered: ``operability(num, den)``. A run's recorder owns one
+:class:`ServiceSums`, which gives each row the weighted demand ``den``, the
+commanded and measured service and their two operabilities from the row's
+aligned per-load columns: the weights as the run's fleet model holds them,
+and the statuses and powers as telemetry carries them. It keeps its sums
+between rows and recomputes only those whose inputs changed.
 
 The mission-period value is the ratio of the two time-integrals (weighted
 service over weighted demand), approximated by left-rectangle sums on the
@@ -54,82 +53,91 @@ class MissionWindow:
         return round((self.t_end_s - self.t_start_s) / self.tick_s)
 
 
-def served_sums(weights: Iterable[float], demands: Iterable[float],
-                served: Iterable[float]) -> tuple[float, float]:
-    """Weighted (demanded, served) totals in one pass over the loads.
-
-    ``weights``, ``demands`` and ``served`` are aligned columns, one entry
-    per load. A served status counts up to its load's demand status. Loads
-    whose demand status is within ``STATUS_TOL`` of zero, which every status
-    domain reads as 0, add to neither sum: a measured status over such a
-    demand would make the ratio unbounded.
-    """
-    den = num = 0.0
-    tol = STATUS_TOL
-    for w, ds, s in zip(weights, demands, served):
-        if -tol <= ds <= tol:
-            continue
-        den += w * ds
-        num += w * (ds if ds < s else s)  # min(s, ds) without the call overhead
-    return den, num
+NO_WEIGHTS = (0.0, 0.0, 0.0, 1.0, 1.0)  # a row before the mission's first weight set
 
 
-class MeasuredSum:
-    """Weighted measured status, ``w * (m / r)`` added over the loads that
-    :func:`served_sums` counts, in fleet order, for one fleet's ratings ``r``.
+class ServiceSums:
+    """A run's per-row service sums, for one fleet's ratings ``r``.
 
-    A call takes the weights, demand statuses and measured powers (W) of one
-    row. The sum keeps each counted load's term and the objects it took them
-    from, and does only what their change needs:
+    A call takes one row's aligned columns in fleet order: the weights, the
+    demand statuses, the commanded statuses and the measured powers (W). It
+    returns ``(den, num_cmd, num_meas, op_cmd, op_meas)``: the weighted
+    demand ``w * ds``, commanded service ``w * min(s, ds)`` and measured
+    service ``w * (m / r)``, each added over the counted loads, then the two
+    operabilities. A load counts when its demand status is not within
+    ``STATUS_TOL`` of zero, which every status domain reads as 0: a measured
+    status over such a demand would make the ratio unbounded. Weights of
+    None (no weight set in force yet) give :data:`NO_WEIGHTS`.
 
-    - the same weights, demands and measured objects as the last call: the
-      last sum;
-    - a new measured tuple only: the terms of the loads whose measured float
-      is another object than in the last tuple (the plant hands on the float
-      of a load that did not move), then the terms added again;
-    - new weights or demands: every term.
+    The engine keeps the counted loads, each one's measured term, and the
+    objects it took them from, and does only what their change needs:
 
-    The terms are added from ``0.0`` in fleet order, the operations a plain
-    loop over the loads does, so the bits do not depend on which loads moved
-    or on the Python version. A caller must not change a list or tuple it
-    has passed.
+    - new weights or demands: count the loads and add every sum again;
+    - a new commanded tuple: add the commanded sum again;
+    - a new measured tuple: compute the terms of the counted loads whose
+      measured float is another object than in the last tuple (the plant
+      hands on the float of a load that did not move), and add the terms
+      again if there were any; a tuple of another length computes every term.
+
+    Each sum adds from ``0.0`` in fleet order, the operations a plain loop
+    over the loads does, so the bits do not depend on what changed or on the
+    Python version. A caller must not change a list or tuple it has passed.
     """
 
     def __init__(self, rated_w: Sequence[float]):
         self._rated = tuple(rated_w)
-        self._weights = self._demands = self._measured = None
+        self._weights = self._demands = self._commanded = self._measured = None
+        self._counted: list[int] = []  # the counted loads' indices, in fleet order
         self._slot: list[int] = []  # per load: its term's index in _terms, -1 if not counted
-        self._terms: list[float] = []  # the counted loads' terms, in fleet order
-        self._total = 0.0
+        self._terms: list[float] = []  # the counted loads' measured terms, in fleet order
+        self._den = self._num_meas = 0.0
+        self._cmd = (0.0, 1.0)  # the commanded sum and its operability
+        self._sums = NO_WEIGHTS
 
-    def __call__(self, weights: Sequence[float], demands: Sequence[float],
-                 measured_w: Sequence[float]) -> float:
+    def __call__(self, weights: Sequence[float] | None, demands: Sequence[float],
+                 commanded: Sequence[float], measured_w: Sequence[float]) -> tuple:
+        if weights is None:
+            return NO_WEIGHTS
         old = self._measured
-        if measured_w is old and weights is self._weights and demands is self._demands:
-            return self._total
-        self._measured = measured_w
-        rated, terms, slot = self._rated, self._terms, self._slot
-        if (weights is self._weights and demands is self._demands
-                and len(measured_w) == len(old)):
-            moved = False
-            for i in compress(count(), map(is_not, measured_w, old)):
-                j = slot[i]
-                if j >= 0:
-                    terms[j] = weights[i] * (measured_w[i] / rated[i])
-                    moved = True
-            if not moved:
-                return self._total
-        else:
-            self._weights, self._demands = weights, demands
+        if weights is not self._weights or demands is not self._demands:
             tol = STATUS_TOL
-            slot[:] = [-1] * len(measured_w)
-            terms.clear()
-            for i, (w, ds, m, r) in enumerate(zip(weights, demands, measured_w, rated)):
-                if not -tol <= ds <= tol:
-                    slot[i] = len(terms)
-                    terms.append(w * (m / r))
-        self._total = reduce(add, terms, 0.0)  # ((0.0 + t0) + t1) + ..., as a loop adds
-        return self._total
+            counted = self._counted = [i for i, ds in enumerate(demands) if not -tol <= ds <= tol]
+            slot = self._slot = [-1] * len(demands)
+            den = 0.0
+            for j, i in enumerate(counted):
+                slot[i] = j
+                den += weights[i] * demands[i]
+            self._weights, self._demands, self._den = weights, demands, den
+            self._commanded = old = None
+        new_cmd = commanded is not self._commanded
+        if new_cmd:
+            self._commanded = commanded
+            num = 0.0
+            for i in self._counted:
+                ds, s = demands[i], commanded[i]
+                num += weights[i] * (ds if ds < s else s)  # min(s, ds) without the call overhead
+            self._cmd = (num, operability(num, self._den))
+        if measured_w is not old:
+            self._measured = measured_w
+            rated, terms = self._rated, self._terms
+            if old is not None and len(measured_w) == len(old):
+                slot, moved = self._slot, False
+                for i in compress(count(), map(is_not, measured_w, old)):
+                    j = slot[i]
+                    if j >= 0:
+                        terms[j] = weights[i] * (measured_w[i] / rated[i])
+                        moved = True
+                if not (moved or new_cmd):  # only loads that do not count moved
+                    return self._sums
+            else:
+                terms[:] = [weights[i] * (measured_w[i] / rated[i]) for i in self._counted]
+            self._num_meas = reduce(add, terms, 0.0)  # ((0.0 + t0) + t1) + ..., as a loop adds
+        elif not new_cmd:
+            return self._sums
+        den, num_meas = self._den, self._num_meas
+        num_cmd, op_cmd = self._cmd
+        self._sums = (den, num_cmd, num_meas, op_cmd, operability(num_meas, den))
+        return self._sums
 
 
 def operability(num: float, den: float) -> float:

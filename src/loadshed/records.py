@@ -1,8 +1,11 @@
 """Per-tick run records and their CSV serialization.
 
 ``run.csv`` holds everything deterministic about a run and is byte-identical
-across repeats of the same seeded lockstep scenario. Wall-clock solve times
-are written to a ``timing.csv`` sidecar instead, since they vary run to run.
+across repeats of the same seeded lockstep scenario. Each tick's wall-clock
+decision time (how long the control node took over the tick's telemetry,
+whether the controller solved, kept its last plan or ran the baseline's
+rule; 0 on a degraded tick) is written to a ``timing.csv`` sidecar instead,
+since it varies run to run; its column keeps the name ``solve_time_s``.
 The CSV schema is versioned in comment lines so downstream tooling can rely
 on it.
 

@@ -43,7 +43,7 @@ from typing import NamedTuple
 from . import link
 from .controller import Controller, MissionDatabase, make_controller
 from .link import DelayQueue, Reassembler
-from .metrics import MeasuredSum, operability, served_sums
+from .metrics import ServiceSums
 from .model import LoadSpec, ShedCommand, SystemSnapshot
 from .plant import Plant
 from .records import RunRecord, RunMeta
@@ -103,25 +103,16 @@ def build_plant(sc: ScenarioConfig) -> Plant:
 class _Recorder:
     """Shared row bookkeeping for both execution modes. The run's mission
     database is built here, and the rows read each load's weight by its
-    position in the weight set's fleet model.
-
-    A row computes terms only for the loads that moved. The plant hands on
-    its demand and measured tuples while they do not change, and a measured
-    float while its load does not move, and the controllers hand on their
-    intent tuple while no status changes. So the served sums are kept after
-    the objects they were taken from and taken again only when one of them is
-    new, and the :class:`~loadshed.metrics.MeasuredSum` recomputes only the
-    terms of the loads whose measured float is new (finding them, and adding
-    the terms up, are two C-level passes over the fleet). Each sum adds the
-    same terms in the same order as a full pass, so the bits are those of one.
+    position in the weight set's fleet model. A row's service sums come from
+    one :class:`~loadshed.metrics.ServiceSums`, which recomputes only what
+    changed: the plant hands on its demand and measured tuples while they do
+    not change, and a measured float while its load does not move, and the
+    controllers hand on their intent tuple while no status changes.
     """
 
     def __init__(self, sc: ScenarioConfig):
         self.db = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
-        self._measured_sum = MeasuredSum(tuple(spec.rated_power_w for spec in sc.fleet))
-        # the last row's served sums after the objects they were taken from:
-        # (weights, demands, commanded, den, num, op)
-        self._served: tuple | None = None
+        self._sums = ServiceSums(tuple(spec.rated_power_w for spec in sc.fleet))
 
     def row(
         self,
@@ -131,19 +122,11 @@ class _Recorder:
         solve_time_s: float,
     ) -> RunRecord:
         segment = self.db.segment_at(snapshot.time_s)
-        weights = None if segment is None else segment.model.weight
         demands, measured = snapshot.demands, snapshot.measured_w
-        s = self._served
-        if s is None or s[0] is not weights or s[1] is not demands or s[2] is not commanded:
-            den = num = 0.0
-            if weights is not None:
-                den, num = served_sums(weights, demands, commanded)
-            s = self._served = (weights, demands, commanded, den, num, operability(num, den))
-        _, _, _, den, num_cmd, op_cmd = s
-        num_meas = 0.0 if weights is None else self._measured_sum(weights, demands, measured)
+        sums = self._sums(None if segment is None else segment.model.weight,
+                          demands, commanded, measured)
         return RunRecord(snapshot.time_s, snapshot.total_capacity_w, snapshot.total_loss_w,
-                         snapshot.loading_pu, den, num_cmd, num_meas, op_cmd,
-                         operability(num_meas, den), degraded, demands, commanded, measured,
+                         snapshot.loading_pu, *sums, degraded, demands, commanded, measured,
                          solve_time_s)
 
 

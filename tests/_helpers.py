@@ -53,6 +53,20 @@ def counting(base: type) -> type:
     return Counting
 
 
+def served_sums(weights, demands, served) -> tuple[float, float]:
+    """The reference weighted (demanded, served) totals: ``w * ds`` and
+    ``w * min(s, ds)`` added from ``0.0`` over the loads whose demand status
+    is not within ``STATUS_TOL`` of zero, in the order given, one load at a
+    time."""
+    den = num = 0.0
+    for w, ds, s in zip(weights, demands, served):
+        if -STATUS_TOL <= ds <= STATUS_TOL:
+            continue
+        den += w * ds
+        num += w * (ds if ds < s else s)
+    return den, num
+
+
 def measured_sum(weights, demands, measured_pu) -> float:
     """The reference weighted measured status: ``w * m`` added from ``0.0``
     over the loads whose demand status is not within ``STATUS_TOL`` of zero,

@@ -5,6 +5,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loadshed import link
 from loadshed.link import (
     BadMagic,
     BadMessageType,
@@ -386,14 +387,19 @@ class TestBitExact:
         assert len(done) == 1
         assert_same_snapshot(done[0].snapshot, snap)
 
-    @pytest.mark.parametrize("n", [75, 148, 672])
-    def test_oversize_single_datagram_decodes_in_chunks(self, n):
-        # a whole message past MAX_DATAGRAM, which the encoder never sends,
-        # still decodes, one part's worth of records per struct call
+    @pytest.mark.parametrize("n, part", [(75, False), (148, False), (672, False), (75, True)],
+                             ids=["75", "148", "672", "part-75"])
+    def test_oversize_record_run_is_refused(self, n, part):
+        # a whole message, or a final part, holding more than one part's 74
+        # records: the encoder never sends one, and the decoder refuses it
+        # before it compiles a layout for that many records
         snap = special_snapshot(n)
         _, records, trailer = reference_telemetry(snap, 1)
-        data = _REF_HEADER.pack(b"LS", 1, MSG_TELEMETRY, 1, 310250, n) + records + trailer
-        assert_same_snapshot(decode_datagram(data).snapshot, snap)
+        header = _REF_HEADER.pack(b"LS", 1, MSG_TELEMETRY, 1, 310250, n)
+        data = header + (bytes((0x80,)) if part else b"") + records + trailer
+        with pytest.raises(CountMismatch):
+            decode_datagram(data)
+        assert n not in link._LAYOUTS[MSG_TELEMETRY]
 
     @pytest.mark.parametrize("n", (0, 1, 137, 138, 139, 276, 672, MAX_TELEMETRY_LOADS))
     def test_command_bytes_and_values(self, n):

@@ -4,17 +4,16 @@ from hypothesis import given, strategies as st
 from loadshed.metrics import (
     IncompleteSeriesError,
     MissionWindow,
+    ServiceSums,
     integral_operability,
-    operability,
-    served_sums,
 )
 
 
 def instant(weights, statuses, demands):
     """(operability, weighted demand) of loads 0, 1, ..., as the run recorder
     computes them from aligned columns."""
-    den, num = served_sums(weights, demands, statuses)
-    return operability(num, den), den
+    den, _, _, op_cmd, _ = ServiceSums([1.0] * len(weights))(weights, demands, statuses, statuses)
+    return op_cmd, den
 
 
 class TestInstantaneous:

@@ -8,11 +8,12 @@ import time
 from dataclasses import replace
 from operator import truediv
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from _helpers import (counting, failure_scenario, measured_sum, milp_objective,
-                      small_scenario)
+                      served_sums, small_scenario)
 from loadshed.controller import (ALGORITHMS, AdvancedController, MissionDatabase,
                                  make_controller)
 from loadshed import link
@@ -242,27 +243,30 @@ def fresh_copies(monkeypatch):
     monkeypatch.setattr(Plant, "tick", fresh)
 
 
-def assert_measured_sums_are_the_reference(sc, rows):
-    """Each row's ``wsum_measured`` and ``op_measured`` have the bits of the
-    reference loop over that row's columns."""
-    db = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
+def assert_sums_are_the_reference(sc, rows, db=None):
+    """Each row's five derived fields have the bits of the reference loops
+    over that row's columns, under the weights ``db`` (by default the
+    scenario's mission database) holds in force at the row's time."""
+    db = db or MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones, sc.events)
     rated = [spec.rated_power_w for spec in sc.fleet]
     for row in rows:
         weights = db.segment_at(row.time_s).model.weight
-        expected = measured_sum(weights, row.demands, map(truediv, row.measured_w, rated))
-        assert row.wsum_measured.hex() == expected.hex(), f"t={row.time_s}"
-        assert row.op_measured.hex() == operability(expected, row.wsum_demand).hex(), \
-            f"t={row.time_s}"
+        den, num = served_sums(weights, row.demands, row.commanded)
+        measured = measured_sum(weights, row.demands, map(truediv, row.measured_w, rated))
+        expected = (den, num, measured, operability(num, den), operability(measured, den))
+        got = (row.wsum_demand, row.wsum_commanded, row.wsum_measured, row.op_commanded,
+               row.op_measured)
+        assert [x.hex() for x in got] == [x.hex() for x in expected], f"t={row.time_s}"
 
 
 @pytest.mark.parametrize("case", ["advanced", "baseline", "fleet-scale", "reversed", "failure",
-                                  "fresh-copies"])
+                                  "failure-latency", "fresh-copies"])
 def test_measured_sums_are_bit_identical_to_the_reference(case, advanced_run, baseline_run,
                                                           monkeypatch, tmp_path):
-    # the recorder recomputes only the terms of the loads whose measured float
-    # changed object; every row must still carry the bits of a full pass. A
-    # run whose snapshots share nothing takes the full pass on every row and
-    # must write the same rows as the run that shares.
+    # the recorder recomputes only the sums and terms whose inputs changed
+    # object; every row must still carry the bits of a full pass. A run whose
+    # snapshots share nothing takes the full pass on every row and must write
+    # the same rows as the run that shares.
     sc, algorithm = default_scenario(), "advanced"
     if case in ("advanced", "baseline"):
         rows = {"advanced": advanced_run, "baseline": baseline_run}[case].rows
@@ -271,14 +275,28 @@ def test_measured_sums_are_bit_identical_to_the_reference(case, advanced_run, ba
             sc = fleet_scenario(1, tmp_path)
         elif case == "reversed":
             sc = replace(sc, fleet=sc.fleet[::-1])
-        elif case == "failure":
+        elif case.startswith("failure"):
             sc = failure_scenario()
+            if case == "failure-latency":
+                sc = replace(sc, impairment=replace(sc.impairment, latency_ms=150.0))
         elif case == "fresh-copies":
             algorithm = "baseline"
             shared = run_lockstep(sc, algorithm=algorithm, seed=42).rows
             fresh_copies(monkeypatch)
-        rows = run_lockstep(sc, algorithm=algorithm, seed=42).rows
-    assert_measured_sums_are_the_reference(sc, rows)
+        result = run_lockstep(sc, algorithm=algorithm, seed=42)
+        rows = result.rows
+    assert_sums_are_the_reference(sc, rows)
+    if case == "failure-latency":
+        # a row's weights are those at its own time, not at the time of the
+        # telemetry its intent answered (two ticks older here), and a degraded
+        # tick answers none: the recorder cannot take its weights from the
+        # decision
+        segment = MissionDatabase(sc.fleet, sc.mission_id, sc.weight_sets, sc.zones,
+                                  sc.events).segment_at
+        assert None in result.used_seq
+        assert any(seq is not None and segment(rows[seq - 1].time_s).model.weight
+                   is not segment(row.time_s).model.weight
+                   for row, seq in zip(rows, result.used_seq))
     if case == "fresh-copies":
         assert all(a.measured_w is not b.measured_w for a, b in zip(rows, rows[1:]))
         assert [r._replace(solve_time_s=0.0) for r in rows] == [
@@ -316,6 +334,47 @@ def test_a_row_computes_the_terms_of_the_moved_loads_only(moved):
     weights = recorder.db.segment_at(0.2).model.weight
     expected = measured_sum(weights, demands, [p / r for p, r in zip(second, rated)])
     assert row.wsum_measured.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("change", ["measured", "commanded", "demands"])
+def test_a_row_recomputes_only_the_sums_whose_inputs_changed(change):
+    # the weights count their multiplications: one per demand, commanded or
+    # measured term computed. After a first row, the second row shares all
+    # but one input object with it: three moved measured floats cost three
+    # products, a new commanded tuple one product per counted load (and no
+    # new demand sum), new demands every sum. Each row keeps the bits of the
+    # reference loops.
+    class Weight(float):
+        products = 0
+
+        def __mul__(self, other):
+            Weight.products += 1
+            return float(self) * other
+
+    sc = small_scenario()
+    recorder = _Recorder(sc)
+    weights = tuple(Weight(w) for w in (2.0, 3.0, 1.0, 5.0, 4.0, 1.5, 2.5, 6.0))
+    recorder.db = SimpleNamespace(segment_at=lambda t: SimpleNamespace(
+        model=SimpleNamespace(weight=weights)))
+    ids = tuple(spec.id for spec in sc.fleet)
+    rated = [spec.rated_power_w for spec in sc.fleet]
+    demands = (1.0, 0.0, 0.5, 1.0, 0.0, 1.0, 0.8, 1.0)
+    counted = [i for i, ds in enumerate(demands) if ds]
+    measured = tuple(0.4 * r for r in rated)
+    commanded = (1.0, 1.0, 0.0, 1.0, 0.0, 0.5, 1.0, 0.0)
+    second = {
+        "measured": (demands, commanded,
+                     tuple(p * 0.5 if i in counted[1:4] else p for i, p in enumerate(measured))),
+        "commanded": (demands, commanded[::-1], measured),
+        "demands": (demands[:-1] + (0.9,), commanded, measured),
+    }[change]
+    for t, (ds, cmd, meas) in ((0.1, (demands, commanded, measured)), (0.2, second)):
+        Weight.products = 0
+        snap = SystemSnapshot(t, sc.mission_id, ids, ds, meas, 2e7, 0.0, 0.5)
+        row = recorder.row(snap, cmd, False, 0.0)
+    assert Weight.products == {"measured": 3, "commanded": len(counted),
+                               "demands": 3 * len(counted)}[change]
+    assert_sums_are_the_reference(sc, [row], recorder.db)
 
 
 def test_node_batch_counts_nan_as_changed():
